@@ -5,8 +5,11 @@ the vectorized numpy engine, and the self-compiled C backend, then runs
 the fleet-day experiment head-to-head at full fleet scale. Both engines
 are bit-identical by contract (``tests/test_des_equivalence.py``), so
 every timing pair is the same computation — any speedup is pure
-implementation. Writes ``BENCH_des_replay.json`` so future PRs can track
-the DES engine's trajectory.
+implementation. A routing-draws section times the router's per-pick
+draws as numpy calls and as a :class:`~repro.serving.router.RoutingDraws`
+stream, and asserts identical picks and final generator state. Writes
+``BENCH_des_replay.json`` so future PRs can track the DES engine's
+trajectory.
 
 Run directly (CI uploads the JSON as an artifact)::
 
@@ -20,6 +23,7 @@ or through pytest (excluded from tier-1, which only collects ``tests/``)::
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import time
@@ -33,6 +37,7 @@ from repro.config.presets import RMC1
 from repro.experiments import fleet_day
 from repro.hw.server import BROADWELL
 from repro.serving._des_native import native_available
+from repro.serving.router import RoutingDraws
 from repro.serving.simulator import ServingSimulator
 
 DEFAULT_OUT = Path(__file__).parent / "BENCH_des_replay.json"
@@ -47,6 +52,13 @@ FLEET_HOURS = (0.0, 6.0, 12.0, 18.0)
 # python floor is lower because the event core stays a scalar heap).
 NATIVE_FLOOR = 10.0
 PYTHON_FLOOR = 2.0
+# Routing draws: the figure fleets and the fleet-day peak.
+ROUTING_POOLS = (8, 1048)
+ROUTING_PICKS = 100_000
+ROUTING_SEED = 7
+ROUTING_REPEATS = 3
+# The stream must beat numpy's choice on a jsq2 pick by at least this.
+ROUTING_FLOOR = 3.0
 
 
 def _sim_once(
@@ -151,6 +163,58 @@ def bench_fleet_full_day(seed: int = 17) -> dict:
     }
 
 
+def _routing_picks(policy: str, stream: bool, pool: int) -> tuple[float, str]:
+    """Best-of-repeats seconds for ``ROUTING_PICKS`` draws, and a digest.
+
+    The digest hashes the picks and the generator's final state, so the
+    numpy and stream runs of one policy must produce the same digest.
+    """
+    best_s = float("inf")
+    for _ in range(ROUTING_REPEATS):
+        rng = np.random.default_rng(ROUTING_SEED)
+        if stream:
+            draws = RoutingDraws(rng)
+            draw = draws.pair if policy == "jsq2" else draws.below
+        elif policy == "jsq2":
+            draw = functools.partial(rng.choice, size=2, replace=False)
+        else:
+            draw = rng.integers
+        start_s = time.perf_counter()
+        picks = [draw(pool) for _ in range(ROUTING_PICKS)]
+        best_s = min(best_s, time.perf_counter() - start_s)
+        if stream:
+            draws.close()
+    digest = hashlib.sha256(np.asarray(picks, dtype=np.int64).tobytes())
+    digest.update(json.dumps(rng.bit_generator.state, sort_keys=True).encode())
+    return best_s, digest.hexdigest()
+
+
+def bench_routing_draws() -> list[dict]:
+    """Per-pick host time of numpy's calls vs the RoutingDraws stream."""
+    rows = []
+    for pool in ROUTING_POOLS:
+        for policy, call in (
+            ("jsq2", "choice(n, 2, replace=False)"),
+            ("random", "integers(n)"),
+        ):
+            numpy_s, numpy_digest = _routing_picks(policy, False, pool)
+            stream_s, stream_digest = _routing_picks(policy, True, pool)
+            assert stream_digest == numpy_digest, (
+                f"routing draws diverged from numpy {call} at pool {pool}"
+            )
+            rows.append({
+                "pool": pool,
+                "policy": policy,
+                "numpy_call": call,
+                "picks": ROUTING_PICKS,
+                "numpy_us_per_pick": numpy_s / ROUTING_PICKS * 1e6,
+                "stream_us_per_pick": stream_s / ROUTING_PICKS * 1e6,
+                "speedup": numpy_s / stream_s,
+                "digest": numpy_digest[:16],
+            })
+    return rows
+
+
 def run_bench(
     offered_targets: tuple[int, ...] = (10_000, 100_000, 1_000_000),
     fleet: bool = True,
@@ -166,6 +230,7 @@ def run_bench(
             "native_available": native_available(),
         },
         "simulator": bench_simulator(offered_targets),
+        "routing_draws": bench_routing_draws(),
     }
     if fleet:
         report["fleet_head_to_head"] = bench_fleet_head_to_head()
@@ -186,6 +251,12 @@ def check_floors(report: dict) -> None:
             f"python speedup {largest['python_speedup']:.1f}x below "
             f"{PYTHON_FLOOR:.0f}x floor at {largest['offered_target']:,}"
         )
+    for row in report["routing_draws"]:
+        if row["policy"] == "jsq2":
+            assert row["speedup"] >= ROUTING_FLOOR, (
+                f"routing draws {row['speedup']:.1f}x below "
+                f"{ROUTING_FLOOR:.0f}x floor at pool {row['pool']}"
+            )
     full_day = report.get("fleet_full_day")
     if full_day is not None:
         assert full_day["offered"] >= 1_000_000, "fleet day below 1M requests"
@@ -220,6 +291,22 @@ def render(report: dict) -> str:
             ),
         )
     ]
+    parts.append(
+        format_table(
+            ["pool", "policy", "numpy us", "stream us", "speedup"],
+            [
+                [
+                    str(r["pool"]),
+                    r["policy"],
+                    f"{r['numpy_us_per_pick']:.2f}",
+                    f"{r['stream_us_per_pick']:.2f}",
+                    f"{r['speedup']:.1f}x",
+                ]
+                for r in report["routing_draws"]
+            ],
+            title="routing draws per pick (identical picks and final state)",
+        )
+    )
     head = report.get("fleet_head_to_head")
     if head is not None:
         parts.append(

@@ -18,10 +18,10 @@ test suite drives both backends against the reference
 :class:`~repro.hw.cache.SetAssociativeCache` implementation, which remains
 the executable specification.
 
-Build artifacts go to ``REPRO_NATIVE_CACHE`` if set, else a
-``_native_build`` directory next to this file when writable, else a
-process-private temporary directory. The shared object is keyed by a hash
-of the C source so edits trigger a rebuild.
+Build artifacts go to ``REPRO_NATIVE_CACHE`` if set (created when
+missing), else a ``_native_build`` directory next to this file when
+writable, else a process-private temporary directory. The shared object
+is keyed by a hash of the C source so edits trigger a rebuild.
 """
 
 from __future__ import annotations
@@ -365,7 +365,9 @@ class NativeKernel:
 def _build_dir() -> Path:
     override = os.environ.get("REPRO_NATIVE_CACHE")
     if override:
-        return Path(override)
+        path = Path(override)
+        path.mkdir(parents=True, exist_ok=True)
+        return path
     local = Path(__file__).resolve().parent / "_native_build"
     try:
         local.mkdir(exist_ok=True)
@@ -408,8 +410,12 @@ def compile_cached(
     target = build_dir / f"{stem}-{tag}{suffix}"
     if target.exists():
         return target
+    # Both files go through pid-unique temporaries and an atomic rename,
+    # so racing processes never compile or load a torn file.
     src = build_dir / f"{stem}-{tag}.c"
-    src.write_text(source)
+    tmp_src = build_dir / f".{stem}-{tag}-{os.getpid()}.c"
+    tmp_src.write_text(source)
+    os.replace(tmp_src, src)
     tmp = build_dir / f".{stem}-{tag}-{os.getpid()}{suffix}"
     cmd = [cc, "-O2", "-shared", "-fPIC", *extra_flags, "-o", str(tmp), str(src)]
     try:
@@ -418,7 +424,7 @@ def compile_cached(
         )
     except (subprocess.SubprocessError, OSError):
         return None
-    os.replace(tmp, target)  # atomic: racing processes both succeed
+    os.replace(tmp, target)
     return target
 
 

@@ -57,7 +57,7 @@ from .overload import (
     CircuitBreaker,
     OverloadStats,
 )
-from .router import SERVICE_NOISE_SIGMA, pick_machine
+from .router import SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
 
 if TYPE_CHECKING:
     from .faults import FaultSchedule, FaultyServingResult, ResilientRouter
@@ -745,6 +745,9 @@ def run_router_vectorized(
             requests.append(_Request(arrival_s=float(t_s)))
     arr_t_list: list[float] = arr_t.tolist()
     arr_id_list: list[int] = arr_ids.tolist()
+    # Routing draws share the generator with the service noise; the stream
+    # opens once the arrivals are drawn and closes after the loop.
+    draws = RoutingDraws(rng)
 
     transitions = faults.transition_events(num_machines)
     fault_t: list[float] = [e[0] for e in transitions]
@@ -940,7 +943,7 @@ def run_router_vectorized(
             attempt_failed(request_id, now_s)
             return
         machine = pick_machine(
-            router.routing, rng, depth, rr_state, candidates=cands
+            router.routing, draws, depth, rr_state, candidates=cands
         )
         if not up[machine]:
             fail_fasts += 1
@@ -1246,6 +1249,7 @@ def run_router_vectorized(
         else:  # _EV_HEALTH_LOCAL
             for machine in range(num_machines):
                 set_admitted(machine, up[machine])
+    draws.close()
 
     if degraded_on:
         time_in_degraded_s += duration_s - degraded_since_s

@@ -52,7 +52,7 @@ from .metrics import SLA, ResilienceStats, goodput_qps
 if TYPE_CHECKING:
     from .multimodel import MultiModelPool
 from .ranking_quality import pipeline_quality
-from .router import SERVICE_NOISE_SIGMA, pick_machine
+from .router import SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
 
 # ``overload`` never imports this module at import time (its one faults
 # dependency is deferred into a method body), so this edge is acyclic.
@@ -939,6 +939,9 @@ class ResilientRouter:
                 push(t_s, _EV_ARRIVAL, n_offered)
                 requests.append(_Request(arrival_s=t_s))
                 n_offered += 1
+        # Routing draws share the generator with the service noise; the
+        # stream opens once the arrivals are drawn and closes after the loop.
+        draws = RoutingDraws(rng)
 
         for edge_t_s, replica_id, goes_down in faults.transition_events(
             self.num_machines
@@ -1098,7 +1101,7 @@ class ResilientRouter:
                 return
             depths = [queue_len(m) for m in range(self.num_machines)]
             machine = pick_machine(
-                self.routing, rng, depths, rr_state, candidates=candidates
+                self.routing, draws, depths, rr_state, candidates=candidates
             )
             if not up[machine]:
                 # Connection refused: passive health detection.
@@ -1388,6 +1391,7 @@ class ResilientRouter:
             elif kind == _EV_HEALTH:
                 for machine in range(self.num_machines):
                     admitted[machine] = up[machine]
+        draws.close()
 
         if degraded_on:
             time_in_degraded_s += duration_s - degraded_since_s

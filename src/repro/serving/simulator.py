@@ -21,7 +21,6 @@ import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -284,6 +283,9 @@ class ServingSimulator:
         self._rng = np.random.default_rng(seed)
         self._resident = self.timing.resident_bytes(config)
         self._traffic = self.timing.estimate_random_traffic_gbps(config, batch_size)
+        # Uncontended-to-saturated base latencies by active-job count; the
+        # cache lives and dies with this simulator.
+        self._base_latency_cache: dict[int, ModelLatency] = {}
         #: Memory-bound share of an uncontended inference: the part a
         #: DRAM-bandwidth fault stretches (SLS dominates DRAM traffic).
         self._memory_fraction = (
@@ -384,11 +386,14 @@ class ServingSimulator:
             corunner_random_gbps=self._traffic,
         )
 
-    @lru_cache(maxsize=None)
     def _base_latency(self, active_jobs: int) -> ModelLatency:
-        return self.timing.model_latency(
-            self.config, self.batch_size, self.state_for(active_jobs)
-        )
+        base = self._base_latency_cache.get(active_jobs)
+        if base is None:
+            base = self.timing.model_latency(
+                self.config, self.batch_size, self.state_for(active_jobs)
+            )
+            self._base_latency_cache[active_jobs] = base
+        return base
 
     def noise_sigma(self, active_jobs: int) -> float:
         """Lognormal sigma of the service-time noise at a contention level."""

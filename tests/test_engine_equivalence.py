@@ -9,6 +9,7 @@ totals), plus regression-test the ``_prefetched_lines`` leak the
 vectorized engine's per-copy flags were designed against.
 """
 
+import ctypes
 import dataclasses
 
 import numpy as np
@@ -176,6 +177,25 @@ def test_native_backend_errors_when_disabled(monkeypatch):
             CacheHierarchy(BROADWELL, engine="vectorized", backend="native")
     finally:
         native._CACHED = None  # let later tests re-probe the compiler
+
+
+def test_compile_cached_creates_missing_cache_dir(monkeypatch, tmp_path):
+    import repro.hw._native as native
+
+    if native._compiler() is None:
+        pytest.skip("no C compiler")
+    cache = tmp_path / "nested" / "not-yet" / "native"
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+    path = native.compile_cached(
+        "int repro_probe(void) { return 42; }\n", "repro_probe"
+    )
+    assert path is not None and path.parent == cache
+    assert ctypes.CDLL(str(path)).repro_probe() == 42
+    # The source sits beside the object and no temporary is left behind.
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [path.name, path.with_suffix(".c").name]
+    )
 
 
 class TestPrefetchLeakRegression:

@@ -1,5 +1,8 @@
 """Tests for the discrete-event serving simulator."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,22 @@ class TestNoiseModel:
         bdw = ServingSimulator(BROADWELL, RMC2_SMALL, 32, 8, seed=0)
         skl = ServingSimulator(SKYLAKE, RMC2_SMALL, 32, 8, seed=0)
         assert bdw.noise_sigma(8) > skl.noise_sigma(8)
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    def test_simulator_dies_after_run(self, engine):
+        """No module-level cache keeps a finished simulator alive."""
+        sim = ServingSimulator(
+            BROADWELL, RMC2_SMALL, 32, num_instances=4, per_instance_qps=50,
+            seed=0, engine=engine,
+        )
+        result = sim.run(0.05)
+        assert len(result.records) > 0
+        ref = weakref.ref(sim)
+        del sim, result
+        gc.collect()
+        assert ref() is None
 
 
 class TestFcSamples:
