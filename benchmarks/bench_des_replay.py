@@ -1,13 +1,14 @@
 """Perf-trajectory bench: reference vs vectorized vs native DES engines.
 
-Times identical serving simulations through the reference per-event loop,
-the vectorized numpy engine, and the self-compiled C backend, then runs
-the fleet-day experiment head-to-head at full fleet scale. Both engines
-are bit-identical by contract (``tests/test_des_equivalence.py``), so
-every timing pair is the same computation — any speedup is pure
-implementation. A routing-draws section times the router's per-pick
-draws as numpy calls and as a :class:`~repro.serving.router.RoutingDraws`
-stream, and asserts identical picks and final generator state. Writes
+Times identical serving simulations through the simulator's reference
+per-event loop, the vectorized numpy engine, and the self-compiled C
+backend. The engines are bit-identical by contract
+(``tests/test_des_equivalence.py``), so every timing pair is the same
+computation — any speedup is pure implementation. A full-scale fleet day
+then runs through the router's single event loop. A routing-draws
+section times the router's per-pick draws as numpy calls and as a
+:class:`~repro.serving.router.RoutingDraws` stream, and asserts
+identical picks and final generator state. Writes
 ``BENCH_des_replay.json`` so future PRs can track the DES engine's
 trajectory.
 
@@ -45,8 +46,6 @@ DEFAULT_OUT = Path(__file__).parent / "BENCH_des_replay.json"
 SIM_INSTANCES = 48
 SIM_DURATION_S = 0.5
 SIM_SEED = 7
-# Full-scale head-to-head samples one window per quarter of the day.
-FLEET_HOURS = (0.0, 6.0, 12.0, 18.0)
 # The vectorized engine must beat the reference loop by at least this
 # factor at the largest simulator size (with the C backend; the pure
 # python floor is lower because the event core stays a scalar heap).
@@ -124,32 +123,8 @@ def bench_simulator(offered_targets: tuple[int, ...]) -> list[dict]:
     return rows
 
 
-def bench_fleet_head_to_head(seed: int = 17) -> dict:
-    """The fleet-day experiment, both engines, full fleet, sampled hours."""
-    times = {}
-    results = {}
-    for engine in ("reference", "vectorized"):
-        start_s = time.perf_counter()
-        results[engine] = fleet_day.run(
-            engine=engine, seed=seed, hours=FLEET_HOURS
-        )
-        times[engine] = time.perf_counter() - start_s
-    assert results["reference"].windows == results["vectorized"].windows, (
-        "fleet-day engines diverged"
-    )
-    reference = results["reference"]
-    return {
-        "hours": list(FLEET_HOURS),
-        "replicas": [w.replicas for w in reference.windows],
-        "offered": reference.total_offered,
-        "reference_s": times["reference"],
-        "vectorized_s": times["vectorized"],
-        "speedup": times["reference"] / times["vectorized"],
-    }
-
-
 def bench_fleet_full_day(seed: int = 17) -> dict:
-    """The full default-scale day, vectorized only (reference takes hours)."""
+    """The full default-scale day through the router's event loop."""
     start_s = time.perf_counter()
     result = fleet_day.run(seed=seed)
     elapsed_s = time.perf_counter() - start_s
@@ -233,7 +208,6 @@ def run_bench(
         "routing_draws": bench_routing_draws(),
     }
     if fleet:
-        report["fleet_head_to_head"] = bench_fleet_head_to_head()
         report["fleet_full_day"] = bench_fleet_full_day()
     return report
 
@@ -307,15 +281,6 @@ def render(report: dict) -> str:
             title="routing draws per pick (identical picks and final state)",
         )
     )
-    head = report.get("fleet_head_to_head")
-    if head is not None:
-        parts.append(
-            f"fleet head-to-head ({len(head['hours'])} windows, "
-            f"{max(head['replicas'])} replicas at peak, "
-            f"{head['offered']:,} offered): reference "
-            f"{head['reference_s']:.1f} s, vectorized "
-            f"{head['vectorized_s']:.1f} s ({head['speedup']:.1f}x)"
-        )
     full_day = report.get("fleet_full_day")
     if full_day is not None:
         parts.append(
@@ -356,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--skip-fleet",
         action="store_true",
-        help="skip the (minutes-long) fleet-day sections",
+        help="skip the full-scale fleet-day section",
     )
     args = parser.parse_args(argv)
     report = run_bench(tuple(args.offered), fleet=not args.skip_fleet)

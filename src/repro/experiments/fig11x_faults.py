@@ -138,7 +138,6 @@ def run(
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
     trace_policy: str = "retry+hedge",
-    engine: str = "reference",
 ) -> Figure11xResult:
     """Replay one seeded fault storm against the resilience-policy ladder.
 
@@ -161,8 +160,6 @@ def run(
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry` every
             rung records into, labelled ``policy=<name>``.
         trace_policy: which ladder rung the ``tracer`` observes.
-        engine: DES engine for every rung (``reference`` or
-            ``vectorized``); results are bit-identical across engines.
     """
     if not 0.0 < utilization < 1.0:
         raise ValueError("utilization must be in (0, 1)")
@@ -180,9 +177,7 @@ def run(
             bandwidth_dip_count=1,
         )
     sla = SLA(deadline_s=sla_deadline_factor * base_service_s, percentile=0.99)
-    probe = ResilientRouter(
-        server, config, batch_size, num_machines, seed=seed, engine=engine
-    )
+    probe = ResilientRouter(server, config, batch_size, num_machines, seed=seed)
     offered_qps = utilization * probe.max_stable_qps()
 
     outcomes: dict[str, PolicyOutcome] = {}
@@ -200,7 +195,6 @@ def run(
             tracer=tracer if name == trace_policy else None,
             metrics=metrics,
             metrics_labels={"policy": name},
-            engine=engine,
         )
         result = router.run(offered_qps, duration_s, faults=storm, sla=sla)
         outcomes[name] = PolicyOutcome(

@@ -176,7 +176,6 @@ def run(
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
     trace_policy: str = "admission+breaker+brownout",
-    engine: str = "reference",
 ) -> Figure11yResult:
     """Replay one seeded flash crowd against the protection ladder.
 
@@ -201,8 +200,6 @@ def run(
         metrics: optional registry every rung records into, labelled
             ``policy=<name>``.
         trace_policy: which ladder rung the ``tracer`` observes.
-        engine: DES engine for every rung (``reference`` or
-            ``vectorized``); results are bit-identical across engines.
     """
     if not 0.0 < base_utilization < 1.0:
         raise ValueError("base_utilization must be in (0, 1)")
@@ -263,7 +260,6 @@ def run(
             tracer=tracer if name == trace_policy else None,
             metrics=metrics,
             metrics_labels={"policy": name},
-            engine=engine,
         )
         result = router.run(
             offered_qps=capacity_qps,  # nominal; the trace sets the rate

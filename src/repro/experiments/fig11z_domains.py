@@ -19,7 +19,7 @@ primitives: the domain crash expands via
 *blackouts* (no live copy; reads cannot complete) become fleet-wide
 crashes, and failover windows (dead primary, live copy elsewhere) become
 fleet-wide stragglers whose slowdown prices the extra network hops — so
-both DES engines consume the compiled schedule unchanged. Reported per
+the router consumes the compiled schedule unchanged. Reported per
 cell: availability, latency percentiles, unresolved requests, the
 partial-fan-out quality a degraded read would cost, and the
 time-to-full-redundancy of the NIC-bounded recovery
@@ -234,7 +234,6 @@ def run(
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
     trace_cell: str = "zone/k2",
-    engine: str = "reference",
 ) -> Figure11zResult:
     """Replay one seeded trace across the zone-loss × replication ladder.
 
@@ -256,8 +255,6 @@ def run(
         metrics: optional registry every cell records into, labelled
             ``cell=<scenario>/k<k>``.
         trace_cell: which cell the ``tracer`` observes.
-        engine: DES engine for every cell (``reference`` or
-            ``vectorized``); results are bit-identical across engines.
     """
     if not 0.0 < utilization < 1.0:
         raise ValueError("utilization must be in (0, 1)")
@@ -284,9 +281,7 @@ def run(
         max_retries=2,
         backoff_base_s=base_service_s,
     )
-    probe = ResilientRouter(
-        server, config, batch_size, num_machines, seed=seed, engine=engine
-    )
+    probe = ResilientRouter(server, config, batch_size, num_machines, seed=seed)
     offered_qps = utilization * probe.max_stable_qps()
     scenarios = _scenarios(topology, duration_s, seed)
 
@@ -327,7 +322,6 @@ def run(
                 tracer=observed,
                 metrics=metrics,
                 metrics_labels={"cell": key},
-                engine=engine,
             )
             result = router.run(
                 offered_qps, duration_s, faults=schedule, sla=sla

@@ -583,7 +583,7 @@ class RecoveryTimeline:
     """Copy availability over time plus the re-replication transfers.
 
     Built by :func:`recovery_timeline`; queries are pure functions of the
-    committed state, so the timeline composes with both DES engines
+    committed state, so the timeline composes with the DES loops
     without touching them.
     """
 

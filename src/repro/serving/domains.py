@@ -17,9 +17,10 @@ cross-machine structure). This module adds the missing structure:
   :class:`DomainSchedule`.
 * **Compilation** — :meth:`DomainSchedule.expand_to_schedule` lowers a
   domain schedule to ordinary per-replica
-  :class:`~repro.serving.faults.FaultSchedule` primitives. Both DES
-  engines (``reference``/``vectorized``/native) consume the expanded
-  schedule unchanged, so every bit-identity proof keeps holding; the
+  :class:`~repro.serving.faults.FaultSchedule` primitives. The router
+  and every simulator engine (``reference``/``vectorized``/native)
+  consume the expanded schedule unchanged, so every bit-identity proof
+  keeps holding; the
   crash-vs-partition distinction matters only to the shard-recovery model
   (:mod:`repro.serving.distributed`), which a router cannot observe
   anyway (a dead replica and an unreachable one refuse connections the

@@ -35,6 +35,8 @@ view.
 from __future__ import annotations
 
 import heapq
+import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
@@ -47,6 +49,7 @@ from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
+from .des import poisson_arrival_times
 from .metrics import SLA, ResilienceStats, goodput_qps
 
 if TYPE_CHECKING:
@@ -57,6 +60,7 @@ from .router import SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
 # ``overload`` never imports this module at import time (its one faults
 # dependency is deferred into a method body), so this edge is acyclic.
 from .overload import (
+    BREAKER_CLOSED,
     SHED_CODEL,
     SHED_DEADLINE,
     SHED_OLDEST,
@@ -494,7 +498,8 @@ def degraded_quality(
 # Attempt states.
 _QUEUED, _RUNNING, _CANCELLED, _DONE = range(4)
 
-# Event kinds (heap entries are ``(t_s, seq, kind, a, b)``).
+# Event kinds (heap entries are ``(t_s, seq, kind, a, b)``; fault
+# transitions and health probes come from pre-sorted streams instead).
 _EV_ARRIVAL, _EV_COMPLETE, _EV_TIMEOUT, _EV_HEDGE, _EV_FAULT, _EV_HEALTH = range(6)
 
 
@@ -638,12 +643,12 @@ class ResilientRouter:
         metrics_labels: labels attached to every series this router
             records (e.g. ``{"policy": "retry2"}`` to compare policies in
             one registry).
-        engine: DES engine (:data:`repro.serving.des.ENGINES`).
-            ``"reference"`` runs the per-event loop below (the executable
-            spec); ``"vectorized"`` runs the incremental-state engine in
-            :mod:`repro.serving.des`, byte-identical on latencies, stats,
-            spans and RNG draws — the difference is wall clock, which at
-            ~1000 machines is one to two orders of magnitude.
+
+    :meth:`run` is one event loop that keeps fleet state (queue depths,
+    admitted set, tripped breakers) as incrementally maintained
+    aggregates, so most events cost O(1) at any fleet size; only health
+    probes, candidate-list rebuilds after an ejection or readmission, and
+    routing around tripped breakers scan the fleet.
     """
 
     def __init__(
@@ -660,11 +665,8 @@ class ResilientRouter:
         tracer: Tracer | NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
         metrics_labels: dict[str, str] | None = None,
-        engine: str = "reference",
         pool: "MultiModelPool | None" = None,
     ) -> None:
-        from .des import validate_engine
-
         if num_machines < 1:
             raise ValueError("need at least one machine")
         if pool is not None and config.name not in pool.model_names:
@@ -680,7 +682,6 @@ class ResilientRouter:
         #: without). Cross-model dispatch lives in
         #: :class:`~repro.serving.multimodel.MultiModelRouter`.
         self.pool = pool
-        self.engine = validate_engine(engine)
         self.server = server
         self.config = config
         self.batch_size = batch_size
@@ -816,42 +817,21 @@ class ResilientRouter:
         must lie in ``[0, duration_s)``. ``offered_qps`` is then only the
         nominal rate recorded in the result.
 
-        Dispatches on ``engine=``: the reference loop below is the
-        executable spec; the vectorized engine reproduces it byte for
-        byte (``tests/test_des_equivalence.py``).
+        One event loop over O(1) fleet state: queue depths, candidate
+        lists, waiting depths and brownout pressure are kept as
+        incrementally maintained aggregates, and static events (arrivals,
+        fault transitions, health probes) are pre-sorted once and merged
+        against a heap of dynamic ones. The per-event loop in
+        ``tests/oracles/resilient_router.py`` recomputes all of that with
+        O(M) scans and one heap; it is the executable spec this loop is
+        proven byte-identical to (``tests/test_des_equivalence.py``).
         """
-        if self.engine == "vectorized":
-            from .des import run_router_vectorized
-
-            result = run_router_vectorized(
-                self, offered_qps, duration_s, faults, sla, arrival_times_s
-            )
-        else:
-            result = self._run_reference(
-                offered_qps, duration_s, faults, sla, arrival_times_s
-            )
-        if self.pool is not None and self.metrics is not None:
-            self.metrics.gauge(
-                "serving.multimodel.capacity_slots",
-                model=self.config.name,
-                **self.metrics_labels,
-            ).set(float(self.pool.total_slots))
-        return result
-
-    def _run_reference(
-        self,
-        offered_qps: float,
-        duration_s: float = 1.0,
-        faults: FaultSchedule | None = None,
-        sla: SLA | None = None,
-        arrival_times_s: Sequence[float] | None = None,
-    ) -> FaultyServingResult:
-        """The per-event reference loop (the executable spec)."""
-        if offered_qps <= 0 or duration_s <= 0:
+        if not (0 < offered_qps < math.inf and 0 < duration_s < math.inf):
             raise ValueError("rate and duration must be positive")
         faults = faults or FaultSchedule.zero()
         sla = sla or SLA(deadline_s=10.0 * self._base_service_s, percentile=0.99)
         policy = self.policy
+        num_machines = self.num_machines
         rng = np.random.default_rng(self.seed)
 
         # Overload protection: admission bound + CoDel per machine, one
@@ -862,12 +842,12 @@ class ResilientRouter:
         admission = overload.admission if overload is not None else None
         expected_service_s = self._base_service_s
         codels = (
-            [admission.make_codel() for _ in range(self.num_machines)]
+            [admission.make_codel() for _ in range(num_machines)]
             if admission is not None
             else None
         )
         breakers = (
-            [CircuitBreaker(overload.breaker) for _ in range(self.num_machines)]
+            [CircuitBreaker(overload.breaker) for _ in range(num_machines)]
             if overload is not None and overload.breaker is not None
             else None
         )
@@ -880,13 +860,28 @@ class ResilientRouter:
         if ovl_stats is not None and brownout is not None:
             ovl_stats.completions_by_tier = [0] * overload.brownout.num_tiers
 
-        requests: list[_Request] = []
-        attempts: list[_Attempt] = []
-        up = [True] * self.num_machines
-        admitted = [True] * self.num_machines
-        running: list[int | None] = [None] * self.num_machines
-        queues: list[list[int]] = [[] for _ in range(self.num_machines)]
+        requests: list = []
+        attempts: list = []
+        up = [True] * num_machines
+        admitted_flags = [True] * num_machines
+        running: list[int | None] = [None] * num_machines
+        queues: list[deque] = [deque() for _ in range(num_machines)]
         rr_state = [0]
+
+        # Incremental fleet aggregates (the spec recomputes these with
+        # O(M) scans at every event):
+        #   depth[m]        == queue_len(m) = len(queues[m]) + (running[m] is not None)
+        #   live_waiting[m] == waiting_depth(m) (queued attempts still _QUEUED)
+        #   adm_depth_sum   == sum(depth[m] for admitted m)   (int, exact)
+        #   n_admitted      == len(candidates)
+        #   tripped         == breakers not in the closed state
+        depth = [0] * num_machines
+        live_waiting = [0] * num_machines
+        adm_depth_sum = 0
+        n_admitted = num_machines
+        cand_cache = list(range(num_machines))
+        cand_dirty = False
+        tripped = 0
 
         retries = hedges = wasted_attempts = fail_fasts = ejections = 0
         failed = 0
@@ -896,77 +891,113 @@ class ResilientRouter:
         degraded_since_s = 0.0
         latencies: list[float] = []
 
-        events: list[tuple[float, int, int, int, int]] = []
-        seq = 0
-
         # Observability: request spans live on a dedicated client track,
         # attempt spans on per-machine tracks. Everything below is guarded
         # by ``tracer.enabled`` and touches neither the RNG nor the event
-        # queue, so the nil tracer reproduces the historical run exactly.
+        # queue, so the nil tracer reproduces the untraced run exactly.
         tracer = self.tracer
-        client_track = self.num_machines
+        client_track = num_machines
         request_span: dict[int, int] = {}
         attempt_span: dict[int, int] = {}
         if tracer.enabled:
             tracer.set_track_name(client_track, "client")
-            for m in range(self.num_machines):
+            for m in range(num_machines):
                 tracer.set_track_name(m, f"machine {m}")
 
-        def push(t_s: float, kind: int, a: int = 0, b: int = 0) -> None:
-            nonlocal seq
-            heapq.heappush(events, (t_s, seq, kind, a, b))
-            seq += 1
+        # ---- static event streams (pre-sorted; merged against a lazy heap) --
 
-        # Pre-materialize arrivals so the arrival stream is independent of
-        # policy decisions (one storm, comparable policies).
+        # Arrivals are materialized up front so the arrival stream is
+        # independent of policy decisions (one storm, comparable policies).
         n_offered = 0
         if arrival_times_s is None:
-            t_s = 0.0
-            while True:
-                t_s += float(rng.exponential(1.0 / offered_qps))
-                if t_s >= duration_s:
-                    break
-                push(t_s, _EV_ARRIVAL, n_offered)
-                requests.append(_Request(arrival_s=t_s))
-                n_offered += 1
+            arr_t = poisson_arrival_times(rng, offered_qps, duration_s)
+            n_offered = int(arr_t.size)
+            arr_ids = np.arange(n_offered, dtype=np.int64)
         else:
-            for raw_t_s in arrival_times_s:
-                t_s = float(raw_t_s)
-                if not 0.0 <= t_s < duration_s:
-                    raise ValueError(
-                        "arrival times must lie in [0, duration_s)"
-                    )
-                push(t_s, _EV_ARRIVAL, n_offered)
-                requests.append(_Request(arrival_s=t_s))
-                n_offered += 1
-        # Routing draws share the generator with the service noise; the
-        # stream opens once the arrivals are drawn and closes after the loop.
+            raw = np.asarray(
+                [float(t_s) for t_s in arrival_times_s], dtype=np.float64
+            )
+            if raw.size and (
+                not np.all(raw >= 0.0) or not np.all(raw < duration_s)
+            ):
+                raise ValueError("arrival times must lie in [0, duration_s)")
+            order = np.argsort(raw, kind="stable")
+            arr_t = raw[order]
+            arr_ids = order.astype(np.int64)
+            n_offered = int(raw.size)
+            for t_s in raw:
+                requests.append(_Request(arrival_s=float(t_s)))
+        if arrival_times_s is None:
+            for t_s in arr_t:
+                requests.append(_Request(arrival_s=float(t_s)))
+        arr_t_list: list[float] = arr_t.tolist()
+        arr_id_list: list[int] = arr_ids.tolist()
+        # Routing draws share the generator with the service noise; the stream
+        # opens once the arrivals are drawn and closes after the loop.
         draws = RoutingDraws(rng)
 
-        for edge_t_s, replica_id, goes_down in faults.transition_events(
-            self.num_machines
-        ):
-            push(edge_t_s, _EV_FAULT, replica_id, int(goes_down))
+        transitions = faults.transition_events(num_machines)
+        fault_t: list[float] = [e[0] for e in transitions]
+        fault_machine: list[int] = [e[1] for e in transitions]
+        fault_down: list[bool] = [e[2] for e in transitions]
+
+        probe_ts: list[float] = []
         if policy.health_check_interval_s is not None:
             probe_t_s = policy.health_check_interval_s
             horizon_s = duration_s + 10.0 * self._base_service_s
             while probe_t_s < horizon_s:
-                push(probe_t_s, _EV_HEALTH)
+                probe_ts.append(probe_t_s)
                 probe_t_s += policy.health_check_interval_s
 
-        # --------------------------------------------------------- helpers
+        # Dynamic events: (t_s, dseq, kind, a, b). In the spec's single heap
+        # all static events carry lower seqs than any dynamic push, and
+        # within the statics arrivals < faults < health probes; the <=
+        # comparisons below encode exactly that tie order.
+        events: list[tuple[float, int, int, int, int]] = []
+        dseq = 0
 
-        def queue_len(machine: int) -> int:
-            return len(queues[machine]) + (running[machine] is not None)
+        def push(t_s: float, kind: int, a: int = 0, b: int = 0) -> None:
+            nonlocal dseq
+            heapq.heappush(events, (t_s, dseq, kind, a, b))
+            dseq += 1
+
+        # ------------------------------------------------- incremental helpers
+
+        def bump_depth(machine: int, delta: int) -> None:
+            nonlocal adm_depth_sum
+            depth[machine] += delta
+            if admitted_flags[machine]:
+                adm_depth_sum += delta
+
+        def set_admitted(machine: int, value: bool) -> None:
+            nonlocal n_admitted, adm_depth_sum, cand_dirty
+            if admitted_flags[machine] == value:
+                return
+            admitted_flags[machine] = value
+            cand_dirty = True
+            if value:
+                n_admitted += 1
+                adm_depth_sum += depth[machine]
+            else:
+                n_admitted -= 1
+                adm_depth_sum -= depth[machine]
+
+        def candidates() -> list[int]:
+            nonlocal cand_dirty, cand_cache
+            if cand_dirty:
+                cand_cache = [
+                    m for m in range(num_machines) if admitted_flags[m]
+                ]
+                cand_dirty = False
+            return cand_cache
 
         def eject(machine: int) -> None:
             nonlocal ejections
-            if admitted[machine]:
-                admitted[machine] = False
+            if admitted_flags[machine]:
+                set_admitted(machine, False)
                 ejections += 1
 
         def shed(reason: str, machine: int, now_s: float) -> None:
-            """Account one shed event (admission/CoDel drop)."""
             assert ovl_stats is not None
             ovl_stats.count_shed(reason)
             if tracer.enabled:
@@ -974,44 +1005,40 @@ class ResilientRouter:
                     "serving.overload.shed", now_s, track=machine, reason=reason
                 )
 
-        def breaker_note(machine: int, before: str, now_s: float) -> None:
-            """Emit an instant when a breaker changed state."""
-            assert breakers is not None
-            after = breakers[machine].state
-            if tracer.enabled and after != before:
-                tracer.instant(f"serving.breaker.{after}", now_s, track=machine)
-
         def breaker_failure(machine: int, now_s: float) -> None:
+            nonlocal tripped
             if breakers is None:
                 return
             before = breakers[machine].state
             breakers[machine].record_failure(now_s)
-            breaker_note(machine, before, now_s)
+            after = breakers[machine].state
+            if before != after:
+                if (before == BREAKER_CLOSED) != (after == BREAKER_CLOSED):
+                    tripped += 1 if before == BREAKER_CLOSED else -1
+                if tracer.enabled:
+                    tracer.instant(f"serving.breaker.{after}", now_s, track=machine)
 
         def breaker_success(machine: int, now_s: float) -> None:
+            nonlocal tripped
             if breakers is None:
                 return
             before = breakers[machine].state
             breakers[machine].record_success(now_s)
-            breaker_note(machine, before, now_s)
-
-        def waiting_depth(machine: int) -> int:
-            """Live queued attempts (stale entries excluded)."""
-            return sum(
-                1 for aid in queues[machine] if attempts[aid].state == _QUEUED
-            )
+            after = breakers[machine].state
+            if before != after:
+                if (before == BREAKER_CLOSED) != (after == BREAKER_CLOSED):
+                    tripped += 1 if before == BREAKER_CLOSED else -1
+                if tracer.enabled:
+                    tracer.instant(f"serving.breaker.{after}", now_s, track=machine)
 
         def degraded_now(now_s: float) -> bool:
             """Evaluate + account the degraded-mode state at ``now_s``."""
             nonlocal degraded_on, degraded_since_s, time_in_degraded_s
             if self.degradation is None:
                 return False
-            candidates = [m for m in range(self.num_machines) if admitted[m]]
-            healthy_frac = len(candidates) / self.num_machines
+            healthy_frac = n_admitted / num_machines
             mean_depth = (
-                sum(queue_len(m) for m in candidates) / len(candidates)
-                if candidates
-                else float("inf")
+                adm_depth_sum / n_admitted if n_admitted else float("inf")
             )
             on = (
                 healthy_frac < self.degradation.min_healthy_fraction
@@ -1028,14 +1055,17 @@ class ResilientRouter:
             """Dispatch the machine's queue head, skipping dead attempts."""
             if running[machine] is not None or not up[machine]:
                 return
-            while queues[machine]:
-                attempt_id = queues[machine].pop(0)
+            queue = queues[machine]
+            while queue:
+                attempt_id = queue.popleft()
+                bump_depth(machine, -1)
                 attempt = attempts[attempt_id]
                 request = requests[attempt.request_id]
                 if attempt.state != _QUEUED or request.done or request.failed:
                     if attempt.state == _QUEUED:
                         attempt.state = _CANCELLED
                         request.live_attempts -= 1
+                        live_waiting[machine] -= 1
                         if tracer.enabled and attempt_id in attempt_span:
                             tracer.end(
                                 attempt_span.pop(attempt_id),
@@ -1050,6 +1080,7 @@ class ResilientRouter:
                         # request to drain delay, not just length.
                         attempt.state = _CANCELLED
                         request.live_attempts -= 1
+                        live_waiting[machine] -= 1
                         shed(SHED_CODEL, machine, now_s)
                         if tracer.enabled and attempt_id in attempt_span:
                             tracer.end(
@@ -1061,6 +1092,8 @@ class ResilientRouter:
                         continue
                 attempt.state = _RUNNING
                 running[machine] = attempt_id
+                bump_depth(machine, 1)
+                live_waiting[machine] -= 1
                 base_s = (
                     self._degraded_service_s
                     if request.degraded
@@ -1086,22 +1119,25 @@ class ResilientRouter:
                 return
             if ovl_stats is not None:
                 ovl_stats.offered += 1
-            candidates = [m for m in range(self.num_machines) if admitted[m]]
-            if breakers is not None and candidates:
+            cands = candidates()
+            if breakers is not None and cands:
                 # Retries and hedges route through here too, so every
                 # attempt respects open breakers.
-                closed = [m for m in candidates if breakers[m].allows(now_s)]
-                if not closed:
-                    ovl_stats.breaker_rejections += 1
-                    attempt_failed(request_id, now_s)
-                    return
-                candidates = closed
-            if not candidates:
+                if tripped:
+                    closed_list = [
+                        m for m in cands if breakers[m].allows(now_s)
+                    ]
+                    if not closed_list:
+                        ovl_stats.breaker_rejections += 1
+                        attempt_failed(request_id, now_s)
+                        return
+                    cands = closed_list
+                # else: every breaker is closed and allows() is pure — skip.
+            if not cands:
                 attempt_failed(request_id, now_s)
                 return
-            depths = [queue_len(m) for m in range(self.num_machines)]
             machine = pick_machine(
-                self.routing, draws, depths, rr_state, candidates=candidates
+                self.routing, draws, depth, rr_state, candidates=cands
             )
             if not up[machine]:
                 # Connection refused: passive health detection.
@@ -1109,13 +1145,11 @@ class ResilientRouter:
                 eject(machine)
                 breaker_failure(machine, now_s)
                 if tracer.enabled:
-                    tracer.instant(
-                        "serving.router.failfast", now_s, track=machine
-                    )
+                    tracer.instant("serving.router.failfast", now_s, track=machine)
                 attempt_failed(request_id, now_s)
                 return
             if admission is not None:
-                waiting = waiting_depth(machine)
+                waiting = live_waiting[machine]
                 if admission.shed_policy == "deadline_aware":
                     # Shed arrivals that cannot meet the deadline given
                     # the queue already ahead of them: the work is dead
@@ -1142,8 +1176,10 @@ class ResilientRouter:
                         )
                         if victim_id is not None:
                             queues[machine].remove(victim_id)
+                            bump_depth(machine, -1)
                             victim = attempts[victim_id]
                             victim.state = _CANCELLED
+                            live_waiting[machine] -= 1
                             requests[victim.request_id].live_attempts -= 1
                             shed(SHED_OLDEST, machine, now_s)
                             if tracer.enabled and victim_id in attempt_span:
@@ -1164,11 +1200,12 @@ class ResilientRouter:
             attempts.append(attempt)
             request.live_attempts += 1
             queues[machine].append(attempt_id)
+            bump_depth(machine, 1)
+            live_waiting[machine] += 1
             if ovl_stats is not None:
                 ovl_stats.admitted += 1
-                depth = waiting_depth(machine)
-                if depth > ovl_stats.max_queue_depth:
-                    ovl_stats.max_queue_depth = depth
+                if live_waiting[machine] > ovl_stats.max_queue_depth:
+                    ovl_stats.max_queue_depth = live_waiting[machine]
             if tracer.enabled:
                 attempt_span[attempt_id] = tracer.begin(
                     "serving.router.attempt",
@@ -1206,10 +1243,38 @@ class ResilientRouter:
                         request_span.pop(request_id), now_s, outcome="failed"
                     )
 
-        # ------------------------------------------------------- event loop
+        # ----------------------------------------------------- merged event loop
 
-        while events:
-            now_s, _, kind, a, b = heapq.heappop(events)
+        inf = float("inf")
+        ai = fi = hi = 0
+        n_arr = len(arr_t_list)
+        n_fault = len(fault_t)
+        n_probe = len(probe_ts)
+        now_s = 0.0
+        while True:
+            if ai >= n_arr and fi >= n_fault and hi >= n_probe and not events:
+                break
+            t_a = arr_t_list[ai] if ai < n_arr else inf
+            t_f = fault_t[fi] if fi < n_fault else inf
+            t_h = probe_ts[hi] if hi < n_probe else inf
+            t_d = events[0][0] if events else inf
+            if t_a <= t_f and t_a <= t_h and t_a <= t_d:
+                now_s = t_a
+                request_id = arr_id_list[ai]
+                ai += 1
+                kind, a, b = _EV_ARRIVAL, request_id, 0
+            elif t_f <= t_h and t_f <= t_d:
+                now_s = t_f
+                kind, a, b = _EV_FAULT, fault_machine[fi], int(fault_down[fi])
+                fi += 1
+            elif t_h <= t_d:
+                now_s = t_h
+                hi += 1
+                kind, a, b = _EV_HEALTH, 0, 0
+            elif events:
+                now_s, _, kind, a, b = heapq.heappop(events)
+            else:
+                break
 
             if kind == _EV_ARRIVAL:
                 request_id, is_retry = a, bool(b)
@@ -1218,12 +1283,9 @@ class ResilientRouter:
                     continue
                 if not is_retry:
                     if brownout is not None:
-                        cands = [
-                            m for m in range(self.num_machines) if admitted[m]
-                        ]
                         pressure = (
-                            sum(queue_len(m) for m in cands) / len(cands)
-                            if cands
+                            adm_depth_sum / n_admitted
+                            if n_admitted
                             else float("inf")
                         )
                         before_tier = brownout.tier
@@ -1249,10 +1311,7 @@ class ResilientRouter:
                             track=client_track,
                             degraded=request.degraded,
                         )
-                if (
-                    not is_retry
-                    and policy.hedge_delay_s is not None
-                ):
+                if not is_retry and policy.hedge_delay_s is not None:
                     push(now_s + policy.hedge_delay_s, _EV_HEDGE, request_id)
                 route_attempt(request_id, now_s)
 
@@ -1262,6 +1321,7 @@ class ResilientRouter:
                 if running[machine] != attempt_id:
                     continue  # killed by a crash; the restart superseded it
                 running[machine] = None
+                bump_depth(machine, -1)
                 breaker_success(machine, now_s)
                 if attempt.state == _CANCELLED:
                     # Abandoned by a timeout but ran to completion anyway:
@@ -1276,9 +1336,7 @@ class ResilientRouter:
                     wasted_attempts += 1
                     if tracer.enabled and attempt_id in attempt_span:
                         tracer.end(
-                            attempt_span.pop(attempt_id),
-                            now_s,
-                            outcome="wasted",
+                            attempt_span.pop(attempt_id), now_s, outcome="wasted"
                         )
                 else:
                     request.done = True
@@ -1291,9 +1349,7 @@ class ResilientRouter:
                     if tracer.enabled:
                         if attempt_id in attempt_span:
                             tracer.end(
-                                attempt_span.pop(attempt_id),
-                                now_s,
-                                outcome="ok",
+                                attempt_span.pop(attempt_id), now_s, outcome="ok"
                             )
                         if attempt.request_id in request_span:
                             tracer.end(
@@ -1307,23 +1363,28 @@ class ResilientRouter:
                 attempt_id = a
                 attempt = attempts[attempt_id]
                 request = requests[attempt.request_id]
-                if request.done or request.failed or attempt.state in (_CANCELLED, _DONE):
+                if (
+                    request.done
+                    or request.failed
+                    or attempt.state in (_CANCELLED, _DONE)
+                ):
                     continue
                 # The client abandons this attempt. Queued work is dropped;
                 # in-flight work cannot be yanked back — it keeps occupying
                 # the machine and completes as waste (see _EV_COMPLETE).
                 breaker_failure(attempt.machine, now_s)
+                was_queued = attempt.state == _QUEUED
                 attempt.state = _CANCELLED
                 request.live_attempts -= 1
+                if was_queued:
+                    live_waiting[attempt.machine] -= 1
                 if tracer.enabled:
                     tracer.instant(
                         "serving.router.timeout", now_s, track=attempt.machine
                     )
                     if attempt_id in attempt_span:
                         tracer.end(
-                            attempt_span.pop(attempt_id),
-                            now_s,
-                            outcome="timeout",
+                            attempt_span.pop(attempt_id), now_s, outcome="timeout"
                         )
                 attempt_failed(attempt.request_id, now_s)
 
@@ -1346,14 +1407,13 @@ class ResilientRouter:
                     up[machine] = False
                     breaker_failure(machine, now_s)
                     if tracer.enabled:
-                        tracer.instant(
-                            "serving.router.crash", now_s, track=machine
-                        )
+                        tracer.instant("serving.router.crash", now_s, track=machine)
                     if policy.health_check_interval_s is None:
                         eject(machine)
                     attempt_id = running[machine]
                     if attempt_id is not None:
                         running[machine] = None
+                        bump_depth(machine, -1)
                         attempt = attempts[attempt_id]
                         if attempt.state == _RUNNING:
                             attempt.state = _CANCELLED
@@ -1366,7 +1426,10 @@ class ResilientRouter:
                                 )
                             attempt_failed(attempt.request_id, now_s)
                     # Queued work fails fast (connection reset).
-                    dead, queues[machine] = queues[machine], []
+                    dead = queues[machine]
+                    queues[machine] = deque()
+                    bump_depth(machine, -len(dead))
+                    live_waiting[machine] = 0
                     for attempt_id in dead:
                         attempt = attempts[attempt_id]
                         if attempt.state == _QUEUED:
@@ -1386,11 +1449,11 @@ class ResilientRouter:
                             "serving.router.restart", now_s, track=machine
                         )
                     if policy.health_check_interval_s is None:
-                        admitted[machine] = True
+                        set_admitted(machine, True)
 
-            elif kind == _EV_HEALTH:
-                for machine in range(self.num_machines):
-                    admitted[machine] = up[machine]
+            else:  # _EV_HEALTH
+                for machine in range(num_machines):
+                    set_admitted(machine, up[machine])
         draws.close()
 
         if degraded_on:
@@ -1422,9 +1485,15 @@ class ResilientRouter:
                 latencies=latencies,
                 overload_stats=ovl_stats,
             )
+        if self.pool is not None and self.metrics is not None:
+            self.metrics.gauge(
+                "serving.multimodel.capacity_slots",
+                model=self.config.name,
+                **self.metrics_labels,
+            ).set(float(self.pool.total_slots))
         return FaultyServingResult(
             policy=policy,
-            num_machines=self.num_machines,
+            num_machines=num_machines,
             offered_qps=offered_qps,
             duration_s=duration_s,
             sla=sla,
@@ -1440,5 +1509,7 @@ class ResilientRouter:
             time_in_degraded_s=time_in_degraded_s,
             quality=self._quality,
             overload=ovl_stats,
-            brownout_quality=self._brownout_quality if brownout is not None else None,
+            brownout_quality=(
+                self._brownout_quality if brownout is not None else None
+            ),
         )

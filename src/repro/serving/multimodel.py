@@ -39,15 +39,11 @@ Three mechanisms, all deterministic on the DES clock:
   a per-request skip cap bounds how often the queue head may be bypassed
   before it locks the queue and forces its swap.
 
-Both DES engines — ``engine="reference"`` (one heap, scalar noise draws)
-and ``engine="vectorized"`` (pre-sorted static streams merged against a
-dynamic heap, chunked noise via
-:class:`~repro.serving.des.NormalStream`) — drive the same transition
-core and are bit-identical record for record, with faults, admission
-control, and tracing composed (``tests/test_des_equivalence.py``).
-Overload protection is admission-only here, mirroring
-:class:`~repro.serving.simulator.ServingSimulator`: circuit breakers and
-brownout stay router-per-model concerns
+One event loop drives the DES: a single heap holds arrivals, fault
+transitions, completions and load-dones, and service noise is drawn one
+scalar lognormal at a time. Overload protection is admission-only here,
+mirroring :class:`~repro.serving.simulator.ServingSimulator`: circuit
+breakers and brownout stay router-per-model concerns
 (:class:`~repro.serving.faults.ResilientRouter`).
 """
 
@@ -65,7 +61,7 @@ from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.quantiles import quantile
 from ..obs.tracer import as_tracer
-from .des import NormalStream, poisson_arrival_times, validate_engine
+from .des import poisson_arrival_times
 from .distributed import min_shards_for_capacity
 from .overload import (
     SHED_CODEL,
@@ -91,8 +87,8 @@ SLOT_EMPTY = 0
 SLOT_LOADING = 1
 SLOT_RESIDENT = 2
 
-# Dynamic DES event kinds (arrivals and fault transitions are static
-# streams owned by the engine loops).
+# Dynamic DES event kinds (the event loop tags arrivals -1 and fault
+# transitions -2).
 _EV_COMPLETE = 0
 _EV_LOAD_DONE = 1
 
@@ -143,8 +139,7 @@ class MultiModelPool:
     so any model can occupy any slot. The pool owns all residency state
     and its accounting: per-model slot counters, swap and thrash
     counters, and time-integrated occupancy. It never touches an RNG —
-    every transition is a deterministic function of the call sequence,
-    which is what makes the two router engines bit-identical.
+    every transition is a deterministic function of the call sequence.
 
     Args:
         replicas: one :class:`~repro.hw.server.ServerSpec` per replica
@@ -561,13 +556,12 @@ class MultiModelResult:
     """Outcome of one mixed-traffic run.
 
     Per-model tuples are indexed like ``model_names``. ``latencies_by_model``
-    holds completion-ordered latencies (seconds) — byte-comparable across
-    engines. Conservation: per model, ``offered == completed + shed +
-    killed`` (every request reaches a terminal state; crashes kill both
-    in-flight and queued work).
+    holds completion-ordered latencies (seconds). Conservation: per
+    model, ``offered == completed + shed + killed`` (every request
+    reaches a terminal state; crashes kill both in-flight and queued
+    work).
     """
 
-    engine: str
     duration_s: float
     model_names: tuple[str, ...]
     replica_names: tuple[str, ...]
@@ -628,7 +622,6 @@ class MultiModelResult:
     def summary(self) -> dict:
         """Compact jsonable digest (used by goldens and ``--json``)."""
         return {
-            "engine": self.engine,
             "offered": self.offered,
             "completed": self.completed,
             "shed": self.shed,
@@ -656,15 +649,7 @@ class MultiModelResult:
 
 
 class _Core:
-    """Shared DES transition logic driven by both engine loops.
-
-    The engines differ only in how they *source* static events (one big
-    heap vs pre-sorted arrays merged against a dynamic heap) and how they
-    *draw* service noise (scalar lognormal vs chunked
-    :class:`~repro.serving.des.NormalStream`); every state transition
-    lives here, which is what makes bit-identity structural rather than
-    coincidental.
-    """
+    """DES state and every state transition, driven by the router's loop."""
 
     def __init__(self, router, arrivals_s, model_ids, duration_s, faults, noise_factor, tracer):
         self.router = router
@@ -1004,7 +989,6 @@ class MultiModelRouter:
             (:class:`~repro.serving.faults.ResilientRouter`); passing
             them raises, mirroring ``ServingSimulator``.
         seed: RNG seed (arrival synthesis and service noise).
-        engine: ``"reference"`` or ``"vectorized"`` — bit-identical.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; spans/instants
             under ``serving.multimodel.*``. Purely observational.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
@@ -1026,7 +1010,6 @@ class MultiModelRouter:
         hol_scan_window: int = 16,
         overload: OverloadConfig | None = None,
         seed: int = 0,
-        engine: str = "reference",
         tracer=None,
         metrics=None,
     ) -> None:
@@ -1038,7 +1021,6 @@ class MultiModelRouter:
             slots_per_replica=slots_per_replica,
             thrash_window_s=thrash_window_s,
         )
-        validate_engine(engine)
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if hol_skip_cap < 0:
@@ -1058,7 +1040,6 @@ class MultiModelRouter:
         self.hol_skip_cap = hol_skip_cap
         self.hol_scan_window = hol_scan_window
         self.seed = seed
-        self.engine = engine
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
         timings: dict[str, TimingModel] = {}
@@ -1084,8 +1065,8 @@ class MultiModelRouter:
     def _synthesize_arrivals(
         self, rng, duration_s: float, offered_qps: float, mix
     ):
-        """Seeded mixed Poisson arrivals (shared by both engines)."""
-        if offered_qps <= 0:
+        """Seeded mixed Poisson arrivals."""
+        if not 0 < offered_qps < math.inf:
             raise ValueError("offered_qps must be positive")
         num_models = len(self.pool.models)
         if mix is None:
@@ -1147,7 +1128,7 @@ class MultiModelRouter:
         generator with a ``generate(duration_s)`` method (e.g.
         :class:`~repro.serving.loadgen.MixedModelLoadGenerator`).
         """
-        if duration_s <= 0:
+        if not 0 < duration_s < math.inf:
             raise ValueError("duration must be positive")
         sources = sum(
             x is not None for x in (offered_qps, queries, load)
@@ -1178,38 +1159,21 @@ class MultiModelRouter:
             for r, spec in enumerate(self.pool.replicas):
                 tracer.set_track_name(r, f"replica {r} ({spec.name})")
         log_mean = -0.5 * SERVICE_NOISE_SIGMA**2
-        if self.engine == "vectorized":
-            normals = NormalStream(rng)
-            core = _Core(
-                self,
-                arrivals_s,
-                model_ids,
-                duration_s,
-                faults,
-                lambda: math.exp(
-                    log_mean + SERVICE_NOISE_SIGMA * normals.next()
-                ),
-                tracer,
-            )
-            self._drive_vectorized(core, fault_events)
-            normals.close()
-        else:
-            core = _Core(
-                self,
-                arrivals_s,
-                model_ids,
-                duration_s,
-                faults,
-                lambda: float(
-                    rng.lognormal(mean=log_mean, sigma=SERVICE_NOISE_SIGMA)
-                ),
-                tracer,
-            )
-            self._drive_reference(core, fault_events)
+        core = _Core(
+            self,
+            arrivals_s,
+            model_ids,
+            duration_s,
+            faults,
+            lambda: float(
+                rng.lognormal(mean=log_mean, sigma=SERVICE_NOISE_SIGMA)
+            ),
+            tracer,
+        )
+        self._drive(core, fault_events)
         end_s = max(duration_s, core.end_s)
         self.pool.finalize(end_s)
         result = MultiModelResult(
-            engine=self.engine,
             duration_s=duration_s,
             model_names=self.pool.model_names,
             replica_names=tuple(spec.name for spec in self.pool.replicas),
@@ -1239,10 +1203,10 @@ class MultiModelRouter:
             self._record_metrics(result)
         return result
 
-    # ---------------------------------------------------------- engines
+    # -------------------------------------------------------- event loop
 
-    def _drive_reference(self, core: _Core, fault_events) -> None:
-        """One heap, every event — the executable specification."""
+    def _drive(self, core: _Core, fault_events) -> None:
+        """One heap, every event."""
         heap = []
         seq = 0
         for qid, t_s in enumerate(core.arrivals_s):
@@ -1269,47 +1233,6 @@ class MultiModelRouter:
                 core.on_complete(a, b, epoch, t_s)
             else:
                 core.on_load_done(a, b, epoch, t_s)
-
-    def _drive_vectorized(self, core: _Core, fault_events) -> None:
-        """Pre-sorted static streams merged against a dynamic heap.
-
-        Arrivals and fault transitions are already time-sorted, so the
-        loop replaces their O(log n) heap traffic with two array
-        cursors; only completions and load-dones go through a (small)
-        heap. ``<=`` comparisons reproduce the reference heap's tie
-        order: arrivals, then faults, then dynamics.
-        """
-        arrivals_s = core.arrivals_s
-        num_arrivals = len(arrivals_s)
-        num_faults = len(fault_events)
-        ai = 0
-        fi = 0
-        dyn: list = []
-        counter = [0]
-
-        def push(t_s, kind, replica, slot, epoch):
-            counter[0] += 1
-            heapq.heappush(dyn, (t_s, counter[0], kind, replica, slot, epoch))
-
-        core.push = push
-        inf = math.inf
-        while ai < num_arrivals or fi < num_faults or dyn:
-            ta_s = arrivals_s[ai] if ai < num_arrivals else inf
-            tf_s = fault_events[fi][0] if fi < num_faults else inf
-            td_s = dyn[0][0] if dyn else inf
-            if ta_s <= tf_s and ta_s <= td_s:
-                ai += 1
-                core.on_arrival(ai - 1, ta_s)
-            elif tf_s <= td_s:
-                _, replica, goes_down = fault_events[fi]
-                fi += 1
-                core.on_fault(replica, bool(goes_down), tf_s)
-            else:
-                t_s, _, kind, a, b, epoch = heapq.heappop(dyn)
-                if kind == _EV_COMPLETE:
-                    core.on_complete(a, b, epoch, t_s)
-                else:
-                    core.on_load_done(a, b, epoch, t_s)
 
     # ----------------------------------------------------------- metrics
 

@@ -19,6 +19,7 @@ policies are compared under realistic variability.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -262,7 +263,7 @@ class RequestRouter:
 
     def run(self, offered_qps: float, duration_s: float = 1.0) -> RoutingResult:
         """Simulate ``duration_s`` of Poisson arrivals at ``offered_qps``."""
-        if offered_qps <= 0 or duration_s <= 0:
+        if not (0 < offered_qps < math.inf and 0 < duration_s < math.inf):
             raise ValueError("rate and duration must be positive")
         rng = self._rng
         arrivals = []

@@ -1,11 +1,14 @@
-"""DES edge cases both engines (and the C backend) must agree on.
+"""DES edge cases every loop must agree with its spec on.
 
-Satellites of the two-engine equivalence suite: degenerate compositions
-where event ordering is most fragile — multiple event kinds landing on
-one timestamp, zero-duration backoffs, empty arrival streams, one-replica
-fleets, capacity-1 queues — plus the event-ordering regression tests for
-the explicit ``(time, seq)`` heap tie-breakers (permuted construction of
-the same fault schedule must replay identically).
+The simulator's engines (and the C backend) are compared with each other,
+and ``ResilientRouter.run`` with the router's test-only spec
+(``tests/oracles/resilient_router.py``). Satellites of the equivalence
+suite: degenerate compositions where event ordering is most fragile —
+multiple event kinds landing on one timestamp, zero-duration backoffs,
+empty arrival streams, one-replica fleets, capacity-1 queues — plus the
+event-ordering regression tests for the explicit ``(time, seq)`` heap
+tie-breakers (permuted construction of the same fault schedule must
+replay identically).
 """
 
 import heapq
@@ -28,9 +31,13 @@ from repro.serving import (
     Straggler,
 )
 from repro.serving._des_native import native_available
-from tests.test_des_equivalence import SERVICE_S, router_key, sim_key
+from tests.test_des_equivalence import (
+    ROUTER_RUNS,
+    SERVICE_S,
+    router_key,
+    sim_key,
+)
 
-ENGINES = ("reference", "vectorized")
 SIM_BACKENDS = (
     ("reference", "auto"),
     ("vectorized", "python"),
@@ -54,11 +61,9 @@ def router_keys(run_kwargs=None, **kwargs):
     run_kwargs.setdefault("duration_s", 0.03)
     run_kwargs.setdefault("sla", SLA(deadline_s=25.0 * SERVICE_S))
     keys = []
-    for engine in ENGINES:
-        router = ResilientRouter(
-            BROADWELL, RMC1_SMALL, 8, engine=engine, **kwargs
-        )
-        keys.append(router_key(router.run(**run_kwargs)))
+    for run in ROUTER_RUNS:
+        router = ResilientRouter(BROADWELL, RMC1_SMALL, 8, **kwargs)
+        keys.append(router_key(run(router, **run_kwargs)))
     return keys
 
 
@@ -251,15 +256,14 @@ class TestEventOrderingDeterminism:
                 )
                 runs.append(sim_key(sim.run(0.03)))
             assert runs[0] == runs[1], (engine, backend)
-        for engine in ENGINES:
+        for run in ROUTER_RUNS:
             runs = []
             for schedule in (forward, permuted):
-                router = ResilientRouter(
-                    BROADWELL, RMC1_SMALL, 8, 3, seed=8, engine=engine
-                )
+                router = ResilientRouter(BROADWELL, RMC1_SMALL, 8, 3, seed=8)
                 runs.append(
                     router_key(
-                        router.run(
+                        run(
+                            router,
                             offered_qps=2.0 * 3 / SERVICE_S,
                             duration_s=0.03,
                             faults=schedule,
@@ -267,7 +271,7 @@ class TestEventOrderingDeterminism:
                         )
                     )
                 )
-            assert runs[0] == runs[1], engine
+            assert runs[0] == runs[1], run.__name__
 
     def test_batched_server_inflight_heap_orders_ties_by_push(self):
         # The backpressure path's completion heap carries (time, seq):

@@ -1,13 +1,15 @@
-"""Two-engine DES equivalence: vectorized must be bit-identical to reference.
+"""DES equivalence: every fast loop must be bit-identical to its spec.
 
-The reference per-event loops in ``ServingSimulator._run_reference`` and
-``ResilientRouter._run_reference`` are the executable specification; the
-vectorized engine (and its self-compiled C backend) re-derives the same
-event order from batched arrays. This suite drives both engines through
-random policy x fault x load x tier compositions and asserts *byte*
-equality of every observable — record arrays, counters, overload books,
-downtime — plus RNG stream-position parity (a second run from the same
-objects must also match) and request conservation.
+``ServingSimulator._run_reference`` is the simulator's executable
+specification; its vectorized engine (and the self-compiled C backend)
+re-derives the same event order from batched arrays. The router's spec
+is the test-only per-event loop ``tests/oracles/resilient_router.py``
+(``run_reference``); ``ResilientRouter.run`` keeps O(1) fleet state and
+pre-sorted event streams instead. This suite drives spec and fast loop
+through random policy x fault x load x tier compositions and asserts
+*byte* equality of every observable — record arrays, counters, overload
+books, downtime — plus RNG stream-position parity (a second run from the
+same objects must also match) and request conservation.
 
 ``DES_EXAMPLES`` scales the hypothesis sweep (CI uses the default).
 """
@@ -40,12 +42,17 @@ from repro.serving import (
     fault_storm,
 )
 from repro.serving._des_native import native_available
+from tests.oracles.resilient_router import run_reference
 
 NUM_MACHINES = 4
 DURATION_S = 0.04
 SERVICE_S = ResilientRouter(
     BROADWELL, RMC1_SMALL, 8, NUM_MACHINES, seed=0
 )._base_service_s
+
+#: The two router loops every router test compares, called as
+#: ``run(router, offered_qps, ...)``: the test-only spec and production.
+ROUTER_RUNS = (run_reference, ResilientRouter.run)
 
 EQUIV = settings(
     max_examples=int(os.environ.get("DES_EXAMPLES", "15")),
@@ -204,7 +211,7 @@ def run_sim(engine, backend, load_factor, overload, faults, seed):
     return sim, sim_key(first) + sim_key(second), first
 
 
-def run_router(engine, routing, load_factor, policy, overload, faults, seed):
+def run_router(run, routing, load_factor, policy, overload, faults, seed):
     router = ResilientRouter(
         BROADWELL,
         RMC1_SMALL,
@@ -214,16 +221,17 @@ def run_router(engine, routing, load_factor, policy, overload, faults, seed):
         policy=policy,
         overload=overload,
         seed=seed,
-        engine=engine,
     )
     sla = SLA(deadline_s=25.0 * SERVICE_S)
-    first = router.run(
+    first = run(
+        router,
         offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
         duration_s=DURATION_S,
         faults=faults,
         sla=sla,
     )
-    second = router.run(
+    second = run(
+        router,
         offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
         duration_s=DURATION_S / 2,
         faults=faults,
@@ -337,17 +345,19 @@ class TestRouterEquivalence:
                 hedge_delay_s=(20.0 * SERVICE_S if hedge else None),
             )
         )
-        ref_key, ref = run_router(
-            "reference", routing, load_factor, policy, overload, faults, seed
+        spec_key, _ = run_router(
+            run_reference, routing, load_factor, policy, overload, faults,
+            seed,
         )
-        vec_key, vec = run_router(
-            "vectorized", routing, load_factor, policy, overload, faults, seed
+        key, result = run_router(
+            ResilientRouter.run, routing, load_factor, policy, overload,
+            faults, seed,
         )
-        assert ref_key == vec_key
+        assert spec_key == key
         check_conservation(
-            vec.offered, vec.completed, failed=vec.failed
+            result.offered, result.completed, failed=result.failed
         )
-        assert vec.unresolved >= 0
+        assert result.unresolved >= 0
 
     @EQUIV
     @given(
@@ -362,10 +372,10 @@ class TestRouterEquivalence:
         self, load_factor, overload, seed, jitter
     ):
         # Out-of-order (and possibly tied) explicit arrival times take the
-        # trace-driven path in both engines.
+        # trace-driven path in both loops.
         arrivals = sorted(jitter, reverse=True)
         keys = []
-        for engine in ("reference", "vectorized"):
+        for run in ROUTER_RUNS:
             router = ResilientRouter(
                 BROADWELL,
                 RMC1_SMALL,
@@ -373,9 +383,9 @@ class TestRouterEquivalence:
                 NUM_MACHINES,
                 overload=overload,
                 seed=seed,
-                engine=engine,
             )
-            result = router.run(
+            result = run(
+                router,
                 offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
                 duration_s=DURATION_S,
                 arrival_times_s=arrivals,
@@ -389,7 +399,7 @@ class TestRouterEquivalence:
         from repro.serving import fault_storm
 
         dumps = []
-        for engine in ("reference", "vectorized"):
+        for run in ROUTER_RUNS:
             tracer = Tracer()
             router = ResilientRouter(
                 BROADWELL,
@@ -406,9 +416,9 @@ class TestRouterEquivalence:
                 ),
                 seed=9,
                 tracer=tracer,
-                engine=engine,
             )
-            router.run(
+            run(
+                router,
                 offered_qps=3.0 * NUM_MACHINES / SERVICE_S,
                 duration_s=DURATION_S,
                 faults=fault_storm(NUM_MACHINES, DURATION_S, seed=3),
@@ -419,8 +429,9 @@ class TestRouterEquivalence:
 
 
 class TestCorrelatedScheduleEquivalence:
-    """Domain schedules lower to plain fault primitives, so the two-engine
-    bit-identity proof must keep holding on correlated storms too."""
+    """Domain schedules lower to plain fault primitives, so the spec-vs-
+    production bit-identity proof must keep holding on correlated storms
+    too."""
 
     TOPOLOGY = FleetTopology(
         num_replicas=NUM_MACHINES,
@@ -450,16 +461,18 @@ class TestCorrelatedScheduleEquivalence:
                 backoff_base_s=SERVICE_S,
             )
         )
-        ref_key, ref = run_router(
-            "reference", "round_robin", load_factor, policy, None, faults,
+        spec_key, _ = run_router(
+            run_reference, "round_robin", load_factor, policy, None, faults,
             seed,
         )
-        vec_key, vec = run_router(
-            "vectorized", "round_robin", load_factor, policy, None, faults,
-            seed,
+        key, result = run_router(
+            ResilientRouter.run, "round_robin", load_factor, policy, None,
+            faults, seed,
         )
-        assert ref_key == vec_key
-        check_conservation(vec.offered, vec.completed, failed=vec.failed)
+        assert spec_key == key
+        check_conservation(
+            result.offered, result.completed, failed=result.failed
+        )
 
     @EQUIV
     @given(
@@ -480,166 +493,9 @@ class TestCorrelatedScheduleEquivalence:
         )
         keys = [
             run_router(
-                engine, "round_robin", load_factor,
+                run, "round_robin", load_factor,
                 ResiliencePolicy.none(), None, faults, seed,
             )[0]
-            for engine in ("reference", "vectorized")
+            for run in ROUTER_RUNS
         ]
         assert keys[0] == keys[1]
-
-
-class TestFleetDayEquivalence:
-    def test_small_fleet_day_engine_invariant(self):
-        from repro.experiments import fleet_day
-
-        results = {
-            engine: fleet_day.run(
-                peak_replicas=12,
-                windows=4,
-                window_sim_s=0.01,
-                seed=11,
-                engine=engine,
-            )
-            for engine in ("reference", "vectorized")
-        }
-        ref, vec = results["reference"], results["vectorized"]
-        assert ref.windows == vec.windows
-        assert ref.peak_replicas == vec.peak_replicas
-        assert ref.total_offered == vec.total_offered
-        assert vec.total_offered > 0
-
-
-# ----------------------------------------------------------- multi-model
-
-
-def multimodel_key(result) -> tuple:
-    """Every observable of a multi-model run, bytes-exact."""
-    ovl = result.overload
-    return (
-        result.offered_by_model,
-        result.completed_by_model,
-        result.shed_by_model,
-        result.killed_by_model,
-        tuple(
-            np.asarray(lats, dtype=np.float64).tobytes()
-            for lats in result.latencies_by_model
-        ),
-        result.loads,
-        result.swaps,
-        result.thrash,
-        result.swaps_by_model,
-        result.resident_slots_by_model,
-        result.residency_utilization,
-        result.busy_utilization,
-        result.max_queue_depth,
-        result.hol_bypasses,
-        result.drain_claims,
-        None
-        if ovl is None
-        else (
-            ovl.offered,
-            ovl.admitted,
-            tuple(sorted(ovl.shed_by_reason.items())),
-            ovl.max_queue_depth,
-        ),
-    )
-
-
-class TestMultiModelEquivalence:
-    def make_router(self, engine, slots, admission, seed):
-        from repro.config import RMC2_SMALL, RMC3_SMALL
-        from repro.hw import SKYLAKE
-        from repro.serving import MultiModelPool, MultiModelRouter
-
-        pool = MultiModelPool(
-            (BROADWELL, SKYLAKE),
-            (RMC1_SMALL, RMC2_SMALL, RMC3_SMALL),
-            slots_per_replica=slots,
-            thrash_window_s=0.05,
-        )
-        overload = (
-            None if admission is None else OverloadConfig(admission=admission)
-        )
-        return MultiModelRouter(
-            pool, overload=overload, seed=seed, engine=engine
-        )
-
-    @EQUIV
-    @given(
-        load_factor=st.floats(0.3, 6.0),
-        slots=st.integers(1, 3),
-        admission=st.one_of(st.none(), admission_policies()),
-        faults=fault_schedules(num_replicas=2),
-        weight=st.floats(0.05, 0.95),
-        seed=st.integers(0, 2**16),
-    )
-    def test_engines_bit_identical(
-        self, load_factor, slots, admission, faults, weight, seed
-    ):
-        keys = {}
-        for engine in ("reference", "vectorized"):
-            router = self.make_router(engine, slots, admission, seed)
-            first = router.run(
-                DURATION_S,
-                offered_qps=load_factor * 2 / SERVICE_S,
-                mix=(weight, 1.0 - weight, weight / 2),
-                faults=faults,
-            )
-            # Second run from the same router proves RNG stream-position
-            # parity after the first.
-            second = router.run(
-                DURATION_S / 2,
-                offered_qps=load_factor * 2 / SERVICE_S,
-                mix=(weight, 1.0 - weight, weight / 2),
-            )
-            keys[engine] = multimodel_key(first) + multimodel_key(second)
-            assert first.offered == (
-                first.completed + first.shed + first.killed
-            )
-        assert keys["reference"] == keys["vectorized"]
-
-    def test_traced_runs_identical_across_engines(self):
-        from repro.obs import Tracer, dumps_chrome
-        from repro.serving import fault_storm
-
-        dumps = []
-        for engine in ("reference", "vectorized"):
-            tracer = Tracer()
-            router = self.make_router(
-                engine,
-                slots=2,
-                admission=AdmissionPolicy(
-                    queue_capacity=8,
-                    shed_policy="reject_oldest",
-                    codel_target_s=4.0 * SERVICE_S,
-                ),
-                seed=9,
-            )
-            router.tracer = tracer
-            router.run(
-                DURATION_S,
-                offered_qps=4.0 * 2 / SERVICE_S,
-                mix=(0.5, 0.3, 0.2),
-                faults=fault_storm(2, DURATION_S, seed=3),
-            )
-            dumps.append(dumps_chrome(tracer))
-        assert dumps[0] == dumps[1]
-
-    def test_explicit_query_traces_match(self):
-        from repro.serving import (
-            MixedModelLoadGenerator,
-            ModelClassRate,
-        )
-        from repro.config import RMC2_SMALL, RMC3_SMALL
-
-        classes = (
-            ModelClassRate(RMC1_SMALL.name, 1200.0),
-            ModelClassRate(RMC2_SMALL.name, 700.0, phase_s=0.01),
-            ModelClassRate(RMC3_SMALL.name, 400.0, amplitude=0.2),
-        )
-        load = MixedModelLoadGenerator(classes, period_s=0.04, seed=5)
-        keys = {}
-        for engine in ("reference", "vectorized"):
-            router = self.make_router(engine, slots=2, admission=None, seed=5)
-            keys[engine] = multimodel_key(router.run(DURATION_S, load=load))
-        assert keys["reference"] == keys["vectorized"]

@@ -3,7 +3,7 @@
 The hypothesis suites pin the two load-bearing contracts of the domain
 layer: :meth:`DomainSchedule.expand_to_schedule` must agree with a
 brute-force per-replica oracle (and be deterministic and
-permutation-invariant, since both DES engines consume its output), and
+permutation-invariant, since every DES loop consumes its output), and
 :func:`replicate_shards` must never co-locate two copies of a shard in
 one spread domain when a spread is feasible — and refuse loudly when it
 is not.

@@ -7,6 +7,8 @@ throughput, and the zero-fault schedule reproduces the fault-free
 simulation record for record.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +244,16 @@ class TestRouterInvariants:
         np.testing.assert_array_equal(a.latencies_s, b.latencies_s)
         assert a.failed == 0
         assert a.stats().retries == 0
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["offered_qps", "duration_s"])
+    def test_rejects_non_finite_rate_and_duration(self, field, bad):
+        # Before the finiteness check, inf looped forever and a nan rate
+        # returned an empty run.
+        kwargs = {"offered_qps": 5000.0, "duration_s": DURATION_S, field: bad}
+        router = ResilientRouter(BROADWELL, RMC1_SMALL, 8, NUM_REPLICAS)
+        with pytest.raises(ValueError, match="rate and duration"):
+            router.run(**kwargs)
 
 
 class TestPoliciesImproveTails:

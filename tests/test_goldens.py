@@ -26,6 +26,7 @@ from repro.experiments import (
 from repro.hw import BROADWELL, TimingModel
 from repro.serving.faults import ResiliencePolicy, ResilientRouter, fault_storm
 from repro.serving.router import POLICIES, RequestRouter, compare_policies
+from tests.oracles.resilient_router import run_reference
 
 
 def test_fig10_latency_throughput_golden(golden):
@@ -235,11 +236,12 @@ def test_fig11z_domains_golden(golden):
 
 # --- Engine byte-identity against the checked-in goldens -------------------
 #
-# The goldens above were recorded with the reference DES engine. Re-running
-# each DES-backed figure with ``engine="vectorized"`` must reproduce the
+# The Figure 11 golden above was recorded with the simulator's reference
+# engine. Re-running it with ``engine="vectorized"`` must reproduce the
 # same golden byte for byte — the two engines are one model. Figures 9, 10
-# and 14 contain no DES (analytic roofline sweeps and a cache trace), so
-# the reference goldens already cover every engine for them.
+# and 14 contain no DES (analytic roofline sweeps and a cache trace), and
+# the router-driven figures run the router's single event loop, so their
+# goldens above already cover every engine.
 
 
 def test_fig11_vectorized_engine_matches_golden(golden):
@@ -251,25 +253,6 @@ def test_fig11_vectorized_engine_matches_golden(golden):
         engine="vectorized",
     )
     golden("fig11_tail_latency", _fig11_payload(result))
-
-
-def test_fig11x_vectorized_engine_matches_golden(golden):
-    result = fig11x_faults.run(
-        num_machines=4, duration_s=0.4, seed=11, engine="vectorized"
-    )
-    golden("fig11x_faults", _fig11x_payload(result))
-
-
-def test_fig11y_vectorized_engine_matches_golden(golden):
-    result = fig11y_overload.run(
-        duration_s=0.25, seed=11, engine="vectorized"
-    )
-    golden("fig11y_overload", _fig11y_payload(result))
-
-
-def test_fig11z_vectorized_engine_matches_golden(golden):
-    result = fig11z_domains.run(duration_s=0.4, seed=11, engine="vectorized")
-    golden("fig11z_domains", _fig11z_payload(result))
 
 
 def test_fleet_day_golden(golden):
@@ -318,24 +301,18 @@ def test_fleet_day_golden(golden):
 
 
 def _multimodel_payload(result):
-    mixed = result.mixed.summary()
-    mixed.pop("engine")  # engine-invariant by contract
     return {
         "replicas": list(result.replica_names),
         "models": list(result.model_names),
         "partition": list(result.partition),
-        "mixed": mixed,
+        "mixed": result.mixed.summary(),
         "mixed_extras": {
             "hol_bypasses": result.mixed.hol_bypasses,
             "drain_claims": result.mixed.drain_claims,
             "busy_utilization": result.mixed.busy_utilization,
         },
         "static": {
-            name: {
-                key: value
-                for key, value in result.static_by_model[i].summary().items()
-                if key != "engine"
-            }
+            name: result.static_by_model[i].summary()
             for i, name in enumerate(result.model_names)
         },
         "static_throughput_qps": result.static_throughput_qps,
@@ -390,22 +367,14 @@ def test_fignmp_golden_engine_invariant(golden):
     golden("fignmp", _fignmp_payload(result))
 
 
-def test_multimodel_golden_engine_invariant(golden):
-    # The same golden must hold for the reference engine: the figure is
-    # bit-identical across engines by the DES contract.
-    golden(
-        "multimodel",
-        _multimodel_payload(figmm_multimodel.run(engine="reference")),
-    )
-
-
 # --- Routing policies not covered by the figure goldens ---------------------
 #
 # The figure-11 family and the fleet day pin ``jsq2`` only. This golden
 # pins ``RequestRouter`` under every policy (including a generator reused
 # across two runs and a bounded queue that sheds between service draws)
 # and ``ResilientRouter`` under ``random`` and ``round_robin`` routing in a
-# seeded fault storm. Both DES engines must reproduce the same file.
+# seeded fault storm. ``ResilientRouter.run`` and the router's test-only
+# spec (``run_reference``) must both reproduce the same file.
 
 
 def _latency_digest(latencies_s):
@@ -451,7 +420,7 @@ def _request_router_payload():
     return payload
 
 
-def _resilient_routing_payload(engine):
+def _resilient_routing_payload(run):
     num_machines, duration_s, seed = 6, 0.2, 13
     base_s = TimingModel(BROADWELL).model_latency(RMC1_SMALL, 8).total_seconds
     storm = fault_storm(num_machines, duration_s, seed=seed + 1)
@@ -466,10 +435,10 @@ def _resilient_routing_payload(engine):
     for routing in ("random", "round_robin"):
         router = ResilientRouter(
             BROADWELL, RMC1_SMALL, 8, num_machines, policy=policy,
-            routing=routing, seed=seed, engine=engine,
+            routing=routing, seed=seed,
         )
-        result = router.run(
-            0.5 * router.max_stable_qps(), duration_s, faults=storm
+        result = run(
+            router, 0.5 * router.max_stable_qps(), duration_s, faults=storm
         )
         payload[f"resilient/{routing}"] = {
             **_latency_digest(result.latencies_s),
@@ -484,13 +453,13 @@ def _resilient_routing_payload(engine):
     return payload
 
 
-def _routing_policies_payload(engine):
-    return {**_request_router_payload(), **_resilient_routing_payload(engine)}
+def _routing_policies_payload(run):
+    return {**_request_router_payload(), **_resilient_routing_payload(run)}
 
 
 def test_routing_policies_golden(golden):
-    golden("routing_policies", _routing_policies_payload("reference"))
+    golden("routing_policies", _routing_policies_payload(ResilientRouter.run))
 
 
-def test_routing_policies_vectorized_engine_matches_golden(golden):
-    golden("routing_policies", _routing_policies_payload("vectorized"))
+def test_routing_policies_oracle_matches_golden(golden):
+    golden("routing_policies", _routing_policies_payload(run_reference))

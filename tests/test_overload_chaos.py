@@ -8,11 +8,11 @@ the draw, the books must balance:
   offered = completed + shed + killed + in-flight (simulator);
 * rate level — goodput <= throughput <= offered rate.
 
-Every example also draws which DES engine (``reference`` or
-``vectorized``) runs it, so the invariants are exercised on both engines
-in the same sweep. CI runs this as a dedicated "chaos smoke" step with
-``CHAOS_EXAMPLES=40``; crank the sweep with ``CHAOS_EXAMPLES=200``
-locally when touching the overload or DES layers.
+Every simulator example also draws which engine (``reference`` or
+``vectorized``) runs it, so the invariants are exercised on both
+simulator engines in the same sweep. CI runs this as a dedicated "chaos
+smoke" step with ``CHAOS_EXAMPLES=40``; crank the sweep with
+``CHAOS_EXAMPLES=200`` locally when touching the overload or DES layers.
 """
 
 import os
@@ -135,10 +135,9 @@ class TestRouterChaos:
         load_factor=st.floats(0.3, 6.0),
         timeout_factor=st.one_of(st.none(), st.floats(10.0, 60.0)),
         seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
     )
     def test_conservation_and_rate_ordering(
-        self, overload, faults, load_factor, timeout_factor, seed, engine
+        self, overload, faults, load_factor, timeout_factor, seed
     ):
         policy = (
             ResiliencePolicy.none()
@@ -157,7 +156,6 @@ class TestRouterChaos:
             policy=policy,
             overload=overload,
             seed=seed,
-            engine=engine,
         )
         result = router.run(
             offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
@@ -205,11 +203,8 @@ class TestRouterChaos:
         faults=fault_schedules(),
         load_factor=st.floats(0.3, 6.0),
         seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
     )
-    def test_runs_are_deterministic(
-        self, overload, faults, load_factor, seed, engine
-    ):
+    def test_runs_are_deterministic(self, overload, faults, load_factor, seed):
         def once():
             return ResilientRouter(
                 BROADWELL,
@@ -218,7 +213,6 @@ class TestRouterChaos:
                 NUM_MACHINES,
                 overload=overload,
                 seed=seed,
-                engine=engine,
             ).run(
                 offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
                 duration_s=DURATION_S,
@@ -322,10 +316,9 @@ class TestDomainChaos:
         overload=overload_configs(),
         load_factor=st.floats(0.3, 6.0),
         seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
     )
     def test_correlated_schedules_conserve_requests(
-        self, faults, overload, load_factor, seed, engine
+        self, faults, overload, load_factor, seed
     ):
         router = ResilientRouter(
             BROADWELL,
@@ -339,7 +332,6 @@ class TestDomainChaos:
             ),
             overload=overload,
             seed=seed,
-            engine=engine,
         )
         result = router.run(
             offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
@@ -359,7 +351,6 @@ class TestDomainChaos:
         num_shards=st.integers(1, 2),
         load_factor=st.floats(0.3, 4.0),
         seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
     )
     def test_replicated_shard_recovery_books_balance(
         self,
@@ -368,10 +359,9 @@ class TestDomainChaos:
         num_shards,
         load_factor,
         seed,
-        engine,
     ):
         """Whatever the storm, the recovery timeline stays consistent and
-        the compiled schedule still conserves requests on either engine."""
+        the compiled schedule still conserves requests."""
         from repro.experiments.fig11z_domains import _compile_schedule
 
         events = domain_storm(DOMAIN_TOPOLOGY, DURATION_S, seed=storm_seed)
@@ -418,7 +408,6 @@ class TestDomainChaos:
             8,
             NUM_MACHINES,
             seed=seed,
-            engine=engine,
         ).run(
             offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
             duration_s=DURATION_S,
@@ -454,17 +443,14 @@ class TestMultiModelChaos:
         load_factor=st.floats(0.3, 6.0),
         weight=st.floats(0.05, 0.95),
         seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
     )
     def test_per_model_conservation(
-        self, pool, admission, faults, load_factor, weight, seed, engine
+        self, pool, admission, faults, load_factor, weight, seed
     ):
         overload = (
             None if admission is None else OverloadConfig(admission=admission)
         )
-        router = MultiModelRouter(
-            pool, overload=overload, seed=seed, engine=engine
-        )
+        router = MultiModelRouter(pool, overload=overload, seed=seed)
         result = router.run(
             DURATION_S,
             offered_qps=load_factor * len(MM_REPLICAS) / SERVICE_S,
@@ -514,7 +500,6 @@ class TestMultiModelChaos:
                 8,
                 NUM_MACHINES,
                 seed=seed,
-                engine=engine,
                 pool=pool_arg,
             ).run(
                 offered_qps=load_factor * NUM_MACHINES / SERVICE_S,

@@ -1,5 +1,7 @@
 """Tests for the request-routing simulator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,14 @@ class TestRequestRouter:
             RequestRouter(BROADWELL, RMC1_SMALL, 16, 0)
         with pytest.raises(ValueError):
             make_router().run(0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["offered_qps", "duration_s"])
+    def test_rejects_non_finite_rate_and_duration(self, field, bad):
+        # Before the finiteness check, both looped forever.
+        kwargs = {"offered_qps": 1000.0, "duration_s": 0.01, field: bad}
+        with pytest.raises(ValueError, match="rate and duration"):
+            make_router().run(**kwargs)
 
     def test_single_machine_all_policies_equal_stream(self):
         for policy in POLICIES:
