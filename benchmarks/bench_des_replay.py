@@ -1,10 +1,10 @@
-"""Perf-trajectory bench: reference vs vectorized vs native DES engines.
+"""Perf-trajectory bench: reference vs native DES engines.
 
 Times identical serving simulations through the simulator's reference
-per-event loop, the vectorized numpy engine, and the self-compiled C
-backend. The engines are bit-identical by contract
-(``tests/test_des_equivalence.py``), so every timing pair is the same
-computation — any speedup is pure implementation. A full-scale fleet day
+per-event loop and the vectorized engine's self-compiled C kernel. The
+engines are bit-identical by contract (``tests/test_des_equivalence.py``),
+so every timing pair is the same computation — any speedup is pure
+implementation. A full-scale fleet day
 then runs through the router's single event loop. A routing-draws
 section times the router's per-pick draws as numpy calls and as a
 :class:`~repro.serving.router.RoutingDraws` stream, and asserts
@@ -46,11 +46,9 @@ DEFAULT_OUT = Path(__file__).parent / "BENCH_des_replay.json"
 SIM_INSTANCES = 48
 SIM_DURATION_S = 0.5
 SIM_SEED = 7
-# The vectorized engine must beat the reference loop by at least this
-# factor at the largest simulator size (with the C backend; the pure
-# python floor is lower because the event core stays a scalar heap).
+# The native kernel must beat the reference loop by at least this factor
+# at the largest simulator size.
 NATIVE_FLOOR = 10.0
-PYTHON_FLOOR = 2.0
 # Routing draws: the figure fleets and the fleet-day peak.
 ROUTING_POOLS = (8, 1048)
 ROUTING_PICKS = 100_000
@@ -60,9 +58,7 @@ ROUTING_REPEATS = 3
 ROUTING_FLOOR = 3.0
 
 
-def _sim_once(
-    engine: str, backend: str, offered_target: int
-) -> tuple[float, str, int, tuple]:
+def _sim_once(engine: str, offered_target: int) -> tuple[float, str, int, tuple]:
     qps = offered_target / (SIM_INSTANCES * SIM_DURATION_S)
     sim = ServingSimulator(
         BROADWELL,
@@ -72,7 +68,6 @@ def _sim_once(
         per_instance_qps=qps,
         seed=SIM_SEED,
         engine=engine,
-        backend=backend,
     )
     start_s = time.perf_counter()
     result = sim.run(SIM_DURATION_S)
@@ -86,37 +81,26 @@ def _sim_once(
             np.asarray(result.latencies_s()).tobytes()
         ).hexdigest(),
     )
-    backend_used = getattr(sim, "last_backend", "reference")
-    return elapsed_s, backend_used, result.offered, digest
+    return elapsed_s, sim.last_backend, result.offered, digest
 
 
 def bench_simulator(offered_targets: tuple[int, ...]) -> list[dict]:
-    """Time all three backends on identical open-loop simulations."""
+    """Time both engines on identical open-loop simulations."""
     rows = []
     for target in offered_targets:
-        reference_s, _, offered, reference_digest = _sim_once(
-            "reference", "auto", target
-        )
-        python_s, _, _, python_digest = _sim_once(
-            "vectorized", "python", target
-        )
-        assert python_digest == reference_digest, "engines diverged"
+        reference_s, _, offered, reference_digest = _sim_once("reference", target)
         row = {
             "offered_target": int(target),
             "offered": int(offered),
             "num_instances": SIM_INSTANCES,
             "reference_s": reference_s,
-            "python_s": python_s,
-            "python_speedup": reference_s / python_s,
             "native_s": None,
             "native_speedup": None,
         }
         if native_available():
-            native_s, backend, _, native_digest = _sim_once(
-                "vectorized", "native", target
-            )
+            native_s, backend, _, native_digest = _sim_once("vectorized", target)
             assert backend == "native"
-            assert native_digest == reference_digest, "C backend diverged"
+            assert native_digest == reference_digest, "C kernel diverged"
             row["native_s"] = native_s
             row["native_speedup"] = reference_s / native_s
         rows.append(row)
@@ -220,11 +204,6 @@ def check_floors(report: dict) -> None:
             f"native speedup {largest['native_speedup']:.1f}x below "
             f"{NATIVE_FLOOR:.0f}x floor at {largest['offered_target']:,}"
         )
-    else:
-        assert largest["python_speedup"] >= PYTHON_FLOOR, (
-            f"python speedup {largest['python_speedup']:.1f}x below "
-            f"{PYTHON_FLOOR:.0f}x floor at {largest['offered_target']:,}"
-        )
     for row in report["routing_draws"]:
         if row["policy"] == "jsq2":
             assert row["speedup"] >= ROUTING_FLOOR, (
@@ -243,8 +222,6 @@ def render(report: dict) -> str:
         [
             f"{r['offered']:,}",
             f"{r['reference_s']:.3f}",
-            f"{r['python_s']:.3f}",
-            f"{r['python_speedup']:.1f}x",
             "-" if r["native_s"] is None else f"{r['native_s']:.3f}",
             "-"
             if r["native_speedup"] is None
@@ -254,10 +231,7 @@ def render(report: dict) -> str:
     ]
     parts = [
         format_table(
-            [
-                "offered", "reference s", "python s", "speedup",
-                "native s", "speedup",
-            ],
+            ["offered", "reference s", "native s", "speedup"],
             sim_rows,
             title=(
                 f"DES engine wallclock, {SIM_INSTANCES}-instance simulator "
@@ -295,15 +269,13 @@ def render(report: dict) -> str:
 
 @pytest.mark.perf
 def test_des_replay_perf():
-    """Small-size bench; asserts the vectorized engine wins."""
+    """Small-size bench; asserts the native kernel wins."""
     from conftest import emit
 
     report = run_bench(offered_targets=(100_000,), fleet=False)
-    emit("DES replay: reference vs vectorized vs native", render(report))
-    best = report["simulator"][0]["native_speedup"] or (
-        report["simulator"][0]["python_speedup"]
-    )
-    assert best > 1.0
+    emit("DES replay: reference vs native", render(report))
+    if report["config"]["native_available"]:
+        assert report["simulator"][0]["native_speedup"] > 1.0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,12 +11,11 @@ prefetch-flag matrices, int64 occupancy vectors — see
 compiler and loaded through :mod:`ctypes`.
 
 No third-party dependency is added: when no compiler is available (or
-``REPRO_DISABLE_NATIVE=1`` is set) the engine transparently falls back to
-the pure-Python batch kernel, which implements the same semantics and is
-itself several times faster than the reference engine. The equivalence
-test suite drives both backends against the reference
-:class:`~repro.hw.cache.SetAssociativeCache` implementation, which remains
-the executable specification.
+``REPRO_DISABLE_NATIVE=1`` is set) :class:`~repro.hw.hierarchy.CacheHierarchy`
+runs its reference engine instead, with the same results. The
+equivalence test suite drives this kernel against that engine (built on
+:class:`~repro.hw.cache.SetAssociativeCache`), which remains the
+executable specification.
 
 Build artifacts go to ``REPRO_NATIVE_CACHE`` if set (created when
 missing), else a ``_native_build`` directory next to this file when

@@ -16,13 +16,14 @@ the same semantics:
 * ``engine="reference"`` — one OrderedDict per set, one Python call per
   line. Slow, obvious, and the executable specification.
 * ``engine="vectorized"`` — structure-of-arrays numpy state
-  (:mod:`repro.hw.vectorized`) driven by a batch kernel: a self-compiled
-  C kernel (:mod:`repro.hw._native`) when a compiler is available, else a
-  pure-Python batch loop. Bit-identical stats to the reference across
-  both inclusion policies, prefetching, and external-pressure paths —
-  enforced by ``tests/test_engine_equivalence.py`` — at one-to-two orders
-  of magnitude lower cost, which is what makes million-lookup
-  paper-scale traces tractable (see ``docs/PERFORMANCE.md``).
+  (:mod:`repro.hw.vectorized`) replayed in batches by a self-compiled C
+  kernel (:mod:`repro.hw._native`). Bit-identical stats to the reference
+  across both inclusion policies, prefetching, and external-pressure
+  paths — enforced by ``tests/test_engine_equivalence.py`` — at one-to-two
+  orders of magnitude lower cost, which is what makes million-lookup
+  paper-scale traces tractable (see ``docs/PERFORMANCE.md``). When the
+  kernel cannot load (no compiler, or ``REPRO_DISABLE_NATIVE=1``) the
+  vectorized engine runs the reference loop, with the same results.
 """
 
 from __future__ import annotations
@@ -35,12 +36,7 @@ from ..core.operators.base import MemoryAccess
 from ._native import load_kernel
 from .cache import SetAssociativeCache
 from .server import ServerSpec
-from .vectorized import (
-    VectorizedSetAssociativeCache,
-    expand_spans,
-    python_pressure,
-    python_replay,
-)
+from .vectorized import VectorizedSetAssociativeCache, expand_spans
 
 # Accesses buffered per batch when draining a MemoryAccess iterable
 # through the vectorized engine.
@@ -99,15 +95,12 @@ class CacheHierarchy:
             pollute — under SLS's irregular row gathers, the effect the
             paper notes as "prefetching pollution". 0 disables.
         engine: ``"reference"`` (per-line OrderedDict walk, the executable
-            spec) or ``"vectorized"`` (SoA numpy state + batch kernel,
-            bit-identical stats, built for million-lookup traces — feed it
-            through :meth:`access_lines` for full speed).
-        backend: batch-kernel selection for the vectorized engine:
-            ``"auto"`` uses the self-compiled C kernel when a compiler is
-            available and falls back to the pure-Python batch loop,
-            ``"native"`` requires the C kernel (raises if unavailable),
-            ``"python"`` forces the fallback. Ignored by the reference
-            engine.
+            spec) or ``"vectorized"`` (SoA numpy state + the native batch
+            kernel, bit-identical stats, built for million-lookup traces —
+            feed it through :meth:`access_lines` for full speed). Without
+            the kernel the vectorized engine runs the reference loop;
+            :attr:`backend` says which ran, ``"native"`` or
+            ``"reference"``.
     """
 
     def __init__(
@@ -117,7 +110,6 @@ class CacheHierarchy:
         line_bytes: int = 64,
         prefetch_degree: int = 0,
         engine: str = "reference",
-        backend: str = "auto",
     ) -> None:
         if not 0.0 < l3_share <= 1.0:
             raise ValueError("l3_share must be in (0, 1]")
@@ -125,17 +117,17 @@ class CacheHierarchy:
             raise ValueError("prefetch_degree must be non-negative")
         if engine not in ("reference", "vectorized"):
             raise ValueError(f"unknown engine {engine!r}")
-        if backend not in ("auto", "native", "python"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.server = server
         self.inclusive = server.inclusive_llc
         self.prefetch_degree = prefetch_degree
         self.engine = engine
         self.line_bytes = line_bytes
         self._prefetched_lines: set[int] = set()
+        self._kernel = load_kernel() if engine == "vectorized" else None
+        self.backend = "reference" if self._kernel is None else "native"
         cache_cls = (
             SetAssociativeCache
-            if engine == "reference"
+            if self._kernel is None
             else VectorizedSetAssociativeCache
         )
         self.l1 = cache_cls("L1", server.l1_bytes, 8, line_bytes)
@@ -145,23 +137,13 @@ class CacheHierarchy:
         l3_bytes = max(l3_bytes - l3_bytes % (16 * line_bytes), 16 * line_bytes)
         self.l3 = cache_cls("L3", l3_bytes, 16, line_bytes)
         self.stats = HierarchyStats()
-        self._kernel = None
-        if engine == "vectorized":
-            if backend in ("auto", "native"):
-                self._kernel = load_kernel()
-            if backend == "native" and self._kernel is None:
-                raise RuntimeError(
-                    "backend='native' requested but the C kernel is "
-                    "unavailable (no compiler, or REPRO_DISABLE_NATIVE=1)"
-                )
-            self._batch_counters = np.zeros(7, dtype=np.int64)
-        self.backend = "native" if self._kernel is not None else "python"
+        self._batch_counters = np.zeros(7, dtype=np.int64)
 
     # ------------------------------------------------------------- accesses
 
     def access(self, access: MemoryAccess) -> None:
         """Simulate one logical access (all lines it spans)."""
-        if self.engine == "reference":
+        if self._kernel is None:
             for line in self.l1.lines_spanned(access.address, access.size):
                 self._access_line(line)
             return
@@ -178,32 +160,21 @@ class CacheHierarchy:
         engine too (a per-line loop) so callers and the equivalence suite
         can drive both engines through the same entry point.
         """
-        if self.engine == "reference":
+        if self._kernel is None:
             for line in np.asarray(lines, dtype=np.int64).reshape(-1).tolist():
                 self._access_line(line)
             return
         counters = self._batch_counters
         counters[:] = 0
-        if self._kernel is not None:
-            self._kernel.replay(
-                lines,
-                self.l1,
-                self.l2,
-                self.l3,
-                self.inclusive,
-                self.prefetch_degree,
-                counters,
-            )
-        else:
-            python_replay(
-                lines,
-                self.l1,
-                self.l2,
-                self.l3,
-                self.inclusive,
-                self.prefetch_degree,
-                counters,
-            )
+        self._kernel.replay(
+            lines,
+            self.l1,
+            self.l2,
+            self.l3,
+            self.inclusive,
+            self.prefetch_degree,
+            counters,
+        )
         self._drain_batch_counters()
 
     def _drain_batch_counters(self) -> None:
@@ -219,7 +190,7 @@ class CacheHierarchy:
 
     def access_trace(self, trace) -> HierarchyStats:
         """Simulate an iterable of :class:`MemoryAccess`; returns stats."""
-        if self.engine == "reference":
+        if self._kernel is None:
             for item in trace:
                 self.access(item)
             return self.stats
@@ -329,7 +300,7 @@ class CacheHierarchy:
         Foreign lines use negative line indices so they never alias the
         workload's own lines.
         """
-        if self.engine == "reference":
+        if self._kernel is None:
             for i in range(evict_lines):
                 foreign = -(1 + i * seed_stride)
                 if self.inclusive:
@@ -339,27 +310,16 @@ class CacheHierarchy:
             return
         counters = self._batch_counters
         counters[:] = 0
-        if self._kernel is not None:
-            self._kernel.pressure(
-                evict_lines,
-                seed_stride,
-                self.l1,
-                self.l2,
-                self.l3,
-                self.inclusive,
-                self.prefetch_degree,
-                counters,
-            )
-        else:
-            python_pressure(
-                evict_lines,
-                seed_stride,
-                self.l1,
-                self.l2,
-                self.l3,
-                self.inclusive,
-                counters,
-            )
+        self._kernel.pressure(
+            evict_lines,
+            seed_stride,
+            self.l1,
+            self.l2,
+            self.l3,
+            self.inclusive,
+            self.prefetch_degree,
+            counters,
+        )
         self._drain_batch_counters()
 
     def reset_stats(self) -> HierarchyStats:

@@ -18,12 +18,10 @@ distance from the MRU slot); :meth:`VectorizedSetAssociativeCache.age_matrix`
 materializes them for introspection.
 
 Batches of line indices are replayed through this state by the native C
-kernel (:mod:`repro.hw._native`) when a compiler is available, or by the
-pure-Python batch kernel below. Both implement exactly the reference
-semantics — the equivalence suite asserts record-for-record equal stats —
-but exact LRU with cross-level feedback is sequential per line, so the
-Python path is "only" a few times faster than the reference while the
-native path is one-to-two orders of magnitude faster.
+kernel (:mod:`repro.hw._native`), which implements exactly the reference
+semantics — the equivalence suite asserts record-for-record equal stats.
+Without a compiler the hierarchy keeps reference levels instead and
+never builds this state.
 """
 
 from __future__ import annotations
@@ -32,19 +30,14 @@ import numpy as np
 
 from .cache import CacheStats
 
-__all__ = [
-    "VectorizedSetAssociativeCache",
-    "expand_spans",
-    "python_replay",
-    "python_pressure",
-]
+__all__ = ["VectorizedSetAssociativeCache", "expand_spans"]
 
 
 class VectorizedSetAssociativeCache:
     """One cache level as numpy tag/flag/occupancy matrices.
 
     Geometry and validation match :class:`repro.hw.cache.SetAssociativeCache`;
-    the contents are mutated in bulk by the batch kernels rather than per
+    the contents are mutated in bulk by the native kernel rather than per
     access.
     """
 
@@ -72,7 +65,7 @@ class VectorizedSetAssociativeCache:
         self.flags = np.zeros((self.num_sets, associativity), dtype=np.uint8)
         self.occupancy = np.zeros(self.num_sets, dtype=np.int64)
         # [hits, misses, evictions, invalidations] — incremented in place
-        # by the batch kernels.
+        # by the native kernel.
         self._counters = np.zeros(4, dtype=np.int64)
 
     # ------------------------------------------------------------- geometry
@@ -151,243 +144,3 @@ def expand_spans(
     starts = np.repeat(first, counts)
     bases = np.repeat(np.cumsum(counts) - counts, counts)
     return starts + (np.arange(total, dtype=np.int64) - bases)
-
-
-# ------------------------------------------------------ python batch kernel
-
-
-def _to_dicts(level: VectorizedSetAssociativeCache) -> list[dict[int, int]]:
-    """SoA state -> per-set {line: prefetch_flag} dicts in LRU order."""
-    tags = level.tags.tolist()
-    flags = level.flags.tolist()
-    occupancy = level.occupancy.tolist()
-    return [
-        dict(zip(tag_row[:occupied], flag_row[:occupied]))
-        for tag_row, flag_row, occupied in zip(tags, flags, occupancy)
-    ]
-
-def _from_dicts(
-    level: VectorizedSetAssociativeCache, sets: list[dict[int, int]]
-) -> None:
-    """Write the dict mirror back into the SoA arrays."""
-    for set_index, cache_set in enumerate(sets):
-        occupied = len(cache_set)
-        level.occupancy[set_index] = occupied
-        if occupied:
-            level.tags[set_index, :occupied] = list(cache_set.keys())
-            level.flags[set_index, :occupied] = list(cache_set.values())
-
-
-def python_replay(
-    lines: np.ndarray,
-    l1: VectorizedSetAssociativeCache,
-    l2: VectorizedSetAssociativeCache,
-    l3: VectorizedSetAssociativeCache,
-    inclusive: bool,
-    prefetch_degree: int,
-    hier_counters: np.ndarray,
-) -> None:
-    """Pure-Python batch kernel: replay ``lines`` through the hierarchy.
-
-    Fallback for environments without a C compiler. Uses an ephemeral
-    per-set dict mirror of the SoA state (CPython dict operations beat
-    per-access numpy indexing by a wide margin) and writes the state back
-    when the batch completes.
-    """
-    d1, d2, d3 = _to_dicts(l1), _to_dicts(l2), _to_dicts(l3)
-    n1, n2, n3 = l1.num_sets, l2.num_sets, l3.num_sets
-    w1, w2, w3 = l1.associativity, l2.associativity, l3.associativity
-    h1 = h2 = h3 = dram = back_inv = pf_issued = pf_hits = 0
-    l1h = l1m = l1e = l1i = 0
-    l2h = l2m = l2e = l2i = 0
-    l3h = l3m = l3e = 0
-
-    flags_possible = bool(
-        prefetch_degree > 0 or l2.flags.any() or l3.flags.any()
-    )
-    for line in np.asarray(lines, dtype=np.int64).reshape(-1).tolist():
-        s1 = d1[line % n1]
-        if line in s1:
-            del s1[line]
-            s1[line] = 0
-            h1 += 1
-            l1h += 1
-            continue
-        l1m += 1
-        s2 = d2[line % n2]
-        if line in s2:
-            if flags_possible and s2[line]:
-                pf_hits += 1
-                s3 = d3[line % n3]
-                if line in s3:
-                    s3[line] = 0
-            del s2[line]
-            s2[line] = 0
-            h2 += 1
-            l2h += 1
-            if len(s1) >= w1:
-                del s1[next(iter(s1))]
-                l1e += 1
-            s1[line] = 0
-            continue
-        l2m += 1
-        dram_fill = False
-        s3 = d3[line % n3]
-        if line in s3:
-            if flags_possible and s3[line]:
-                pf_hits += 1
-            h3 += 1
-            l3h += 1
-            if inclusive:
-                del s3[line]
-                s3[line] = 0
-            else:
-                # Victim L3: the line moves up (uncounted removal).
-                del s3[line]
-        else:
-            l3m += 1
-            dram += 1
-            dram_fill = True
-            if inclusive:
-                if len(s3) >= w3:
-                    victim = next(iter(s3))
-                    del s3[victim]
-                    l3e += 1
-                    sv2 = d2[victim % n2]
-                    if victim in sv2:
-                        del sv2[victim]
-                        l2i += 1
-                        back_inv += 1
-                    sv1 = d1[victim % n1]
-                    if victim in sv1:
-                        del sv1[victim]
-                        l1i += 1
-                s3[line] = 0
-        # Fill L2 (line is absent on every path reaching here).
-        if len(s2) >= w2:
-            victim = next(iter(s2))
-            victim_flag = s2[victim]
-            del s2[victim]
-            l2e += 1
-            if not inclusive:
-                sv3 = d3[victim % n3]
-                if victim in sv3:
-                    sv3[victim] |= victim_flag
-                    del_flag = sv3.pop(victim)
-                    sv3[victim] = del_flag  # move to MRU
-                else:
-                    if len(sv3) >= w3:
-                        del sv3[next(iter(sv3))]
-                        l3e += 1
-                    sv3[victim] = victim_flag
-        s2[line] = 0
-        # Fill L1.
-        if len(s1) >= w1:
-            del s1[next(iter(s1))]
-            l1e += 1
-        s1[line] = 0
-        # Next-line stream prefetch — only on a DRAM fill, not an L3 hit.
-        if prefetch_degree > 0 and dram_fill:
-            for offset in range(1, prefetch_degree + 1):
-                pf_line = line + offset
-                if pf_line in d1[pf_line % n1] or pf_line in d2[pf_line % n2]:
-                    continue
-                pf_issued += 1
-                if inclusive:
-                    ps3 = d3[pf_line % n3]
-                    if pf_line in ps3:
-                        ps3[pf_line] |= 1
-                        moved = ps3.pop(pf_line)
-                        ps3[pf_line] = moved  # move to MRU
-                    else:
-                        if len(ps3) >= w3:
-                            victim = next(iter(ps3))
-                            del ps3[victim]
-                            l3e += 1
-                            sv2 = d2[victim % n2]
-                            if victim in sv2:
-                                del sv2[victim]
-                                l2i += 1
-                                back_inv += 1
-                            sv1 = d1[victim % n1]
-                            if victim in sv1:
-                                del sv1[victim]
-                                l1i += 1
-                        ps3[pf_line] = 1
-                ps2 = d2[pf_line % n2]
-                if len(ps2) >= w2:
-                    victim = next(iter(ps2))
-                    victim_flag = ps2[victim]
-                    del ps2[victim]
-                    l2e += 1
-                    if not inclusive:
-                        sv3 = d3[victim % n3]
-                        if victim in sv3:
-                            sv3[victim] |= victim_flag
-                            moved = sv3.pop(victim)
-                            sv3[victim] = moved
-                        else:
-                            if len(sv3) >= w3:
-                                del sv3[next(iter(sv3))]
-                                l3e += 1
-                            sv3[victim] = victim_flag
-                ps2[pf_line] = 1
-
-    hier_counters[0] += h1
-    hier_counters[1] += h2
-    hier_counters[2] += h3
-    hier_counters[3] += dram
-    hier_counters[4] += back_inv
-    hier_counters[5] += pf_issued
-    hier_counters[6] += pf_hits
-    l1._counters += np.array([l1h, l1m, l1e, l1i], dtype=np.int64)
-    l2._counters += np.array([l2h, l2m, l2e, l2i], dtype=np.int64)
-    l3._counters += np.array([l3h, l3m, l3e, 0], dtype=np.int64)
-    _from_dicts(l1, d1)
-    _from_dicts(l2, d2)
-    _from_dicts(l3, d3)
-
-
-def python_pressure(
-    evict_lines: int,
-    seed_stride: int,
-    l1: VectorizedSetAssociativeCache,
-    l2: VectorizedSetAssociativeCache,
-    l3: VectorizedSetAssociativeCache,
-    inclusive: bool,
-    hier_counters: np.ndarray,
-) -> None:
-    """Pure-Python foreign-line LLC churn (``external_llc_pressure``)."""
-    d1, d2, d3 = _to_dicts(l1), _to_dicts(l2), _to_dicts(l3)
-    n1, n2, n3 = l1.num_sets, l2.num_sets, l3.num_sets
-    w3 = l3.associativity
-    back_inv = l1i = l2i = l3e = 0
-    for i in range(evict_lines):
-        foreign = -(1 + i * seed_stride)
-        s3 = d3[foreign % n3]
-        if foreign in s3:
-            moved = s3.pop(foreign)
-            s3[foreign] = moved  # re-insert: move to MRU
-            continue
-        if len(s3) >= w3:
-            victim = next(iter(s3))
-            del s3[victim]
-            l3e += 1
-            if inclusive:
-                sv2 = d2[victim % n2]
-                if victim in sv2:
-                    del sv2[victim]
-                    l2i += 1
-                    back_inv += 1
-                sv1 = d1[victim % n1]
-                if victim in sv1:
-                    del sv1[victim]
-                    l1i += 1
-        s3[foreign] = 0
-    hier_counters[4] += back_inv
-    l1._counters += np.array([0, 0, 0, l1i], dtype=np.int64)
-    l2._counters += np.array([0, 0, 0, l2i], dtype=np.int64)
-    l3._counters += np.array([0, 0, l3e, 0], dtype=np.int64)
-    _from_dicts(l1, d1)
-    _from_dicts(l2, d2)
-    _from_dicts(l3, d3)

@@ -22,12 +22,13 @@ models that memory system end to end, at two fidelities:
   busiest rank — not as a flat speedup.
 
 Following the repo's two-engine pattern (cache replay, serving DES), the
-per-access reference engine is the executable specification and the SoA
-vectorized engine (:mod:`repro.memory.nmp_vectorized`, optional C kernel
-via :mod:`repro.memory.nmp_native`) is proven bit-identical on every
-observable by ``tests/test_nmp_equivalence.py``. All costs are integer
-nanoseconds, which is what makes bit-identity across engines (and across
-``bincount`` summation orders) trivial to guarantee.
+per-access reference engine is the executable specification and the
+vectorized engine (the C kernel in :mod:`repro.memory.nmp_native` over
+the SoA state in :mod:`repro.memory.nmp_vectorized`) is proven
+bit-identical on every observable by ``tests/test_nmp_equivalence.py``.
+Without a compiler the vectorized engine runs the reference loop. All
+costs are integer nanoseconds, which is what makes bit-identity across
+engines trivial to guarantee.
 
 :class:`~repro.hw.timing.TimingModel` accepts ``nmp=NmpGeometry(...)`` to
 price SLS operators on this backend analytically (``nmp=None`` is the
@@ -51,12 +52,7 @@ from ..hw.timing import OP_OVERHEAD_S, TimingModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 from .nmp_native import load_nmp_kernel
-from .nmp_vectorized import (
-    VectorizedHotRowState,
-    pool_rank_occupancy_ns,
-    python_hot_flags,
-    rank_of_rows,
-)
+from .nmp_vectorized import VectorizedHotRowState
 
 
 @dataclass(frozen=True)
@@ -368,11 +364,11 @@ class NearMemorySystem:
     Args:
         geometry: channel/DIMM/rank shape and service times.
         engine: ``"reference"`` for the per-access specification loop, or
-            ``"vectorized"`` for the SoA batch engine (bit-identical).
-        backend: batch-kernel selection for the vectorized engine:
-            ``"auto"`` prefers the self-compiled C kernel and falls back
-            to pure Python (also when ``REPRO_DISABLE_NATIVE=1``),
-            ``"native"`` requires it, ``"python"`` forces the fallback.
+            ``"vectorized"`` for the native C kernel (bit-identical).
+            Without the kernel (no compiler, or
+            ``REPRO_DISABLE_NATIVE=1``) the vectorized engine runs the
+            reference loop; :attr:`backend` says which ran, ``"native"``
+            or ``"reference"``.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; each replay
             is recorded as a ``memory.nmp.replay`` span on the simulated
             clock. Observational only — never changes an observable.
@@ -387,29 +383,19 @@ class NearMemorySystem:
         self,
         geometry: NmpGeometry = NmpGeometry(),
         engine: str = "vectorized",
-        backend: str = "auto",
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
         track: int = 0,
     ) -> None:
         if engine not in ("reference", "vectorized"):
             raise ValueError(f"unknown engine {engine!r}")
-        if backend not in ("auto", "native", "python"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.geometry = geometry
         self.engine = engine
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
         self.track = track
-        self._kernel = None
-        if engine == "vectorized" and backend in ("auto", "native"):
-            self._kernel = load_nmp_kernel()
-            if backend == "native" and self._kernel is None:
-                raise RuntimeError(
-                    "backend='native' requested but the C kernel is "
-                    "unavailable (no compiler, or REPRO_DISABLE_NATIVE=1)"
-                )
-        self.backend = "native" if self._kernel is not None else "python"
+        self._kernel = load_nmp_kernel() if engine == "vectorized" else None
+        self.backend = "reference" if self._kernel is None else "native"
         self._clock_ns = 0
         self.reset()
 
@@ -419,7 +405,7 @@ class NearMemorySystem:
         """Clear hot-row cache state and the simulated clock."""
         geometry = self.geometry
         self._clock_ns = 0
-        if self.engine == "reference":
+        if self._kernel is None:
             self._hot: list[OrderedDict[int, None]] = [
                 OrderedDict() for _ in range(geometry.num_dimms)
             ]
@@ -430,7 +416,7 @@ class NearMemorySystem:
 
     def resident_hot_rows(self) -> int:
         """Rows currently held across every DIMM's hot cache."""
-        if self.engine == "reference":
+        if self._kernel is None:
             return sum(len(cache) for cache in self._hot)
         return self._state.resident_rows()
 
@@ -466,10 +452,10 @@ class NearMemorySystem:
                 ``None`` treats the whole trace as one pool.
         """
         rows, lengths = self._check_trace(rows, lengths)
-        if self.engine == "reference":
+        if self._kernel is None:
             result = self._replay_reference(rows, lengths)
         else:
-            result = self._replay_vectorized(rows, lengths)
+            result = self._replay_native(rows, lengths)
         self._observe(result)
         return result
 
@@ -548,64 +534,30 @@ class NearMemorySystem:
             per_dimm_hot_misses=np.asarray(per_dimm_misses, dtype=np.int64),
         )
 
-    # ------------------------------------------------------------ vectorized
+    # ---------------------------------------------------------------- native
 
-    def _replay_vectorized(
+    def _replay_native(
         self, rows: np.ndarray, lengths: np.ndarray
     ) -> NmpReplayResult:
-        """SoA batch engine: sequential hot-cache kernel + array accounting."""
+        """One C call: hot-row cache, placement and pool/rank accounting."""
         geometry = self.geometry
-        num_ranks = geometry.num_ranks
-        if self._kernel is not None:
-            # The C path also folds the pool/rank accounting into the same
-            # trace walk — identical integer arithmetic, one call.
-            pool_latencies, rank_busy, dimm_hits, dimm_misses = (
-                self._kernel.replay(
-                    rows,
-                    lengths,
-                    self._state.tags,
-                    self._state.occupancy,
-                    geometry.hot_rows_per_dimm,
-                    geometry.ranks_per_dimm,
-                    num_ranks,
-                    geometry.rank_gather_ns,
-                    geometry.hot_hit_ns,
-                    geometry.pool_overhead_ns,
-                )
-            )
-            return NmpReplayResult(
-                pool_latencies_ns=pool_latencies,
-                per_rank_busy_ns=rank_busy,
-                per_dimm_hot_hits=dimm_hits,
-                per_dimm_hot_misses=dimm_misses,
-            )
-        hits = python_hot_flags(
-            rows, self._state, geometry.ranks_per_dimm, num_ranks
+        pool_latencies, rank_busy, dimm_hits, dimm_misses = self._kernel.replay(
+            rows,
+            lengths,
+            self._state.tags,
+            self._state.occupancy,
+            geometry.hot_rows_per_dimm,
+            geometry.ranks_per_dimm,
+            geometry.num_ranks,
+            geometry.rank_gather_ns,
+            geometry.hot_hit_ns,
+            geometry.pool_overhead_ns,
         )
-        ranks = rank_of_rows(rows, num_ranks)
-        dimms = ranks // geometry.ranks_per_dimm
-        hit_mask = hits.astype(bool)
-        cost_ns = np.where(
-            hit_mask,
-            np.int64(geometry.hot_hit_ns),
-            np.int64(geometry.rank_gather_ns),
-        )
-        grid_ns = pool_rank_occupancy_ns(cost_ns, ranks, lengths, num_ranks)
-        if grid_ns.shape[0]:
-            pool_latencies = grid_ns.max(axis=1) + geometry.pool_overhead_ns
-        else:
-            pool_latencies = np.zeros(0, dtype=np.int64)
-        per_dimm_hits = np.bincount(
-            dimms[hit_mask], minlength=geometry.num_dimms
-        ).astype(np.int64)
-        per_dimm_misses = np.bincount(
-            dimms[~hit_mask], minlength=geometry.num_dimms
-        ).astype(np.int64)
         return NmpReplayResult(
             pool_latencies_ns=pool_latencies,
-            per_rank_busy_ns=grid_ns.sum(axis=0),
-            per_dimm_hot_hits=per_dimm_hits,
-            per_dimm_hot_misses=per_dimm_misses,
+            per_rank_busy_ns=rank_busy,
+            per_dimm_hot_hits=dimm_hits,
+            per_dimm_hot_misses=dimm_misses,
         )
 
 

@@ -1,21 +1,22 @@
-"""Self-contained native kernel for the near-memory hot-row cache.
+"""Self-contained native kernel for the near-memory replay engine.
 
 The one sequential piece of the RecNMP-style replay engine
 (:mod:`repro.memory.near_memory`) is the per-DIMM hot-row cache: exact
 LRU over row ids, probed in trace order, where each access's hit/miss
-outcome depends on every earlier access to the same DIMM. Everything
-else — row→rank placement, per-rank occupancy, pool critical paths — is
-whole-trace integer array arithmetic (:mod:`repro.memory.nmp_vectorized`).
+outcome depends on every earlier access to the same DIMM. Row→rank
+placement, per-rank occupancy and pool critical paths are plain integer
+arithmetic on top of those hit/miss outcomes.
 
-So the native kernel is deliberately tiny: it walks the lookup trace once,
+So the native kernel walks the lookup trace twice: a hot-flags pass that
 maintains the per-DIMM LRU tag arrays **in place on the engine's
-structure-of-arrays numpy state**, and emits one hit/miss byte per
-lookup. Compilation goes through the shared
+structure-of-arrays numpy state** (:mod:`repro.memory.nmp_vectorized`)
+and emits one hit/miss byte per lookup, then an accounting pass that
+charges ranks and pools. Compilation goes through the shared
 :func:`repro.hw._native.compile_cached` toolchain (same build cache, same
-``REPRO_DISABLE_NATIVE=1`` off-switch); without a compiler the pure-Python
-batch kernel in :mod:`repro.memory.nmp_vectorized` implements identical
-semantics and the equivalence suite (``tests/test_nmp_equivalence.py``)
-proves all three paths bit-identical against the per-access reference.
+``REPRO_DISABLE_NATIVE=1`` off-switch); without a compiler
+:class:`~repro.memory.near_memory.NearMemorySystem` runs its per-access
+reference loop, the spec the equivalence suite
+(``tests/test_nmp_equivalence.py``) proves this kernel bit-identical to.
 """
 
 from __future__ import annotations
@@ -251,19 +252,6 @@ class NmpNativeKernel:
     """ctypes facade over the compiled hot-row-cache kernel."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        self._hot_flags = lib.repro_nmp_hot_flags
-        self._hot_flags.restype = ctypes.c_int
-        self._hot_flags.argtypes = [
-            _I64P,
-            ctypes.c_int64,
-            _I64P,
-            _I64P,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _U8P,
-        ]
         self._replay = lib.repro_nmp_replay
         self._replay.restype = ctypes.c_int
         self._replay.argtypes = [
@@ -287,33 +275,6 @@ class NmpNativeKernel:
             _I64P,
         ]
 
-    def hot_flags(
-        self,
-        rows: np.ndarray,
-        tags: np.ndarray,
-        occupancy: np.ndarray,
-        capacity: int,
-        ranks_per_dimm: int,
-        num_ranks: int,
-    ) -> np.ndarray:
-        """Replay ``rows`` through the per-DIMM LRU state; returns hit bytes."""
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        hits = np.zeros(rows.size, dtype=np.uint8)
-        status = self._hot_flags(
-            rows.ctypes.data_as(_I64P),
-            rows.size,
-            tags.ctypes.data_as(_I64P),
-            occupancy.ctypes.data_as(_I64P),
-            occupancy.size,
-            int(capacity),
-            int(ranks_per_dimm),
-            int(num_ranks),
-            hits.ctypes.data_as(_U8P),
-        )
-        if status != 0:
-            raise MemoryError("NMP kernel scratch allocation failed")
-        return hits
-
     def replay(
         self,
         rows: np.ndarray,
@@ -330,8 +291,8 @@ class NmpNativeKernel:
         """Full replay in C: hot flags plus pool/rank accounting.
 
         Returns ``(pool_latencies_ns, per_rank_busy_ns, per_dimm_hits,
-        per_dimm_misses)`` — the same integer observables the numpy
-        accounting path produces.
+        per_dimm_misses)`` — the same integer observables the reference
+        loop produces.
         """
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)

@@ -1,40 +1,24 @@
-"""Structure-of-arrays state and batch kernels for the NMP replay engine.
+"""Structure-of-arrays hot-row state for the native NMP replay engine.
 
 The reference engine in :mod:`repro.memory.near_memory` walks a lookup
 trace one row at a time: place the row on its rank, probe the owning
 DIMM's LRU hot-row cache, charge the rank. Perfectly clear — and far too
-slow for million-lookup traces. The vectorized engine splits the same
-computation into:
-
-* **Placement + accounting** — pure integer array arithmetic
-  (:func:`rank_of_rows`, :func:`pool_rank_occupancy_ns`): row→rank is a
-  single modulo, per-(pool, rank) occupancy is one ``bincount``, and the
-  pool critical path is a row-wise ``max``. All costs are integer
-  nanoseconds, so sums are exact in any order and the two engines agree
-  bit for bit.
-* **Hot-row cache** — the only sequential piece. Each DIMM's cache is
-  exact LRU over row ids, kept as flat tag matrices
-  (:class:`VectorizedHotRowState`, mirroring
-  :class:`repro.hw.vectorized.VectorizedSetAssociativeCache`): slots
-  ``0..occ-1`` of a row hold the DIMM's resident rows in LRU→MRU order.
-  Batches are replayed by the native C kernel
-  (:mod:`repro.memory.nmp_native`) when a compiler is available, or by
-  :func:`python_hot_flags` below — both implement exactly the reference
-  OrderedDict semantics.
+slow for million-lookup traces. The vectorized engine hands the whole
+trace to the native C kernel (:mod:`repro.memory.nmp_native`), which
+does the placement, the hot-row cache and the pool/rank accounting in one
+walk. The only state that outlives a replay is the hot-row cache, kept
+here as flat tag matrices (:class:`VectorizedHotRowState`, mirroring
+:class:`repro.hw.vectorized.VectorizedSetAssociativeCache`): slots
+``0..occ-1`` of a row hold the DIMM's resident rows in LRU→MRU order.
+Without a compiler the system keeps the reference engine's OrderedDicts
+instead and never builds this state.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-__all__ = [
-    "VectorizedHotRowState",
-    "python_hot_flags",
-    "rank_of_rows",
-    "pool_rank_occupancy_ns",
-]
+__all__ = ["VectorizedHotRowState"]
 
 
 class VectorizedHotRowState:
@@ -56,7 +40,7 @@ class VectorizedHotRowState:
         self.num_dimms = num_dimms
         self.capacity_rows = capacity_rows
         # max(capacity, 1) keeps zero-capacity states addressable; the
-        # kernels never write a tag when capacity_rows == 0.
+        # kernel never writes a tag when capacity_rows == 0.
         self.tags = np.zeros((num_dimms, max(capacity_rows, 1)), dtype=np.int64)
         self.occupancy = np.zeros(num_dimms, dtype=np.int64)
 
@@ -68,82 +52,3 @@ class VectorizedHotRowState:
         """Check presence without updating LRU order."""
         occupied = int(self.occupancy[dimm])
         return bool((self.tags[dimm, :occupied] == row).any())
-
-
-def python_hot_flags(
-    rows: np.ndarray,
-    state: VectorizedHotRowState,
-    ranks_per_dimm: int,
-    num_ranks: int,
-) -> np.ndarray:
-    """Pure-Python batch kernel: LRU-probe ``rows``, returning hit bytes.
-
-    Fallback for environments without a C compiler. Uses an ephemeral
-    per-DIMM dict mirror of the SoA state (CPython dict operations beat
-    per-access numpy indexing by a wide margin) and writes the state back
-    when the batch completes — the same trick as
-    :func:`repro.hw.vectorized.python_replay`.
-    """
-    capacity = state.capacity_rows
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    hits = np.zeros(rows.size, dtype=np.uint8)
-    if capacity == 0 or rows.size == 0:
-        return hits
-    # DIMM caches are independent (a row always lands on the same DIMM), so
-    # partition the trace per DIMM up front — vectorized — and run each
-    # subsequence through a minimal OrderedDict loop whose body is exactly
-    # the reference engine's cache ops, stripped of the per-access rank
-    # accounting (that part is array arithmetic, done by the caller).
-    dimms = (rows % num_ranks) // ranks_per_dimm
-    for dimm, (tag_row, occupied) in enumerate(
-        zip(state.tags.tolist(), state.occupancy.tolist())
-    ):
-        index = np.nonzero(dimms == dimm)[0]
-        if index.size == 0:
-            continue
-        cache = OrderedDict.fromkeys(tag_row[:occupied])
-        move_to_end = cache.move_to_end
-        flags = bytearray(index.size)
-        for i, row in enumerate(rows[index].tolist()):
-            if row in cache:
-                move_to_end(row)
-                flags[i] = 1
-            elif len(cache) >= capacity:
-                cache.popitem(last=False)
-                cache[row] = None
-            else:
-                cache[row] = None
-        hits[index] = np.frombuffer(bytes(flags), dtype=np.uint8)
-        occupied = len(cache)
-        state.occupancy[dimm] = occupied
-        if occupied:
-            state.tags[dimm, :occupied] = list(cache.keys())
-    return hits
-
-
-def rank_of_rows(rows: np.ndarray, num_ranks: int) -> np.ndarray:
-    """Vectorized row→rank placement (low-order interleave)."""
-    return np.asarray(rows, dtype=np.int64).reshape(-1) % num_ranks
-
-
-def pool_rank_occupancy_ns(
-    cost_ns: np.ndarray,
-    ranks: np.ndarray,
-    lengths: np.ndarray,
-    num_ranks: int,
-) -> np.ndarray:
-    """Per-(pool, rank) busy nanoseconds as a ``(num_pools, num_ranks)`` grid.
-
-    One ``bincount`` over a fused (pool, rank) key. ``bincount`` with
-    weights accumulates in float64, which is exact for integer sums below
-    2**53 — a 1M-lookup trace at microsecond-scale costs stays under 2**40,
-    so the cast back to int64 is lossless and the result is bit-identical
-    to the reference engine's serial integer accumulation.
-    """
-    num_pools = int(lengths.size)
-    if cost_ns.size == 0:
-        return np.zeros((num_pools, num_ranks), dtype=np.int64)
-    pool_index = np.repeat(np.arange(num_pools, dtype=np.int64), lengths)
-    key = pool_index * num_ranks + ranks
-    grid = np.bincount(key, weights=cost_ns, minlength=num_pools * num_ranks)
-    return grid.astype(np.int64).reshape(num_pools, num_ranks)

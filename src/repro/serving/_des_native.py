@@ -1,17 +1,18 @@
 """Self-compiled C kernel for the vectorized single-machine DES.
 
-The kernel is an exact transliteration of the python loop in
-:func:`repro.serving.des.run_simulator_vectorized` (itself bit-identical
-to ``ServingSimulator._run_reference``): the same binary event heap with
-``(time, seq)`` tie-breaking, the same ring-buffer queues, the same CoDel
+The kernel is an exact transliteration of the per-event loop in
+``ServingSimulator._run_reference``, its spec: the same event order
+(``(time, seq)`` tie-breaking, with the static events pre-sorted by
+:func:`repro.serving.des.run_simulator_vectorized`), FIFO queues, CoDel
 control law, admission policies and fault multipliers, evaluated in the
 same floating-point order. Two rules keep it bitwise-faithful:
 
 * Standard normals come from the *python* generator through a refill
-  callback (chunked ``standard_normal`` is bitwise equal to scalar
-  draws), and the wrapper rolls the generator back and re-draws exactly
-  the consumed count afterwards, so the RNG stream position matches the
-  reference run.
+  callback (each ``lognormal(m, s)`` draw is ``exp(m + s*z)`` of one
+  standard normal, and chunked ``standard_normal`` is bitwise equal to
+  scalar draws). The wrapper rolls the generator back and re-draws
+  exactly the consumed count afterwards, so the RNG stream position
+  matches the reference run.
 * The source is compiled with ``-ffp-contract=off`` so ``mean + sigma*z``
   is never fused into an FMA; ``exp``/``sqrt`` resolve to the same libm
   that CPython's :mod:`math` wraps in-process.
@@ -19,9 +20,9 @@ same floating-point order. Two rules keep it bitwise-faithful:
 Records stream out through a flush callback in 64Ki-row blocks of six
 float64 columns and are reassembled into a
 :class:`~repro.serving.des.RecordBatch`. When no C compiler is available
-(or ``REPRO_DISABLE_NATIVE=1``), :func:`simulate_native` returns ``None``
-and ``backend="auto"`` falls back to the batched python loop. Build
-caching is shared with the cache-replay kernel via
+(or ``REPRO_DISABLE_NATIVE=1``), :func:`native_available` is false and
+``ServingSimulator.run`` takes the reference loop. Build caching is
+shared with the cache-replay kernel via
 :func:`repro.hw._native.compile_cached`.
 """
 
@@ -534,25 +535,24 @@ def _as_i64(values) -> np.ndarray:
 def simulate_native(
     sim: "ServingSimulator",
     duration_s: float,
-    offered: int,
-    st_t: list[float],
-    st_kind: list[int],
-    st_inst: list[int],
+    times: np.ndarray,
+    kinds: np.ndarray,
+    insts: np.ndarray,
 ):
-    """Run the simulator loop natively; ``None`` when unavailable.
+    """Run the simulator loop natively over pre-sorted static events.
 
-    Returns ``(records, offered, killed, shed, max_queue_depth,
-    leftover_depth)`` with the RNG left at the reference stream position.
+    Returns ``(records, reissued, killed, shed, max_queue_depth,
+    leftover_depth)`` with the RNG left at the reference stream position;
+    ``reissued`` counts the closed-loop arrivals the loop added.
     """
     lib = _load()
-    if lib is None:
-        return None
+    assert lib is not None, "callers check native_available() first"
     rng = sim._rng
     num_instances = sim.num_instances
 
-    times = _as_f64(st_t)
-    kinds = _as_i64(st_kind)
-    insts = _as_i64(st_inst)
+    times = _as_f64(times)
+    kinds = _as_i64(kinds)
+    insts = _as_i64(insts)
 
     # Service-time parameters per active-job level. The admission deadline
     # check can probe level N+1 (all instances busy); _base_latency and
@@ -672,8 +672,8 @@ def simulate_native(
         out.ctypes.data_as(_I64P),
     )
 
-    # Re-synchronise the generator to the scalar draw count, exactly as
-    # NormalStream.close() does.
+    # Re-synchronise the generator to the scalar draw count: the refills
+    # drew whole chunks, the reference loop one normal per dispatch.
     rng.bit_generator.state = state0
     normals_used = int(out[5])
     if normals_used:
@@ -685,14 +685,7 @@ def simulate_native(
         data = np.concatenate(chunks).reshape(-1, 6)
     else:
         data = np.empty((0, 6), dtype=np.float64)
-    records = RecordBatch.from_columns(
+    records = RecordBatch(
         data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4], data[:, 5]
     )
-    return (
-        records,
-        offered + int(out[0]),
-        int(out[1]),
-        int(out[2]),
-        int(out[3]),
-        int(out[4]),
-    )
+    return records, int(out[0]), int(out[1]), int(out[2]), int(out[3]), int(out[4])

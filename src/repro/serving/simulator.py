@@ -33,6 +33,7 @@ from ..hw.colocation import ColocationState
 from ..hw.server import ServerSpec
 from ..hw.timing import ModelLatency, TimingModel
 from ..obs.tracer import as_tracer
+from ._des_native import native_available
 from .overload import SHED_CODEL, SHED_DEADLINE, SHED_OLDEST, SHED_QUEUE_FULL
 
 if TYPE_CHECKING:
@@ -115,9 +116,9 @@ class SimulationResult:
     num_instances: int
     duration_s: float
     #: Completed inferences: a ``list[InferenceRecord]`` from the reference
-    #: engine (and observed vectorized runs), or a duck-compatible
-    #: :class:`~repro.serving.des.RecordBatch` (SoA) from unobserved
-    #: vectorized runs — same elements, same order, same floats.
+    #: loop, or a duck-compatible :class:`~repro.serving.des.RecordBatch`
+    #: (SoA) from the native kernel — same elements, same order, same
+    #: floats.
     records: Sequence[InferenceRecord]
     offered: int = 0
     killed: int = 0
@@ -208,15 +209,13 @@ class ServingSimulator:
             ``serving.overload.shed`` counter.
         engine: DES engine (:data:`repro.serving.des.ENGINES`).
             ``"reference"`` runs the per-event loop below (the executable
-            spec); ``"vectorized"`` runs the batched SoA engine in
-            :mod:`repro.serving.des`, bit-identical on records, stats,
-            spans and RNG stream.
-        backend: vectorized-engine backend
-            (:data:`repro.serving.des.BACKENDS`): ``"auto"`` tries the
-            self-compiled C kernel and falls back to batched python,
-            ``"python"`` forces the fallback, ``"native"`` requires the
-            kernel. Ignored by the reference engine. After each run,
-            :attr:`last_backend` records which path actually executed.
+            spec); ``"vectorized"`` runs the C kernel driven by
+            :mod:`repro.serving.des`, bit-identical on records, stats and
+            RNG stream. A vectorized run takes the reference loop when
+            the kernel cannot load (no compiler, or
+            ``REPRO_DISABLE_NATIVE=1``) or a tracer or profiler observes
+            it. After each run, :attr:`last_backend` records which path
+            executed, ``"native"`` or ``"reference"``.
     """
 
     def __init__(
@@ -234,10 +233,9 @@ class ServingSimulator:
         overload: "OverloadConfig | None" = None,
         metrics: "MetricsRegistry | None" = None,
         engine: str = "reference",
-        backend: str = "auto",
         pool: "MultiModelPool | None" = None,
     ) -> None:
-        from .des import validate_backend, validate_engine
+        from .des import validate_engine
 
         if num_instances < 1:
             raise ValueError("need at least one instance")
@@ -254,12 +252,11 @@ class ServingSimulator:
         #: without). Cross-model dispatch lives in
         #: :class:`~repro.serving.multimodel.MultiModelRouter`.
         self.pool = pool
-        if per_instance_qps is not None and per_instance_qps <= 0:
-            raise ValueError("per_instance_qps must be positive")
+        if per_instance_qps is not None and not 0 < per_instance_qps < math.inf:
+            raise ValueError("per_instance_qps must be positive and finite")
         self.engine = validate_engine(engine)
-        self.backend = validate_backend(backend)
-        #: Execution path of the most recent :meth:`run`: ``"reference"``,
-        #: ``"python"`` (batched loop) or ``"native"`` (C kernel).
+        #: Execution path of the most recent :meth:`run`: ``"reference"``
+        #: (the per-event loop) or ``"native"`` (the C kernel).
         self.last_backend: str | None = None
         if overload is not None and (
             overload.breaker is not None or overload.brownout is not None
@@ -417,12 +414,17 @@ class ServingSimulator:
         """Simulate ``duration_s`` of serving; returns completed inferences.
 
         Dispatches on ``engine=``: the reference loop below is the
-        executable spec; the vectorized engine reproduces it bit for bit
-        (``tests/test_des_equivalence.py``).
+        executable spec; the vectorized engine's C kernel reproduces it
+        bit for bit (``tests/test_des_equivalence.py``). The choice is
+        made before the first RNG draw.
         """
-        if self.engine == "vectorized":
+        if not 0 < duration_s < math.inf:
+            raise ValueError("duration_s must be positive and finite")
+        observing = self.tracer.enabled or self.profiler is not None
+        if self.engine == "vectorized" and not observing and native_available():
             from .des import run_simulator_vectorized
 
+            self.last_backend = "native"
             result = run_simulator_vectorized(self, duration_s)
         else:
             self.last_backend = "reference"
@@ -435,8 +437,6 @@ class ServingSimulator:
 
     def _run_reference(self, duration_s: float) -> SimulationResult:
         """The per-event reference loop (the executable spec)."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
         rng = self._rng
         faults = self.faults
         fault_active = faults is not None and not faults.is_zero

@@ -1,8 +1,8 @@
 """DES equivalence: every fast loop must be bit-identical to its spec.
 
 ``ServingSimulator._run_reference`` is the simulator's executable
-specification; its vectorized engine (and the self-compiled C backend)
-re-derives the same event order from batched arrays. The router's spec
+specification; its vectorized engine runs a self-compiled C kernel over
+the same event order, pre-sorted from batched arrays. The router's spec
 is the test-only per-event loop ``tests/oracles/resilient_router.py``
 (``run_reference``); ``ResilientRouter.run`` keeps O(1) fleet state and
 pre-sorted event streams instead. This suite drives spec and fast loop
@@ -189,7 +189,7 @@ def sim_overloads() -> st.SearchStrategy[OverloadConfig | None]:
     )
 
 
-def run_sim(engine, backend, load_factor, overload, faults, seed):
+def run_sim(engine, load_factor, overload, faults, seed):
     sim = ServingSimulator(
         BROADWELL,
         RMC1_SMALL,
@@ -202,7 +202,6 @@ def run_sim(engine, backend, load_factor, overload, faults, seed):
         overload=overload,
         faults=faults,
         engine=engine,
-        backend=backend,
     )
     first = sim.run(DURATION_S)
     # Second run from the same simulator: equal keys here prove the RNG
@@ -241,30 +240,9 @@ def run_router(run, routing, load_factor, policy, overload, faults, seed):
 
 
 class TestSimulatorEquivalence:
-    @EQUIV
-    @given(
-        load_factor=st.one_of(st.none(), st.floats(0.3, 5.0)),
-        overload=sim_overloads(),
-        faults=fault_schedules(),
-        seed=st.integers(0, 2**16),
+    @pytest.mark.skipif(
+        not native_available(), reason="native kernel unavailable"
     )
-    def test_engines_bit_identical(self, load_factor, overload, faults, seed):
-        _, ref_key, ref = run_sim(
-            "reference", "auto", load_factor, overload, faults, seed
-        )
-        sim, vec_key, vec = run_sim(
-            "vectorized", "python", load_factor, overload, faults, seed
-        )
-        assert sim.last_backend == "python"
-        assert ref_key == vec_key
-        check_conservation(
-            vec.offered, len(vec.records), shed=vec.shed, killed=vec.killed
-        )
-        # Record-for-record equality through the SoA container.
-        for i in (0, len(ref.records) // 2, len(ref.records) - 1):
-            assert ref.records[i] == vec.records[i]
-
-    @pytest.mark.skipif(not native_available(), reason="no C compiler")
     @EQUIV
     @given(
         load_factor=st.one_of(st.none(), st.floats(0.3, 5.0)),
@@ -275,14 +253,20 @@ class TestSimulatorEquivalence:
     def test_native_backend_bit_identical(
         self, load_factor, overload, faults, seed
     ):
-        _, ref_key, _ = run_sim(
-            "reference", "auto", load_factor, overload, faults, seed
+        _, ref_key, ref = run_sim(
+            "reference", load_factor, overload, faults, seed
         )
-        sim, nat_key, _ = run_sim(
-            "vectorized", "native", load_factor, overload, faults, seed
+        sim, nat_key, nat = run_sim(
+            "vectorized", load_factor, overload, faults, seed
         )
         assert sim.last_backend == "native"
         assert ref_key == nat_key
+        check_conservation(
+            nat.offered, len(nat.records), shed=nat.shed, killed=nat.killed
+        )
+        # Record-for-record equality through the SoA container.
+        for i in (0, len(ref.records) // 2, len(ref.records) - 1):
+            assert ref.records[i] == nat.records[i]
 
     def test_tracing_does_not_perturb_results(self):
         from repro.obs import Tracer
@@ -301,23 +285,31 @@ class TestSimulatorEquivalence:
                     engine=engine,
                 )
                 key = sim_key(sim.run(DURATION_S))
+                # An observed run takes the reference loop.
+                native = engine == "vectorized" and tracer is None
+                assert sim.last_backend == (
+                    "native" if native and native_available() else "reference"
+                )
                 if baseline is None:
                     baseline = key
                 else:
                     assert key == baseline, engine
 
-    def test_native_backend_request_fails_loudly_when_disabled(self, monkeypatch):
+    def test_vectorized_falls_back_to_reference(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
         import repro.serving._des_native as dn
 
         monkeypatch.setattr(dn, "_CACHED", None)
-        sim = ServingSimulator(
-            BROADWELL, RMC1_SMALL, 8, 2, seed=1, engine="vectorized",
-            backend="native",
+        faults = FaultSchedule(
+            crashes=(ReplicaCrash(replica_id=1, at_s=0.01, downtime_s=0.01),)
         )
-        with pytest.raises(RuntimeError, match="native DES backend"):
-            sim.run(0.01)
-        monkeypatch.setattr(dn, "_CACHED", None)
+        overload = OverloadConfig(admission=AdmissionPolicy(queue_capacity=2))
+        keys = []
+        for engine in ("reference", "vectorized"):
+            sim, key, _ = run_sim(engine, 3.0, overload, faults, 21)
+            assert sim.last_backend == "reference"
+            keys.append(key)
+        assert keys[0] == keys[1]
 
 
 class TestRouterEquivalence:

@@ -3,14 +3,17 @@
 The vectorized engine's whole contract is **bit-identical stats** to the
 reference OrderedDict implementation — both inclusion policies, multi-line
 accesses, prefetching (degrees 0-4) and ``external_llc_pressure``
-interleavings. These tests drive random programs through both engines and
-compare every counter after every step (record-for-record, not just final
-totals), plus regression-test the ``_prefetched_lines`` leak the
-vectorized engine's per-copy flags were designed against.
+interleavings. These tests drive random programs through the reference
+engine and the native kernel and compare every counter after every step
+(record-for-record, not just final totals), plus regression-test the
+``_prefetched_lines`` leak the kernel's per-copy flags were designed
+against. Without a compiler the kernel cases skip, and the vectorized
+engine must fall back to the reference loop.
 """
 
 import ctypes
 import dataclasses
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from repro.hw._native import native_available
 from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.server import BROADWELL, SKYLAKE
 from repro.hw.vectorized import VectorizedSetAssociativeCache, expand_spans
+from tests.native_build_worker import PROBE_SOURCE, build_probe
 
 # Tiny hierarchies make evictions, back-invalidations and prefetch
 # pollution dense enough for short hypothesis programs to reach them.
@@ -32,7 +36,10 @@ TINY_SKYLAKE = dataclasses.replace(
     SKYLAKE, l1_bytes=1024, l2_bytes=4096, l3_bytes=16384
 )
 
-BACKENDS = ["python"] + (["native"] if native_available() else [])
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="native kernel unavailable"
+)
+BACKENDS = [pytest.param("native", marks=needs_native)]
 
 
 def snapshot(h: CacheHierarchy) -> dict:
@@ -92,12 +99,9 @@ _STEP = st.one_of(
 def test_property_engines_bit_identical(server, backend, program, degree):
     reference = CacheHierarchy(server, l3_share=0.5, prefetch_degree=degree)
     vectorized = CacheHierarchy(
-        server,
-        l3_share=0.5,
-        prefetch_degree=degree,
-        engine="vectorized",
-        backend=backend,
+        server, l3_share=0.5, prefetch_degree=degree, engine="vectorized"
     )
+    assert vectorized.backend == backend
     assert run_program(reference, program) == run_program(vectorized, program)
 
 
@@ -113,13 +117,10 @@ def test_full_size_servers_bit_identical(server, backend, degree):
     engines = [
         CacheHierarchy(server, l3_share=0.25, prefetch_degree=degree),
         CacheHierarchy(
-            server,
-            l3_share=0.25,
-            prefetch_degree=degree,
-            engine="vectorized",
-            backend=backend,
+            server, l3_share=0.25, prefetch_degree=degree, engine="vectorized"
         ),
     ]
+    assert engines[1].backend == backend
     states = []
     for h in engines:
         per_step = []
@@ -142,9 +143,8 @@ def test_sls_trace_path_bit_identical(backend):
     reference = CacheHierarchy(BROADWELL, l3_share=0.1)
     reference.access_trace(sls.trace_for_rows(rows))
 
-    vectorized = CacheHierarchy(
-        BROADWELL, l3_share=0.1, engine="vectorized", backend=backend
-    )
+    vectorized = CacheHierarchy(BROADWELL, l3_share=0.1, engine="vectorized")
+    assert vectorized.backend == backend
     vectorized.access_lines(sls.line_trace_for_rows(rows))
     assert snapshot(reference) == snapshot(vectorized)
 
@@ -163,20 +163,28 @@ def test_reset_stats_keeps_contents_on_both_engines():
 def test_engine_and_backend_validation():
     with pytest.raises(ValueError):
         CacheHierarchy(BROADWELL, engine="turbo")
-    with pytest.raises(ValueError):
-        CacheHierarchy(BROADWELL, engine="vectorized", backend="rust")
+    with pytest.raises(TypeError):  # the kernel is the only fast path
+        CacheHierarchy(BROADWELL, engine="vectorized", backend="native")
 
 
-def test_native_backend_errors_when_disabled(monkeypatch):
+def test_vectorized_falls_back_to_reference(monkeypatch):
     monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
     import repro.hw._native as native
 
     monkeypatch.setattr(native, "_CACHED", None)
-    try:
-        with pytest.raises(RuntimeError):
-            CacheHierarchy(BROADWELL, engine="vectorized", backend="native")
-    finally:
-        native._CACHED = None  # let later tests re-probe the compiler
+    lines = np.random.default_rng(11).integers(0, 3000, size=4000)
+    hierarchies = [
+        CacheHierarchy(TINY_BROADWELL, prefetch_degree=2, engine=engine)
+        for engine in ("reference", "vectorized")
+    ]
+    assert [h.backend for h in hierarchies] == ["reference", "reference"]
+    states = []
+    for h in hierarchies:
+        h.access_lines(lines)
+        h.external_llc_pressure(200)
+        h.access(MemoryAccess(address=64 * 17, size=300))
+        states.append(snapshot(h))
+    assert states[0] == states[1]
 
 
 def test_compile_cached_creates_missing_cache_dir(monkeypatch, tmp_path):
@@ -187,13 +195,39 @@ def test_compile_cached_creates_missing_cache_dir(monkeypatch, tmp_path):
     cache = tmp_path / "nested" / "not-yet" / "native"
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
     monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
-    path = native.compile_cached(
-        "int repro_probe(void) { return 42; }\n", "repro_probe"
-    )
+    path = native.compile_cached(PROBE_SOURCE, "repro_probe")
     assert path is not None and path.parent == cache
     assert ctypes.CDLL(str(path)).repro_probe() == 42
     # The source sits beside the object and no temporary is left behind.
     assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [path.name, path.with_suffix(".c").name]
+    )
+
+
+def test_compile_cached_concurrent_builds_share_one_object(monkeypatch, tmp_path):
+    import repro.hw._native as native
+
+    if native._compiler() is None:
+        pytest.skip("no C compiler")
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path))
+    monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+    context = multiprocessing.get_context("spawn")
+    barrier = context.Barrier(4)
+    workers = [
+        context.Process(target=build_probe, args=(barrier,)) for _ in range(4)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=180)
+    for worker in workers:
+        if worker.is_alive():
+            worker.kill()
+            worker.join(timeout=10)
+    assert [worker.exitcode for worker in workers] == [0, 0, 0, 0]
+    # One object and its source; the pid-unique temporaries are gone.
+    path = native.compile_cached(PROBE_SOURCE, "repro_probe")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         [path.name, path.with_suffix(".c").name]
     )
 
@@ -311,6 +345,7 @@ class TestVectorizedCacheUnit:
         with pytest.raises(ValueError):
             VectorizedSetAssociativeCache("bad", 0)
 
+    @needs_native
     def test_probe_and_ages(self):
         cache = VectorizedSetAssociativeCache("L", 4096, 4, 64)
         h = CacheHierarchy(TINY_BROADWELL, engine="vectorized")
@@ -322,6 +357,7 @@ class TestVectorizedCacheUnit:
         assert ages[set3][np.where(h.l1.tags[set3] == 3)[0][0]] == 0
         assert (cache.age_matrix() == -1).all()  # empty cache: all empty
 
+    @needs_native
     def test_probe_lines_matches_scalar_probe(self):
         h = CacheHierarchy(TINY_BROADWELL, engine="vectorized")
         h.access_lines(np.arange(0, 200, 3, dtype=np.int64))

@@ -7,8 +7,9 @@ geometries (rank counts that do and don't divide pool sizes, power-of-two
 and odd shapes), hot-cache capacities including zero, skewed pooling
 distributions, degenerate traces (empty, zero-length pools), and
 multi-replay state persistence. These tests drive random pooled traces
-through both engines (and both vectorized backends when a compiler is
-available) and compare every replay record for record.
+through the reference engine and the native kernel and compare every
+replay record for record. Without a compiler the kernel cases skip, and
+the vectorized engine must fall back to the reference loop.
 
 Also covers the two off-switches promised by the ISSUE: ``nmp=None`` on
 :class:`~repro.hw.timing.TimingModel` is byte-identical to not passing it,
@@ -30,7 +31,10 @@ from repro.memory.near_memory import (
 )
 from repro.memory.nmp_native import nmp_native_available
 
-BACKENDS = ["python"] + (["native"] if nmp_native_available() else [])
+needs_native = pytest.mark.skipif(
+    not nmp_native_available(), reason="native kernel unavailable"
+)
+BACKENDS = [pytest.param("native", marks=needs_native)]
 
 # Geometry corpus: the default shape, a single-rank degenerate, odd
 # (non-power-of-two) shapes, a rank count that does not divide the common
@@ -84,7 +88,7 @@ def trace_batches(draw):
 @given(batches=trace_batches())
 def test_engines_bit_identical(geometry, backend, batches):
     reference = NearMemorySystem(geometry, engine="reference")
-    vectorized = NearMemorySystem(geometry, engine="vectorized", backend=backend)
+    vectorized = NearMemorySystem(geometry, engine="vectorized")
     assert vectorized.backend == backend
     for draw_rows, lengths in batches:
         rows, lengths = _pools(draw_rows, lengths)
@@ -97,24 +101,10 @@ def test_engines_bit_identical(geometry, backend, batches):
         )
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler")
-@settings(max_examples=25, deadline=None)
-@given(batches=trace_batches())
-def test_native_and_python_backends_identical(batches):
-    geometry = NmpGeometry(channels=2, dimms_per_channel=2, ranks_per_dimm=2,
-                           hot_rows_per_dimm=8)
-    native = NearMemorySystem(geometry, engine="vectorized", backend="native")
-    python = NearMemorySystem(geometry, engine="vectorized", backend="python")
-    for draw_rows, lengths in batches:
-        rows, lengths = _pools(draw_rows, lengths)
-        assert native.replay(rows, lengths).digest() == python.replay(
-            rows, lengths
-        ).digest()
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_degenerate_traces(backend):
-    system = NearMemorySystem(NmpGeometry(), engine="vectorized", backend=backend)
+    system = NearMemorySystem(NmpGeometry(), engine="vectorized")
+    assert system.backend == backend
     empty = system.replay(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     assert empty.num_pools == 0
     assert empty.num_lookups == 0
@@ -333,19 +323,28 @@ def test_replay_result_empty_and_idle_properties():
 def test_invalid_engine_and_backend_rejected():
     with pytest.raises(ValueError):
         NearMemorySystem(NmpGeometry(), engine="turbo")
-    with pytest.raises(ValueError):
-        NearMemorySystem(NmpGeometry(), backend="cuda")
-
-
-def test_native_backend_requires_kernel(monkeypatch):
-    import repro.memory.near_memory as nm
-
-    monkeypatch.setattr(nm, "load_nmp_kernel", lambda: None)
-    with pytest.raises(RuntimeError, match="native"):
+    with pytest.raises(TypeError):  # the kernel is the only fast path
         NearMemorySystem(NmpGeometry(), backend="native")
-    # auto silently falls back to the python batch kernel.
-    fallback = NearMemorySystem(NmpGeometry(), backend="auto")
-    assert fallback.backend == "python"
+
+
+def test_vectorized_falls_back_to_reference(monkeypatch):
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    import repro.memory.nmp_native as nmp_native
+
+    monkeypatch.setattr(nmp_native, "_CACHED", None)
+    geometry = NmpGeometry(hot_rows_per_dimm=8)
+    rng = np.random.default_rng(4)
+    systems = [
+        NearMemorySystem(geometry, engine=engine)
+        for engine in ("reference", "vectorized")
+    ]
+    assert [system.backend for system in systems] == ["reference", "reference"]
+    for _ in range(3):
+        rows = rng.integers(0, 200, size=400)
+        lengths = np.full(5, 80, dtype=np.int64)
+        digests = [system.replay(rows, lengths).digest() for system in systems]
+        assert digests[0] == digests[1]
+    assert systems[0].resident_hot_rows() == systems[1].resident_hot_rows()
 
 
 def test_observability_hooks_record_replay():
@@ -367,33 +366,6 @@ def test_observability_hooks_record_replay():
     hits = metrics.counter("memory.nmp.hot_hits", engine=engine).value
     misses = metrics.counter("memory.nmp.hot_misses", engine=engine).value
     assert hits + misses == 32
-
-
-@pytest.mark.skipif(not nmp_native_available(), reason="no C compiler")
-def test_native_hot_flags_facade_matches_python_kernel():
-    # The full-C replay path bypasses the hot_flags facade; exercise it
-    # directly against the pure-Python batch kernel on shared state.
-    from repro.memory.nmp_native import load_nmp_kernel
-    from repro.memory.nmp_vectorized import (
-        VectorizedHotRowState,
-        python_hot_flags,
-    )
-
-    geometry = NmpGeometry(hot_rows_per_dimm=4)
-    rows = np.array([0, 1, 0, 17, 33, 1, 0, 49, 17], dtype=np.int64)
-    native_state = VectorizedHotRowState(geometry.num_dimms, 4)
-    python_state = VectorizedHotRowState(geometry.num_dimms, 4)
-    kernel = load_nmp_kernel()
-    native_hits = kernel.hot_flags(
-        rows, native_state.tags, native_state.occupancy, 4,
-        geometry.ranks_per_dimm, geometry.num_ranks,
-    )
-    python_hits = python_hot_flags(
-        rows, python_state, geometry.ranks_per_dimm, geometry.num_ranks
-    )
-    assert np.array_equal(native_hits, python_hits)
-    assert np.array_equal(native_state.tags, python_state.tags)
-    assert np.array_equal(native_state.occupancy, python_state.occupancy)
 
 
 def test_vectorized_state_validation_and_probe():

@@ -1,6 +1,7 @@
 """Tests for the discrete-event serving simulator."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -140,3 +141,27 @@ class TestValidation:
         sim = ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1)
         with pytest.raises(ValueError):
             sim.run(0.0)
+
+    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("field", ["qps", "duration"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_inputs(self, value, field, engine):
+        """An inf or nan rate or horizon used to hang the event loop."""
+        if field == "qps":
+            with pytest.raises(ValueError, match="finite"):
+                ServingSimulator(
+                    BROADWELL, RMC1_SMALL, 1, 2, per_instance_qps=value,
+                    engine=engine,
+                )
+            return
+        for qps in (None, 50.0):  # closed and open loop
+            sim = ServingSimulator(
+                BROADWELL, RMC1_SMALL, 1, 2, per_instance_qps=qps,
+                engine=engine,
+            )
+            with pytest.raises(ValueError, match="finite"):
+                sim.run(value)
+
+    def test_backend_option_is_gone(self):
+        with pytest.raises(TypeError):
+            ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1, backend="native")
