@@ -4,12 +4,16 @@ Times identical serving simulations through the simulator's reference
 per-event loop and the vectorized engine's self-compiled C kernel. The
 engines are bit-identical by contract (``tests/test_des_equivalence.py``),
 so every timing pair is the same computation — any speedup is pure
-implementation. A full-scale fleet day
-then runs through the router's single event loop. A routing-draws
-section times the router's per-pick draws as numpy calls and as a
+implementation. A router section does the same for
+``ResilientRouter.run``: its Python loop against its C kernel on the
+figure-11x ``retry+hedge+degrade`` rung (8 replicas) and on one
+fleet-day window at the ~1,050-replica peak with the full overload
+stack, asserting equal result digests. A full-scale fleet day then runs
+through the router. A routing-draws section times the Python loop's
+per-pick draws as numpy calls and as a
 :class:`~repro.serving.router.RoutingDraws` stream, and asserts
 identical picks and final generator state. Writes
-``BENCH_des_replay.json`` so future PRs can track the DES engine's
+``BENCH_des_replay.json`` so future changes can track the DES engines'
 trajectory.
 
 Run directly (CI uploads the JSON as an artifact)::
@@ -24,19 +28,23 @@ or through pytest (excluded from tier-1, which only collects ``tests/``)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.serving.faults as faults_module
 from repro.analysis import format_table
-from repro.config.presets import RMC1
-from repro.experiments import fleet_day
+from repro.config.presets import RMC1, RMC1_SMALL
+from repro.experiments import fig11x_faults, fleet_day
 from repro.hw.server import BROADWELL
+from repro.serving import SLA, ResilientRouter, fault_storm
 from repro.serving._des_native import native_available
 from repro.serving.router import RoutingDraws
 from repro.serving.simulator import ServingSimulator
@@ -56,6 +64,10 @@ ROUTING_SEED = 7
 ROUTING_REPEATS = 3
 # The stream must beat numpy's choice on a jsq2 pick by at least this.
 ROUTING_FLOOR = 3.0
+# Router head-to-head: the kernel must beat the Python loop by at least
+# this factor on every case.
+ROUTER_FLOOR = 10.0
+ROUTER_REPEATS = 3
 
 
 def _sim_once(engine: str, offered_target: int) -> tuple[float, str, int, tuple]:
@@ -103,6 +115,114 @@ def bench_simulator(offered_targets: tuple[int, ...]) -> list[dict]:
             assert native_digest == reference_digest, "C kernel diverged"
             row["native_s"] = native_s
             row["native_speedup"] = reference_s / native_s
+        rows.append(row)
+    return rows
+
+
+def _router_cases() -> dict[str, tuple]:
+    """``name -> (router factory, run kwargs)`` for the head-to-head."""
+    base_s = ResilientRouter(BROADWELL, RMC1_SMALL, 8, 1)._base_service_s
+    # Figure 11x's top rung at the experiment's defaults.
+    policy, degradation = fig11x_faults._policies(base_s, 4)[
+        "retry+hedge+degrade"
+    ]
+    ladder_s = 2.0
+    ladder = (
+        lambda: ResilientRouter(
+            BROADWELL, RMC1_SMALL, 8, 8,
+            policy=policy, degradation=degradation, seed=11,
+        ),
+        dict(
+            offered_qps=0.6 * 8 / base_s,
+            duration_s=ladder_s,
+            faults=fault_storm(
+                8, ladder_s, seed=12, crash_count=2, straggler_count=2,
+                straggler_slowdown=(6.0, 12.0), bandwidth_dip_count=1,
+            ),
+            sla=SLA(deadline_s=10.0 * base_s, percentile=0.99),
+        ),
+    )
+    # One fleet-day window at the peak: the full overload stack.
+    replicas, window_s = 1050, 0.005
+    sla = SLA(deadline_s=25.0 * base_s, percentile=0.99)
+    full_policy, overload = fleet_day._full_stack(
+        base_s, RMC1_SMALL, sla.deadline_s, 16
+    )
+    fleet = (
+        lambda: ResilientRouter(
+            BROADWELL, RMC1_SMALL, 8, replicas,
+            policy=full_policy, overload=overload, seed=17,
+        ),
+        dict(
+            offered_qps=0.6 * replicas / base_s,
+            duration_s=window_s,
+            faults=fault_storm(replicas, window_s, seed=117),
+            sla=sla,
+        ),
+    )
+    return {
+        "figure11x retry+hedge+degrade, 8 replicas": ladder,
+        "fleet window, 1050 replicas, full overload stack": fleet,
+    }
+
+
+def _router_digest(result) -> str:
+    """Hash of every simulated statistic of one router run."""
+    ovl = result.overload
+    books = (
+        result.offered, result.failed, result.retries, result.hedges,
+        result.wasted_attempts, result.fail_fasts, result.ejections,
+        result.degraded_completions, result.time_in_degraded_s,
+        None if ovl is None else (
+            ovl.offered, ovl.admitted, sorted(ovl.shed_by_reason.items()),
+            ovl.breaker_rejections, ovl.breaker_opens, ovl.brownout_switches,
+            ovl.max_brownout_tier, ovl.time_in_tier_s,
+            ovl.completions_by_tier, ovl.max_queue_depth,
+        ),
+    )
+    digest = hashlib.sha256(repr(books).encode())
+    digest.update(np.asarray(result.latencies_s).tobytes())
+    return digest.hexdigest()
+
+
+def _router_once(make, kwargs: dict, native: bool) -> tuple[float, str, int]:
+    """Best-of-repeats seconds of one loop, its digest and offered count."""
+    best_s = float("inf")
+    for _ in range(ROUTER_REPEATS):
+        router = make()
+        hold_to_python = mock.patch.object(
+            faults_module, "native_available", lambda: False
+        )
+        with contextlib.nullcontext() if native else hold_to_python:
+            start_s = time.perf_counter()
+            result = router.run(**kwargs)
+            best_s = min(best_s, time.perf_counter() - start_s)
+        assert router.last_backend == ("native" if native else "reference")
+    return best_s, _router_digest(result), result.offered
+
+
+def bench_router() -> list[dict]:
+    """``ResilientRouter.run``: Python loop vs C kernel, same results."""
+    rows = []
+    for name, (make, kwargs) in _router_cases().items():
+        python_s, python_digest, offered = _router_once(make, kwargs, False)
+        row = {
+            "case": name,
+            "replicas": make().num_machines,
+            "offered": int(offered),
+            "python_s": python_s,
+            "python_us_per_request": python_s / offered * 1e6,
+            "native_s": None,
+            "native_us_per_request": None,
+            "native_speedup": None,
+            "digest": python_digest[:16],
+        }
+        if native_available():
+            native_s, native_digest, _ = _router_once(make, kwargs, True)
+            assert native_digest == python_digest, f"router kernel diverged: {name}"
+            row["native_s"] = native_s
+            row["native_us_per_request"] = native_s / offered * 1e6
+            row["native_speedup"] = python_s / native_s
         rows.append(row)
     return rows
 
@@ -189,6 +309,7 @@ def run_bench(
             "native_available": native_available(),
         },
         "simulator": bench_simulator(offered_targets),
+        "router": bench_router(),
         "routing_draws": bench_routing_draws(),
     }
     if fleet:
@@ -204,6 +325,12 @@ def check_floors(report: dict) -> None:
             f"native speedup {largest['native_speedup']:.1f}x below "
             f"{NATIVE_FLOOR:.0f}x floor at {largest['offered_target']:,}"
         )
+    if report["config"]["native_available"]:
+        for row in report["router"]:
+            assert row["native_speedup"] >= ROUTER_FLOOR, (
+                f"router kernel {row['native_speedup']:.1f}x below "
+                f"{ROUTER_FLOOR:.0f}x floor on {row['case']}"
+            )
     for row in report["routing_draws"]:
         if row["policy"] == "jsq2":
             assert row["speedup"] >= ROUTING_FLOOR, (
@@ -241,6 +368,26 @@ def render(report: dict) -> str:
     ]
     parts.append(
         format_table(
+            ["case", "offered", "python us/req", "native us/req", "speedup"],
+            [
+                [
+                    r["case"],
+                    f"{r['offered']:,}",
+                    f"{r['python_us_per_request']:.2f}",
+                    "-"
+                    if r["native_us_per_request"] is None
+                    else f"{r['native_us_per_request']:.3f}",
+                    "-"
+                    if r["native_speedup"] is None
+                    else f"{r['native_speedup']:.1f}x",
+                ]
+                for r in report["router"]
+            ],
+            title="ResilientRouter.run: Python loop vs C kernel (equal digests)",
+        )
+    )
+    parts.append(
+        format_table(
             ["pool", "policy", "numpy us", "stream us", "speedup"],
             [
                 [
@@ -258,7 +405,7 @@ def render(report: dict) -> str:
     full_day = report.get("fleet_full_day")
     if full_day is not None:
         parts.append(
-            f"full day (vectorized): {full_day['offered']:,} offered across "
+            f"full day: {full_day['offered']:,} offered across "
             f"{full_day['windows']} windows, peak "
             f"{full_day['peak_replicas']} replicas, "
             f"{full_day['vectorized_s']:.1f} s wall "

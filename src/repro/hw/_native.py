@@ -386,24 +386,39 @@ def _compiler() -> str | None:
 
 
 def compile_cached(
-    source: str, stem: str, extra_flags: tuple[str, ...] = ()
+    source: str,
+    stem: str,
+    extra_flags: tuple[str, ...] = (),
+    link_inputs: tuple[str, ...] = (),
 ) -> Path | None:
     """Compile C ``source`` into a cached shared object; None if impossible.
 
-    The artifact is keyed by a hash of the source and the extra compiler
-    flags, so edits to either trigger a rebuild while repeat calls reuse
-    the cached ``.so``. Honours ``REPRO_DISABLE_NATIVE=1`` and the
+    ``link_inputs`` (static archives, ``-l`` flags) go on the command line
+    *after* the source: the linker only pulls archive members that earlier
+    inputs reference, so an archive listed first resolves nothing. The
+    artifact is keyed by a hash of the source, the extra compiler flags,
+    the link inputs and the bytes of every link input that is a file, so
+    an edit to any of them (a numpy upgrade replacing an archive
+    included) triggers a rebuild while repeat calls reuse the cached
+    ``.so``. Honours ``REPRO_DISABLE_NATIVE=1`` and the
     ``REPRO_NATIVE_CACHE`` build-directory override. Shared by every
-    self-compiled kernel in the repo (cache replay here, the DES kernel
-    in :mod:`repro.serving._des_native`).
+    self-compiled kernel in the repo (cache replay here, the DES kernels
+    in :mod:`repro.serving._des_native`, NMP replay in
+    :mod:`repro.memory.nmp_native`).
     """
     if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
         return None
     cc = _compiler()
     if cc is None:
         return None
-    key = source + "\x00" + " ".join(extra_flags)
-    tag = hashlib.sha256(key.encode()).hexdigest()[:16]
+    digest = hashlib.sha256(
+        (source + "\x00" + " ".join(extra_flags)).encode()
+    )
+    for item in link_inputs:
+        digest.update(b"\x00" + item.encode())
+        if os.path.isfile(item):
+            digest.update(Path(item).read_bytes())
+    tag = digest.hexdigest()[:16]
     build_dir = _build_dir()
     suffix = ".dylib" if sys.platform == "darwin" else ".so"
     target = build_dir / f"{stem}-{tag}{suffix}"
@@ -416,7 +431,10 @@ def compile_cached(
     tmp_src.write_text(source)
     os.replace(tmp_src, src)
     tmp = build_dir / f".{stem}-{tag}-{os.getpid()}{suffix}"
-    cmd = [cc, "-O2", "-shared", "-fPIC", *extra_flags, "-o", str(tmp), str(src)]
+    cmd = [
+        cc, "-O2", "-shared", "-fPIC", *extra_flags,
+        "-o", str(tmp), str(src), *link_inputs,
+    ]
     try:
         subprocess.run(
             cmd, check=True, capture_output=True, timeout=120

@@ -13,8 +13,9 @@ orders of magnitude faster:
   stable sort that matches the reference heap's ``(t, seq)`` total order;
 * the event core runs in a self-compiled C kernel
   (:mod:`repro.serving._des_native`, built through the same build cache as
-  :mod:`repro.hw._native`), which calls back into python only for
-  standard-normal refills;
+  :mod:`repro.hw._native`), which draws its service noise from the
+  simulator's own generator through numpy's C API and calls back into
+  python only to flush records;
 * completed inferences come back as a struct-of-arrays
   :class:`RecordBatch` instead of per-record dataclasses.
 
@@ -24,7 +25,8 @@ draw, so the results are the same either way.
 
 The fleet routers (:class:`~repro.serving.faults.ResilientRouter`,
 :class:`~repro.serving.multimodel.MultiModelRouter`) each have one event
-loop of their own and reuse :func:`poisson_arrival_times` from here.
+loop of their own and reuse :func:`poisson_arrival_times` from here;
+``ResilientRouter``'s runs in the same C source as the simulator kernel.
 
 Equivalence is enforced by ``tests/test_des_equivalence.py`` (hypothesis
 property suite over random policy x fault x load compositions) and

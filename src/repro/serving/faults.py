@@ -49,13 +49,14 @@ from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
+from ._des_native import native_available, route_native
 from .des import poisson_arrival_times
 from .metrics import SLA, ResilienceStats, goodput_qps
 
 if TYPE_CHECKING:
     from .multimodel import MultiModelPool
 from .ranking_quality import pipeline_quality
-from .router import SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
+from .router import POLICIES, SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
 
 # ``overload`` never imports this module at import time (its one faults
 # dependency is deferred into a method body), so this edge is acyclic.
@@ -74,6 +75,13 @@ from .overload import (
 # --------------------------------------------------------------- injectors
 
 
+def _require_finite(owner: str, **fields: float | None) -> None:
+    """Reject ``inf``/``nan`` in the named fields (``None`` passes)."""
+    for name, value in fields.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ReplicaCrash:
     """A replica process dies at ``at_s`` and restarts ``downtime_s`` later.
@@ -87,6 +95,7 @@ class ReplicaCrash:
     downtime_s: float
 
     def __post_init__(self) -> None:
+        _require_finite("ReplicaCrash", at_s=self.at_s, downtime_s=self.downtime_s)
         if self.replica_id < 0:
             raise ValueError("replica_id must be non-negative")
         if self.at_s < 0:
@@ -109,6 +118,12 @@ class Straggler:
     slowdown: float
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "Straggler",
+            start_s=self.start_s,
+            duration_s=self.duration_s,
+            slowdown=self.slowdown,
+        )
         if self.replica_id < 0:
             raise ValueError("replica_id must be non-negative")
         if self.start_s < 0 or self.duration_s <= 0:
@@ -134,6 +149,12 @@ class BandwidthFault:
     replica_id: int | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "BandwidthFault",
+            start_s=self.start_s,
+            duration_s=self.duration_s,
+            bandwidth_fraction=self.bandwidth_fraction,
+        )
         if self.start_s < 0 or self.duration_s <= 0:
             raise ValueError("fault interval must be non-negative/positive")
         if not 0.0 < self.bandwidth_fraction <= 1.0:
@@ -173,18 +194,13 @@ class FaultSchedule:
 
     def down_intervals(self, replica_id: int) -> list[tuple[float, float]]:
         """Merged ``[start, end)`` downtime intervals for one replica."""
-        raw = sorted(
-            (c.at_s, c.at_s + c.downtime_s)
-            for c in self.crashes
-            if c.replica_id == replica_id
+        return _merge_intervals(
+            [
+                (c.at_s, c.at_s + c.downtime_s)
+                for c in self.crashes
+                if c.replica_id == replica_id
+            ]
         )
-        merged: list[tuple[float, float]] = []
-        for start_s, end_s in raw:
-            if merged and start_s <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], end_s))
-            else:
-                merged.append((start_s, end_s))
-        return merged
 
     def is_down(self, replica_id: int, t_s: float) -> bool:
         """True when the replica is crashed at time ``t_s``."""
@@ -216,10 +232,21 @@ class FaultSchedule:
         return multiplier
 
     def transition_events(self, num_replicas: int) -> list[tuple[float, int, bool]]:
-        """All ``(time_s, replica_id, goes_down)`` crash/restart edges."""
+        """All ``(time_s, replica_id, goes_down)`` crash/restart edges.
+
+        The edges of :meth:`down_intervals` for every replica below
+        ``num_replicas``, sorted; crashes are grouped by replica in one
+        pass, so the cost does not grow with the fleet size.
+        """
+        raw: dict[int, list[tuple[float, float]]] = {}
+        for c in self.crashes:
+            if c.replica_id < num_replicas:
+                raw.setdefault(c.replica_id, []).append(
+                    (c.at_s, c.at_s + c.downtime_s)
+                )
         events: list[tuple[float, int, bool]] = []
-        for replica_id in range(num_replicas):
-            for start_s, end_s in self.down_intervals(replica_id):
+        for replica_id, intervals in raw.items():
+            for start_s, end_s in _merge_intervals(intervals):
                 events.append((start_s, replica_id, True))
                 events.append((end_s, replica_id, False))
         events.sort()
@@ -238,6 +265,19 @@ class FaultSchedule:
             raise ValueError("need at least one replica")
         up = sum(0 if self.is_down(r, t_s) else 1 for r in range(num_replicas))
         return up / num_replicas
+
+
+def _merge_intervals(
+    raw: list[tuple[float, float]],
+) -> list[tuple[float, float]]:
+    """Sorted union of ``[start, end)`` intervals; touching ones merge."""
+    merged: list[tuple[float, float]] = []
+    for start_s, end_s in sorted(raw):
+        if merged and start_s <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end_s))
+        else:
+            merged.append((start_s, end_s))
+    return merged
 
 
 def fault_storm(
@@ -370,12 +410,29 @@ class ResiliencePolicy:
     health_check_interval_s: float | None = None
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "ResiliencePolicy",
+            timeout_s=self.timeout_s,
+            backoff_base_s=self.backoff_base_s,
+            hedge_delay_s=self.hedge_delay_s,
+            health_check_interval_s=self.health_check_interval_s,
+        )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be non-negative")
+        if self.max_retries > 0:
+            try:
+                last_backoff_s = self.backoff_s(self.max_retries - 1)
+            except OverflowError:
+                last_backoff_s = math.inf
+            if not math.isfinite(last_backoff_s):
+                raise ValueError(
+                    "the last retry's backoff, backoff_base_s * "
+                    "2**(max_retries - 1), must be finite"
+                )
         if self.hedge_delay_s is not None and self.hedge_delay_s <= 0:
             raise ValueError("hedge delay must be positive")
         if self.health_check_interval_s is not None and self.health_check_interval_s <= 0:
@@ -669,6 +726,8 @@ class ResilientRouter:
     ) -> None:
         if num_machines < 1:
             raise ValueError("need at least one machine")
+        if routing not in POLICIES:
+            raise ValueError(f"unknown policy {routing!r}; valid: {POLICIES}")
         if pool is not None and config.name not in pool.model_names:
             raise ValueError(
                 f"model {config.name!r} is not registered in the "
@@ -694,6 +753,7 @@ class ResilientRouter:
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
         self.metrics_labels = dict(metrics_labels or {})
+        self._last_backend: str | None = None
         timing = TimingModel(server)
         base = timing.model_latency(config, batch_size)
         self._base_service_s = base.total_seconds
@@ -730,6 +790,15 @@ class ResilientRouter:
     def max_stable_qps(self) -> float:
         """Arrival rate at 100% fleet utilization (no faults)."""
         return self.num_machines / self._base_service_s
+
+    @property
+    def last_backend(self) -> str | None:
+        """Which loop the most recent :meth:`run` took.
+
+        ``"native"`` (the C kernel) or ``"reference"`` (the Python loop);
+        ``None`` before the first run.
+        """
+        return self._last_backend
 
     def _record_metrics(
         self,
@@ -825,14 +894,92 @@ class ResilientRouter:
         ``tests/oracles/resilient_router.py`` recomputes all of that with
         O(M) scans and one heap; it is the executable spec this loop is
         proven byte-identical to (``tests/test_des_equivalence.py``).
+
+        The loop runs in the C kernel of :mod:`repro.serving._des_native`
+        (``route_native``), a transliteration that draws from the same
+        generator and returns the same result field for field, whenever
+        the kernel loads and no tracer observes the run. Otherwise (no
+        compiler, no ``libnpyrandom.a``, ``REPRO_DISABLE_NATIVE=1``, or a
+        tracer attached) it runs in Python (``_run_python``). The choice
+        is made after the arrival draws, which both share;
+        :attr:`last_backend` records it.
         """
         if not (0 < offered_qps < math.inf and 0 < duration_s < math.inf):
             raise ValueError("rate and duration must be positive")
         faults = faults or FaultSchedule.zero()
         sla = sla or SLA(deadline_s=10.0 * self._base_service_s, percentile=0.99)
+        rng = np.random.default_rng(self.seed)
+
+        # Arrivals are materialized up front so the arrival stream is
+        # independent of policy decisions (one storm, comparable policies).
+        # Requests are numbered in trace order; the loops visit them in
+        # time order (``arrival_t`` with ``arrival_id``).
+        if arrival_times_s is None:
+            arrival_t = poisson_arrival_times(rng, offered_qps, duration_s)
+            arrival_id = np.arange(arrival_t.size, dtype=np.int64)
+            request_arrival_s = arrival_t
+        else:
+            request_arrival_s = np.asarray(
+                [float(t_s) for t_s in arrival_times_s], dtype=np.float64
+            )
+            if request_arrival_s.size and (
+                not np.all(request_arrival_s >= 0.0)
+                or not np.all(request_arrival_s < duration_s)
+            ):
+                raise ValueError("arrival times must lie in [0, duration_s)")
+            order = np.argsort(request_arrival_s, kind="stable")
+            arrival_t = request_arrival_s[order]
+            arrival_id = order.astype(np.int64)
+        transitions = faults.transition_events(self.num_machines)
+
+        args = (
+            rng, offered_qps, duration_s, faults, sla,
+            arrival_t, arrival_id, request_arrival_s, transitions,
+        )
+        if not self.tracer.enabled and native_available():
+            self._last_backend = "native"
+            result = route_native(self, *args)
+        else:
+            self._last_backend = "reference"
+            result = self._run_python(*args)
+        if self.metrics is not None:
+            self._record_metrics(
+                n_offered=result.offered,
+                completed=result.completed,
+                failed=result.failed,
+                retries=result.retries,
+                hedges=result.hedges,
+                wasted_attempts=result.wasted_attempts,
+                fail_fasts=result.fail_fasts,
+                ejections=result.ejections,
+                degraded_completions=result.degraded_completions,
+                time_in_degraded_s=result.time_in_degraded_s,
+                latencies=result.latencies_s.tolist(),
+                overload_stats=result.overload,
+            )
+        if self.pool is not None and self.metrics is not None:
+            self.metrics.gauge(
+                "serving.multimodel.capacity_slots",
+                model=self.config.name,
+                **self.metrics_labels,
+            ).set(float(self.pool.total_slots))
+        return result
+
+    def _run_python(
+        self,
+        rng: np.random.Generator,
+        offered_qps: float,
+        duration_s: float,
+        faults: FaultSchedule,
+        sla: SLA,
+        arrival_t: np.ndarray,
+        arrival_id: np.ndarray,
+        request_arrival_s: np.ndarray,
+        transitions: list[tuple[float, int, bool]],
+    ) -> FaultyServingResult:
+        """The Python event loop of :meth:`run` (see there)."""
         policy = self.policy
         num_machines = self.num_machines
-        rng = np.random.default_rng(self.seed)
 
         # Overload protection: admission bound + CoDel per machine, one
         # circuit breaker per machine, one brownout controller. All are
@@ -860,7 +1007,6 @@ class ResilientRouter:
         if ovl_stats is not None and brownout is not None:
             ovl_stats.completions_by_tier = [0] * overload.brownout.num_tiers
 
-        requests: list = []
         attempts: list = []
         up = [True] * num_machines
         admitted_flags = [True] * num_machines
@@ -905,38 +1051,13 @@ class ResilientRouter:
                 tracer.set_track_name(m, f"machine {m}")
 
         # ---- static event streams (pre-sorted; merged against a lazy heap) --
-
-        # Arrivals are materialized up front so the arrival stream is
-        # independent of policy decisions (one storm, comparable policies).
-        n_offered = 0
-        if arrival_times_s is None:
-            arr_t = poisson_arrival_times(rng, offered_qps, duration_s)
-            n_offered = int(arr_t.size)
-            arr_ids = np.arange(n_offered, dtype=np.int64)
-        else:
-            raw = np.asarray(
-                [float(t_s) for t_s in arrival_times_s], dtype=np.float64
-            )
-            if raw.size and (
-                not np.all(raw >= 0.0) or not np.all(raw < duration_s)
-            ):
-                raise ValueError("arrival times must lie in [0, duration_s)")
-            order = np.argsort(raw, kind="stable")
-            arr_t = raw[order]
-            arr_ids = order.astype(np.int64)
-            n_offered = int(raw.size)
-            for t_s in raw:
-                requests.append(_Request(arrival_s=float(t_s)))
-        if arrival_times_s is None:
-            for t_s in arr_t:
-                requests.append(_Request(arrival_s=float(t_s)))
-        arr_t_list: list[float] = arr_t.tolist()
-        arr_id_list: list[int] = arr_ids.tolist()
+        requests = [_Request(t_s) for t_s in request_arrival_s.tolist()]
+        arr_t_list: list[float] = arrival_t.tolist()
+        arr_id_list: list[int] = arrival_id.tolist()
         # Routing draws share the generator with the service noise; the stream
         # opens once the arrivals are drawn and closes after the loop.
         draws = RoutingDraws(rng)
 
-        transitions = faults.transition_events(num_machines)
         fault_t: list[float] = [e[0] for e in transitions]
         fault_machine: list[int] = [e[1] for e in transitions]
         fault_down: list[bool] = [e[2] for e in transitions]
@@ -1259,6 +1380,8 @@ class ResilientRouter:
             t_h = probe_ts[hi] if hi < n_probe else inf
             t_d = events[0][0] if events else inf
             if t_a <= t_f and t_a <= t_h and t_a <= t_d:
+                if ai >= n_arr:
+                    break  # every head is inf: nothing left fires
                 now_s = t_a
                 request_id = arr_id_list[ai]
                 ai += 1
@@ -1470,27 +1593,6 @@ class ResilientRouter:
         # count against availability via ``offered``.
         if tracer.enabled and tracer.open_spans():
             tracer.close_all(max(now_s, duration_s), outcome="unresolved")
-        if self.metrics is not None:
-            self._record_metrics(
-                n_offered=n_offered,
-                completed=len(latencies),
-                failed=failed,
-                retries=retries,
-                hedges=hedges,
-                wasted_attempts=wasted_attempts,
-                fail_fasts=fail_fasts,
-                ejections=ejections,
-                degraded_completions=degraded_completions,
-                time_in_degraded_s=time_in_degraded_s,
-                latencies=latencies,
-                overload_stats=ovl_stats,
-            )
-        if self.pool is not None and self.metrics is not None:
-            self.metrics.gauge(
-                "serving.multimodel.capacity_slots",
-                model=self.config.name,
-                **self.metrics_labels,
-            ).set(float(self.pool.total_slots))
         return FaultyServingResult(
             policy=policy,
             num_machines=num_machines,
@@ -1498,7 +1600,7 @@ class ResilientRouter:
             duration_s=duration_s,
             sla=sla,
             latencies_s=np.asarray(latencies, dtype=np.float64),
-            offered=n_offered,
+            offered=len(requests),
             failed=failed,
             retries=retries,
             hedges=hedges,

@@ -212,10 +212,11 @@ class ServingSimulator:
             spec); ``"vectorized"`` runs the C kernel driven by
             :mod:`repro.serving.des`, bit-identical on records, stats and
             RNG stream. A vectorized run takes the reference loop when
-            the kernel cannot load (no compiler, or
-            ``REPRO_DISABLE_NATIVE=1``) or a tracer or profiler observes
-            it. After each run, :attr:`last_backend` records which path
-            executed, ``"native"`` or ``"reference"``.
+            the kernel cannot load (no compiler, no numpy
+            ``libnpyrandom.a``, or ``REPRO_DISABLE_NATIVE=1``) or a
+            tracer or profiler observes it. After each run,
+            :attr:`last_backend` records which path executed,
+            ``"native"`` or ``"reference"``.
     """
 
     def __init__(

@@ -425,6 +425,8 @@ def run_reference(
     # ------------------------------------------------------- event loop
 
     while events:
+        if events[0][0] == float("inf"):
+            break  # an event time overflowed to inf: nothing left fires
         now_s, _, kind, a, b = heapq.heappop(events)
 
         if kind == _EV_ARRIVAL:

@@ -1,14 +1,16 @@
 """DES edge cases every loop must agree with its spec on.
 
 The simulator's reference loop is compared with its native kernel (when
-a compiler is present), and ``ResilientRouter.run`` with the router's
-test-only spec (``tests/oracles/resilient_router.py``). Satellites of the
-equivalence suite: degenerate compositions where event ordering is most
-fragile — multiple event kinds landing on one timestamp, zero-duration
-backoffs, empty arrival streams, one-replica fleets, capacity-1 queues —
-plus the event-ordering regression tests for the explicit ``(time, seq)``
-heap tie-breakers (permuted construction of the same fault schedule must
-replay identically).
+a compiler is present), and ``ResilientRouter.run`` (its Python loop and,
+when it loads, its C kernel) with the router's test-only spec
+(``tests/oracles/resilient_router.py``). Satellites of the equivalence
+suite: degenerate compositions where event ordering is most fragile —
+multiple event kinds landing on one timestamp, zero-duration backoffs,
+empty arrival streams, one-replica fleets, capacity-1 queues, routing
+picks over one, two and many candidates, event times that overflow to
+inf — plus the event-ordering regression tests for the explicit
+``(time, seq)`` heap tie-breakers (permuted construction of the same
+fault schedule must replay identically).
 """
 
 import heapq
@@ -22,6 +24,7 @@ from repro.serving import (
     SLA,
     AdmissionPolicy,
     BatchedServer,
+    BreakerPolicy,
     FaultSchedule,
     OverloadConfig,
     ReplicaCrash,
@@ -129,8 +132,6 @@ class TestSimultaneousEvents:
             )
         )
         burst = sorted([0.0, 0.005, 0.005, 0.005, 0.01, 0.01, 0.02] * 3)
-        from repro.serving import BreakerPolicy
-
         assert_all_equal(
             router_keys(
                 num_machines=2,
@@ -218,6 +219,91 @@ class TestDegenerateStreams:
                 run_kwargs={"offered_qps": 8.0 * 2 / SERVICE_S},
             )
         )
+
+
+class TestHugeBreakerThreshold:
+    def test_threshold_far_above_any_failure_count(self):
+        # A breaker that effectively never trips: the loops keep only the
+        # failures seen, never a slot per possible failure.
+        faults = FaultSchedule(
+            crashes=(ReplicaCrash(replica_id=0, at_s=0.005, downtime_s=0.01),)
+        )
+        keys = router_keys(
+            num_machines=2,
+            seed=5,
+            policy=ResiliencePolicy(timeout_s=5.0 * SERVICE_S, max_retries=1),
+            overload=OverloadConfig(
+                breaker=BreakerPolicy(failure_threshold=10**12)
+            ),
+            run_kwargs={"faults": faults, "offered_qps": 3.0 * 2 / SERVICE_S},
+        )
+        assert_all_equal(keys)
+
+
+class TestRoutingPicks:
+    """Every routing policy over one, two and many candidates.
+
+    A crash ejects one replica and tripped breakers filter more, so picks
+    also run over candidate subsets (and, on one replica, over none).
+    """
+
+    @pytest.mark.parametrize("num_machines", [1, 2, 12])
+    @pytest.mark.parametrize("routing", ["round_robin", "random", "jsq2"])
+    def test_picks_agree(self, routing, num_machines):
+        faults = FaultSchedule(
+            crashes=(
+                ReplicaCrash(
+                    replica_id=num_machines - 1, at_s=0.008, downtime_s=0.01
+                ),
+            ),
+            stragglers=(
+                Straggler(
+                    replica_id=0, start_s=0.0, duration_s=0.02, slowdown=30.0
+                ),
+            ),
+        )
+        keys = router_keys(
+            num_machines=num_machines,
+            routing=routing,
+            seed=11,
+            policy=ResiliencePolicy(
+                timeout_s=8.0 * SERVICE_S,
+                max_retries=1,
+                backoff_base_s=SERVICE_S,
+                hedge_delay_s=3.0 * SERVICE_S,
+            ),
+            overload=OverloadConfig(
+                breaker=BreakerPolicy(
+                    failure_threshold=1,
+                    window_s=20.0 * SERVICE_S,
+                    open_duration_s=10.0 * SERVICE_S,
+                )
+            ),
+            run_kwargs={
+                "offered_qps": 2.5 * num_machines / SERVICE_S,
+                "faults": faults,
+            },
+        )
+        assert_all_equal(keys)
+        assert keys[0][0] > 0  # offered
+
+
+class TestOverflowingEventTimes:
+    def test_inf_service_time_leaves_requests_unresolved(self):
+        # Two overlapping finite slowdowns multiply to an inf service
+        # time; its completion never fires, in every loop alike.
+        stragglers = tuple(
+            Straggler(replica_id=0, start_s=0.0, duration_s=0.03, slowdown=1e200)
+            for _ in range(2)
+        )
+        keys = router_keys(
+            num_machines=1,
+            seed=4,
+            run_kwargs={"faults": FaultSchedule(stragglers=stragglers)},
+        )
+        assert_all_equal(keys)
+        offered, failed, latencies = keys[0][0], keys[0][1], keys[0][11]
+        assert offered > 0 and failed == 0 and latencies == b""
 
 
 class TestEventOrderingDeterminism:

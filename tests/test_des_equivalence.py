@@ -5,29 +5,35 @@ specification; its vectorized engine runs a self-compiled C kernel over
 the same event order, pre-sorted from batched arrays. The router's spec
 is the test-only per-event loop ``tests/oracles/resilient_router.py``
 (``run_reference``); ``ResilientRouter.run`` keeps O(1) fleet state and
-pre-sorted event streams instead. This suite drives spec and fast loop
-through random policy x fault x load x tier compositions and asserts
-*byte* equality of every observable — record arrays, counters, overload
-books, downtime — plus RNG stream-position parity (a second run from the
-same objects must also match) and request conservation.
+pre-sorted event streams instead, in a C kernel when one loads and in
+Python otherwise. This suite drives the spec and every fast loop through
+random policy x fault x load x tier compositions and asserts *byte*
+equality of every observable — record arrays, counters, overload books,
+downtime — plus RNG stream-position parity (a second run from the same
+objects must also match) and request conservation.
 
 ``DES_EXAMPLES`` scales the hypothesis sweep (CI uses the default).
 """
 
+import dataclasses
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.serving.faults as faults_module
 from repro.config import RMC1_SMALL
 from repro.hw import BROADWELL
+from repro.hw._native import _compiler
 from repro.serving import (
     SLA,
     AdmissionPolicy,
     BreakerPolicy,
     BrownoutPolicy,
+    DegradationPolicy,
     FaultSchedule,
     FleetTopology,
     OverloadConfig,
@@ -41,7 +47,7 @@ from repro.serving import (
     domain_storm,
     fault_storm,
 )
-from repro.serving._des_native import native_available
+from repro.serving._des_native import _npyrandom_archive, native_available
 from tests.oracles.resilient_router import run_reference
 
 NUM_MACHINES = 4
@@ -50,9 +56,29 @@ SERVICE_S = ResilientRouter(
     BROADWELL, RMC1_SMALL, 8, NUM_MACHINES, seed=0
 )._base_service_s
 
-#: The two router loops every router test compares, called as
-#: ``run(router, offered_qps, ...)``: the test-only spec and production.
-ROUTER_RUNS = (run_reference, ResilientRouter.run)
+
+def run_python_loop(router, *args, **kwargs):
+    """``ResilientRouter.run`` held to its Python loop."""
+    with mock.patch.object(faults_module, "native_available", lambda: False):
+        result = ResilientRouter.run(router, *args, **kwargs)
+    assert router.last_backend == "reference"
+    return result
+
+
+def run_kernel(router, *args, **kwargs):
+    """``ResilientRouter.run`` in the C kernel (untraced routers only)."""
+    result = ResilientRouter.run(router, *args, **kwargs)
+    assert router.last_backend == "native"
+    return result
+
+
+#: The router loops every router test compares, called as
+#: ``run(router, offered_qps, ...)``: the test-only spec, the Python loop
+#: and, when it loads, the C kernel (without it the kernel cases drop out;
+#: ``test_des_kernel_loads_where_it_can`` keeps that from going unnoticed).
+ROUTER_RUNS = (run_reference, run_python_loop) + (
+    (run_kernel,) if native_available() else ()
+)
 
 EQUIV = settings(
     max_examples=int(os.environ.get("DES_EXAMPLES", "15")),
@@ -239,6 +265,60 @@ def run_router(run, routing, load_factor, policy, overload, faults, seed):
     return router_key(first) + router_key(second), first
 
 
+#: Every mechanism at once: timeouts, retries, hedges, health checks,
+#: degradation, deadline-aware admission with CoDel, breakers, brownout
+#: and a fault storm, at a load that exercises all of them.
+FULL_STACK_RUN = dict(
+    offered_qps=3.0 * NUM_MACHINES / SERVICE_S,
+    duration_s=DURATION_S,
+    faults=fault_storm(NUM_MACHINES, DURATION_S, seed=3),
+    sla=SLA(deadline_s=25.0 * SERVICE_S),
+)
+
+
+def full_stack_router(routing="jsq2", tracer=None):
+    return ResilientRouter(
+        BROADWELL,
+        RMC1_SMALL,
+        8,
+        NUM_MACHINES,
+        routing=routing,
+        policy=ResiliencePolicy(
+            timeout_s=15.0 * SERVICE_S,
+            max_retries=2,
+            backoff_base_s=SERVICE_S,
+            hedge_delay_s=4.0 * SERVICE_S,
+            health_check_interval_s=10.0 * SERVICE_S,
+        ),
+        degradation=DegradationPolicy(
+            max_lookups_per_table=4, queue_depth_trigger=3.0
+        ),
+        overload=OverloadConfig(
+            admission=AdmissionPolicy(
+                queue_capacity=3,
+                shed_policy="deadline_aware",
+                deadline_s=12.0 * SERVICE_S,
+                codel_target_s=3.0 * SERVICE_S,
+                codel_interval_s=6.0 * SERVICE_S,
+            ),
+            breaker=BreakerPolicy(
+                failure_threshold=2,
+                window_s=20.0 * SERVICE_S,
+                open_duration_s=15.0 * SERVICE_S,
+                half_open_probes=1,
+            ),
+            brownout=BrownoutPolicy(
+                tiers=default_brownout_tiers(RMC1_SMALL),
+                step_up_depth=2.0,
+                step_down_depth=0.5,
+                dwell_s=2.0 * SERVICE_S,
+            ),
+        ),
+        seed=9,
+        tracer=tracer,
+    )
+
+
 class TestSimulatorEquivalence:
     @pytest.mark.skipif(
         not native_available(), reason="native kernel unavailable"
@@ -337,15 +417,15 @@ class TestRouterEquivalence:
                 hedge_delay_s=(20.0 * SERVICE_S if hedge else None),
             )
         )
-        spec_key, _ = run_router(
-            run_reference, routing, load_factor, policy, overload, faults,
-            seed,
-        )
-        key, result = run_router(
-            ResilientRouter.run, routing, load_factor, policy, overload,
-            faults, seed,
-        )
-        assert spec_key == key
+        runs = [
+            run_router(
+                run, routing, load_factor, policy, overload, faults, seed
+            )
+            for run in ROUTER_RUNS
+        ]
+        for key, _ in runs[1:]:
+            assert key == runs[0][0]
+        result = runs[-1][1]
         check_conservation(
             result.offered, result.completed, failed=result.failed
         )
@@ -384,14 +464,15 @@ class TestRouterEquivalence:
                 sla=SLA(deadline_s=25.0 * SERVICE_S),
             )
             keys.append(router_key(result))
-        assert keys[0] == keys[1]
+        assert keys[1:] == keys[:1] * (len(keys) - 1)
 
     def test_traced_runs_identical_across_engines(self):
         from repro.obs import Tracer, dumps_chrome
         from repro.serving import fault_storm
 
         dumps = []
-        for run in ROUTER_RUNS:
+        # A traced production run takes the Python loop.
+        for run in (run_reference, run_python_loop):
             tracer = Tracer()
             router = ResilientRouter(
                 BROADWELL,
@@ -418,6 +499,75 @@ class TestRouterEquivalence:
             )
             dumps.append(dumps_chrome(tracer))
         assert dumps[0] == dumps[1]
+
+    def test_traced_run_takes_python_loop_and_matches_kernel(self):
+        from repro.obs import Tracer
+
+        keys = []
+        for tracer in (None, Tracer()):
+            router = full_stack_router(tracer=tracer)
+            keys.append(router_key(router.run(**FULL_STACK_RUN)))
+            expected = (
+                "native" if tracer is None and native_available() else "reference"
+            )
+            assert router.last_backend == expected
+        assert keys[0] == keys[1]
+
+    def test_disabled_native_falls_back_to_python_loop(self, monkeypatch):
+        import repro.serving._des_native as dn
+
+        expected = router_key(full_stack_router().run(**FULL_STACK_RUN))
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+        monkeypatch.setattr(dn, "_CACHED", None)
+        router = full_stack_router()
+        assert router_key(router.run(**FULL_STACK_RUN)) == expected
+        assert router.last_backend == "reference"
+
+    @pytest.mark.skipif(
+        not native_available(), reason="native kernel unavailable"
+    )
+    @pytest.mark.parametrize("routing", ["round_robin", "random", "jsq2"])
+    def test_kernel_result_equals_python_loop_field_for_field(self, routing):
+        results = [
+            run(full_stack_router(routing=routing), **FULL_STACK_RUN)
+            for run in (run_python_loop, run_kernel)
+        ]
+        python, kernel = (dataclasses.asdict(r) for r in results)
+        assert python.keys() == kernel.keys()
+        for name, value in python.items():
+            other = kernel[name]
+            assert type(other) is type(value), name
+            if isinstance(value, np.ndarray):
+                assert value.dtype == other.dtype
+                assert value.tobytes() == other.tobytes(), name
+            elif name == "overload":
+                for field, book in value.items():
+                    assert type(other[field]) is type(book), field
+                    if isinstance(book, list):
+                        assert [type(x) for x in book] == [
+                            type(x) for x in other[field]
+                        ], field
+                assert other == value
+                # Only reasons that occurred, in order of first occurrence.
+                assert list(other["shed_by_reason"].items()) == list(
+                    value["shed_by_reason"].items()
+                )
+                assert all(count > 0 for count in other["shed_by_reason"].values())
+            else:
+                assert other == value, name
+        # The case sheds, retries and hedges.
+        assert results[0].overload.shed > 0
+        assert results[0].retries > 0 and results[0].hedges > 0
+
+
+def test_des_kernel_loads_where_it_can():
+    # With a compiler and numpy's libnpyrandom.a present, a kernel that
+    # fails to build or link would silently drop every kernel case above.
+    if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
+        pytest.skip("native kernels disabled")
+    if _compiler() is None or _npyrandom_archive() is None:
+        pytest.skip("no C compiler or no libnpyrandom.a")
+    assert native_available()
 
 
 class TestCorrelatedScheduleEquivalence:
@@ -453,15 +603,15 @@ class TestCorrelatedScheduleEquivalence:
                 backoff_base_s=SERVICE_S,
             )
         )
-        spec_key, _ = run_router(
-            run_reference, "round_robin", load_factor, policy, None, faults,
-            seed,
-        )
-        key, result = run_router(
-            ResilientRouter.run, "round_robin", load_factor, policy, None,
-            faults, seed,
-        )
-        assert spec_key == key
+        runs = [
+            run_router(
+                run, "round_robin", load_factor, policy, None, faults, seed
+            )
+            for run in ROUTER_RUNS
+        ]
+        for key, _ in runs[1:]:
+            assert key == runs[0][0]
+        result = runs[-1][1]
         check_conservation(
             result.offered, result.completed, failed=result.failed
         )
@@ -490,4 +640,4 @@ class TestCorrelatedScheduleEquivalence:
             )[0]
             for run in ROUTER_RUNS
         ]
-        assert keys[0] == keys[1]
+        assert keys[1:] == keys[:1] * (len(keys) - 1)

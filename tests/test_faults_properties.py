@@ -109,6 +109,39 @@ class TestScheduleProperties:
             len(schedule.down_intervals(r)) for r in range(NUM_REPLICAS)
         )
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        crashes=st.lists(
+            st.tuples(
+                st.integers(0, NUM_REPLICAS + 1),
+                # A coarse grid makes overlapping and touching intervals
+                # (one crash starting where another restarts) common.
+                st.integers(0, 12),
+                st.integers(1, 6),
+            ),
+            max_size=12,
+        ),
+        num_replicas=st.integers(1, NUM_REPLICAS),
+    )
+    def test_transition_events_match_per_replica_definition(
+        self, crashes, num_replicas
+    ):
+        schedule = FaultSchedule(
+            crashes=[
+                ReplicaCrash(replica_id=r, at_s=0.01 * at, downtime_s=0.01 * dt)
+                for r, at, dt in crashes
+            ]
+        )
+        # The definition: each replica's merged intervals as edges, sorted;
+        # crashes on replicas at or past num_replicas are ignored.
+        expected = sorted(
+            edge
+            for replica_id in range(num_replicas)
+            for start_s, end_s in schedule.down_intervals(replica_id)
+            for edge in ((start_s, replica_id, True), (end_s, replica_id, False))
+        )
+        assert schedule.transition_events(num_replicas) == expected
+
     def test_zero_schedule_is_inert(self):
         zero = FaultSchedule.zero()
         assert zero.is_zero
@@ -254,6 +287,71 @@ class TestRouterInvariants:
         router = ResilientRouter(BROADWELL, RMC1_SMALL, 8, NUM_REPLICAS)
         with pytest.raises(ValueError, match="rate and duration"):
             router.run(**kwargs)
+
+
+#: Valid constructor arguments for every fault and policy type, and the
+#: float fields each must reject when they are inf or nan.
+NON_FINITE_CASES = {
+    ResiliencePolicy: (
+        {},
+        ("timeout_s", "backoff_base_s", "hedge_delay_s", "health_check_interval_s"),
+    ),
+    ReplicaCrash: (
+        {"replica_id": 0, "at_s": 0.01, "downtime_s": 0.01},
+        ("at_s", "downtime_s"),
+    ),
+    Straggler: (
+        {"replica_id": 0, "start_s": 0.0, "duration_s": 0.01, "slowdown": 2.0},
+        ("start_s", "duration_s", "slowdown"),
+    ),
+    BandwidthFault: (
+        {"start_s": 0.0, "duration_s": 0.01, "bandwidth_fraction": 0.5},
+        ("start_s", "duration_s", "bandwidth_fraction"),
+    ),
+}
+
+
+class TestRejectsNonFiniteTimes:
+    # Before the check, an inf timeout, hedge delay or downtime made the
+    # router raise IndexError, a nan crash time hung it, and a nan timeout
+    # failed most requests with no fault injected.
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (cls, field)
+            for cls, (_, fields) in NON_FINITE_CASES.items()
+            for field in fields
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_rejects_non_finite_field(self, cls, field, bad):
+        kwargs = dict(NON_FINITE_CASES[cls][0])
+        cls(**kwargs)  # the base arguments are valid
+        kwargs[field] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_retries": 1025},
+            {"max_retries": 1025, "backoff_base_s": 0.0},
+            {"max_retries": 3, "backoff_base_s": 1e308},
+        ],
+    )
+    def test_rejects_a_backoff_that_overflows(self, kwargs):
+        with pytest.raises(ValueError, match="backoff"):
+            ResiliencePolicy(**kwargs)
+
+    def test_router_rejects_an_unknown_routing_policy(self):
+        # Checked at construction: a run without arrivals never picks.
+        with pytest.raises(ValueError, match="unknown policy"):
+            ResilientRouter(BROADWELL, RMC1_SMALL, 8, 2, routing="least_loaded")
+
+    def test_accepts_the_largest_finite_backoff(self):
+        policy = ResiliencePolicy(max_retries=1024, backoff_base_s=1e-300)
+        assert math.isfinite(policy.backoff_s(1023))
 
 
 class TestPoliciesImproveTails:
