@@ -1,11 +1,12 @@
-"""Perf-trajectory bench: reference vs vectorized cache-replay engines.
+"""Perf-trajectory bench: the cache-replay reference loop vs its kernel.
 
 Times the same production-like SLS lookup trace through both
-``CacheHierarchy`` engines at 100k and 1M lookups and writes
-``BENCH_cache_replay.json`` (wallclock, speedup, trace size, backend) so
-future PRs can track the replay engine's trajectory. The vectorized
-engine's contract is bit-identical stats, so the two timings are the same
-computation — any speedup is pure implementation.
+``CacheHierarchy`` loops — the reference loop, reached through
+``reference_loops()``, and the default, the C kernel when it loads — at
+100k and 1M lookups and writes ``BENCH_cache_replay.json`` (wallclock,
+speedup, trace size, backend) so future PRs can track cache replay's
+trajectory. The kernel's contract is bit-identical stats, so the two
+timings are the same computation — any speedup is pure implementation.
 
 Run directly (CI uploads the JSON as an artifact)::
 
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_loops
 
 from repro.analysis import format_table
 from repro.core.operators import EmbeddingTable, SparseLengthsSum
@@ -39,8 +41,9 @@ EMBEDDING_DIM = 32
 REUSE_PROBABILITY = 0.55  # production-like moderate temporal reuse (Fig 14)
 
 
-def _replay_once(engine: str, lines: np.ndarray) -> tuple[float, str, dict]:
-    hierarchy = CacheHierarchy(BROADWELL, engine=engine)
+def _replay_once(
+    hierarchy: CacheHierarchy, lines: np.ndarray
+) -> tuple[float, str, dict]:
     start_s = time.perf_counter()
     hierarchy.access_lines(lines)
     elapsed_s = time.perf_counter() - start_s
@@ -55,7 +58,7 @@ def _replay_once(engine: str, lines: np.ndarray) -> tuple[float, str, dict]:
 
 
 def run_bench(lookups_list: tuple[int, ...] = (100_000, 1_000_000)) -> dict:
-    """Time both engines on shared traces; returns the JSON report."""
+    """Time both loops on shared traces; returns the JSON report."""
     rng = np.random.default_rng(2020)
     table = EmbeddingTable(TABLE_ROWS, EMBEDDING_DIM)
     sls = SparseLengthsSum("bench", table, lookups_per_sample=80)
@@ -66,11 +69,13 @@ def run_bench(lookups_list: tuple[int, ...] = (100_000, 1_000_000)) -> dict:
     for lookups in lookups_list:
         rows = generator.ids(lookups, rng)
         lines = sls.line_trace_for_rows(rows)
-        reference_s, _, reference_stats = _replay_once("reference", lines)
+        with reference_loops():
+            reference = CacheHierarchy(BROADWELL)
+        reference_s, _, reference_stats = _replay_once(reference, lines)
         vectorized_s, backend, vectorized_stats = _replay_once(
-            "vectorized", lines
+            CacheHierarchy(BROADWELL), lines
         )
-        assert reference_stats == vectorized_stats, "engines diverged"
+        assert reference_stats == vectorized_stats, "the kernel diverged"
         results.append(
             {
                 "lookups": int(lookups),
@@ -116,7 +121,7 @@ def render(report: dict) -> str:
 
 @pytest.mark.perf
 def test_cache_replay_perf():
-    """Replay bench at the small size; asserts the vectorized engine wins."""
+    """Replay bench at the small size; asserts the kernel wins."""
     from conftest import emit
 
     report = run_bench(lookups_list=(100_000,))

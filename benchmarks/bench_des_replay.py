@@ -1,10 +1,10 @@
-"""Perf-trajectory bench: reference vs native DES engines.
+"""Perf-trajectory bench: the DES reference loops vs their C kernels.
 
 Times identical serving simulations through the simulator's reference
-per-event loop and the vectorized engine's self-compiled C kernel. The
-engines are bit-identical by contract (``tests/test_des_equivalence.py``),
-so every timing pair is the same computation — any speedup is pure
-implementation. A router section does the same for
+per-event loop (reached through ``reference_loops()``) and its
+self-compiled C kernel. The loops are bit-identical by contract
+(``tests/test_des_equivalence.py``), so every timing pair is the same
+computation — any speedup is pure implementation. A router section does the same for
 ``ResilientRouter.run``: its Python loop against its C kernel on the
 figure-11x ``retry+hedge+degrade`` rung (8 replicas) and on one
 fleet-day window at the ~1,050-replica peak with the full overload
@@ -13,7 +13,7 @@ through the router. A routing-draws section times the Python loop's
 per-pick draws as numpy calls and as a
 :class:`~repro.serving.router.RoutingDraws` stream, and asserts
 identical picks and final generator state. Writes
-``BENCH_des_replay.json`` so future changes can track the DES engines'
+``BENCH_des_replay.json`` so future changes can track the DES loops'
 trajectory.
 
 Run directly (CI uploads the JSON as an artifact)::
@@ -34,12 +34,11 @@ import hashlib
 import json
 import time
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import reference_loops
 
-import repro.serving.faults as faults_module
 from repro.analysis import format_table
 from repro.config.presets import RMC1, RMC1_SMALL
 from repro.experiments import fig11x_faults, fleet_day
@@ -70,7 +69,9 @@ ROUTER_FLOOR = 10.0
 ROUTER_REPEATS = 3
 
 
-def _sim_once(engine: str, offered_target: int) -> tuple[float, str, int, tuple]:
+def _sim_once(
+    reference: bool, offered_target: int
+) -> tuple[float, str, int, tuple]:
     qps = offered_target / (SIM_INSTANCES * SIM_DURATION_S)
     sim = ServingSimulator(
         BROADWELL,
@@ -79,11 +80,11 @@ def _sim_once(engine: str, offered_target: int) -> tuple[float, str, int, tuple]
         num_instances=SIM_INSTANCES,
         per_instance_qps=qps,
         seed=SIM_SEED,
-        engine=engine,
     )
-    start_s = time.perf_counter()
-    result = sim.run(SIM_DURATION_S)
-    elapsed_s = time.perf_counter() - start_s
+    with reference_loops() if reference else contextlib.nullcontext():
+        start_s = time.perf_counter()
+        result = sim.run(SIM_DURATION_S)
+        elapsed_s = time.perf_counter() - start_s
     digest = (
         result.offered,
         result.killed,
@@ -97,10 +98,10 @@ def _sim_once(engine: str, offered_target: int) -> tuple[float, str, int, tuple]
 
 
 def bench_simulator(offered_targets: tuple[int, ...]) -> list[dict]:
-    """Time both engines on identical open-loop simulations."""
+    """Time both loops on identical open-loop simulations."""
     rows = []
     for target in offered_targets:
-        reference_s, _, offered, reference_digest = _sim_once("reference", target)
+        reference_s, _, offered, reference_digest = _sim_once(True, target)
         row = {
             "offered_target": int(target),
             "offered": int(offered),
@@ -110,7 +111,7 @@ def bench_simulator(offered_targets: tuple[int, ...]) -> list[dict]:
             "native_speedup": None,
         }
         if native_available():
-            native_s, backend, _, native_digest = _sim_once("vectorized", target)
+            native_s, backend, _, native_digest = _sim_once(False, target)
             assert backend == "native"
             assert native_digest == reference_digest, "C kernel diverged"
             row["native_s"] = native_s
@@ -190,10 +191,7 @@ def _router_once(make, kwargs: dict, native: bool) -> tuple[float, str, int]:
     best_s = float("inf")
     for _ in range(ROUTER_REPEATS):
         router = make()
-        hold_to_python = mock.patch.object(
-            faults_module, "native_available", lambda: False
-        )
-        with contextlib.nullcontext() if native else hold_to_python:
+        with contextlib.nullcontext() if native else reference_loops():
             start_s = time.perf_counter()
             result = router.run(**kwargs)
             best_s = min(best_s, time.perf_counter() - start_s)

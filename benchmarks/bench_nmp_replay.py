@@ -1,18 +1,19 @@
-"""Perf-trajectory bench: reference vs native NMP replay engines.
+"""Perf-trajectory bench: the NMP replay reference loop vs its kernel.
 
 Times the same pooled SLS lookup trace through the
-:class:`repro.memory.near_memory.NearMemorySystem` reference engine and
-(when a compiler is available) the vectorized engine's native C kernel,
-at 100k and 1M lookups, and writes ``BENCH_nmp_replay.json`` so future
-PRs can track the engine's trajectory. The engines' contract is
-bit-identical observables — every timing below is the same computation,
-any speedup is pure implementation — and this bench re-asserts digest
-equality on every trace it times.
+:class:`repro.memory.near_memory.NearMemorySystem` reference loop
+(reached through ``reference_loops()``) and, when a compiler is
+available, its native C kernel, at 100k and 1M lookups, and writes
+``BENCH_nmp_replay.json`` so future PRs can track NMP replay's
+trajectory. The loops' contract is bit-identical observables — every
+timing below is the same computation, any speedup is pure
+implementation — and this bench re-asserts digest equality on every
+trace it times.
 
 Floor (asserted by :func:`check_floors`, like the DES replay bench): with
-the native kernel, ≥10x over the reference engine at 1M lookups. Without
-a compiler the vectorized engine runs the reference loop, so there is
-nothing to time against it and no floor applies.
+the native kernel, ≥10x over the reference loop at 1M lookups. Without
+a compiler every system runs the reference loop, so there is nothing to
+time against it and no floor applies.
 
 Run directly (CI uploads the JSON as an artifact)::
 
@@ -32,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import reference_loops
 
 from repro.analysis import format_table
 from repro.data.sparse import TemporalReuseGenerator
@@ -63,12 +65,16 @@ def _pooled_trace(lookups: int, rng: np.random.Generator):
 
 
 def _replay_once(
-    engine: str, rows: np.ndarray, lengths: np.ndarray
+    reference: bool, rows: np.ndarray, lengths: np.ndarray
 ) -> tuple[float, dict]:
     best_s = float("inf")
     digest: dict = {}
     for _ in range(REPEATS):
-        system = NearMemorySystem(NmpGeometry(), engine=engine)
+        if reference:
+            with reference_loops():
+                system = NearMemorySystem(NmpGeometry())
+        else:
+            system = NearMemorySystem(NmpGeometry())
         start_s = time.perf_counter()
         result = system.replay(rows, lengths)
         elapsed_s = time.perf_counter() - start_s
@@ -78,17 +84,17 @@ def _replay_once(
 
 
 def run_bench(lookups_list: tuple[int, ...] = (100_000, 1_000_000)) -> dict:
-    """Time both engines on shared traces; returns the report."""
+    """Time both loops on shared traces; returns the report."""
     rng = np.random.default_rng(2020)
     native = nmp_native_available()
     results = []
     for lookups in lookups_list:
         rows, lengths = _pooled_trace(lookups, rng)
-        reference_s, reference_digest = _replay_once("reference", rows, lengths)
+        reference_s, reference_digest = _replay_once(True, rows, lengths)
         native_s = None
         if native:
-            native_s, native_digest = _replay_once("vectorized", rows, lengths)
-            assert native_digest == reference_digest, "native engine diverged"
+            native_s, native_digest = _replay_once(False, rows, lengths)
+            assert native_digest == reference_digest, "the kernel diverged"
         results.append(
             {
                 "lookups": int(lookups),

@@ -8,7 +8,19 @@ table/series is printed (run with ``-s`` to see it inline) and appended to
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
+
+# The engine benches hold their reference runs to the reference loops
+# through the test suite's helper, so the repo root must be importable
+# when a bench runs as a script.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
+
+from tests.reference_loops import reference_loops  # noqa: E402
+
+__all__ = ["RESULTS_PATH", "emit", "reference_loops"]
 
 RESULTS_PATH = Path(__file__).parent / "results.txt"
 

@@ -74,20 +74,17 @@ def measure_mpki(
     iterations: int = 20,
     warmup: int = 2,
     rng: np.random.Generator | None = None,
-    engine: str = "vectorized",
 ) -> MpkiResult:
     """Run ``iterations`` invocations of the operator trace through the
     server's cache hierarchy and report steady-state MPKI.
 
     The first ``warmup`` iterations populate the caches (so dense operators
     reach their steady, reuse-heavy state) and are excluded from the stats.
-    ``engine`` selects the cache simulator; the vectorized default is
-    bit-identical to ``"reference"`` and much faster on long traces.
     """
     if iterations <= warmup:
         raise ValueError("iterations must exceed warmup")
     rng = rng or np.random.default_rng(0)
-    hierarchy = CacheHierarchy(server, engine=engine)
+    hierarchy = CacheHierarchy(server)
     for _ in range(warmup):
         hierarchy.access_trace(operator.address_trace(batch_size, rng))
     hierarchy.reset_stats()
@@ -110,7 +107,6 @@ def measure_sls_trace_mpki(
     sls: SparseLengthsSum,
     server: ServerSpec,
     rows: np.ndarray,
-    engine: str = "vectorized",
     tracer: Tracer | None = None,
     profiler: OpProfiler | None = None,
     track: int = 0,
@@ -127,7 +123,7 @@ def measure_sls_trace_mpki(
     """
     if rows.size == 0:
         raise ValueError("trace must contain at least one lookup")
-    hierarchy = CacheHierarchy(server, engine=engine)
+    hierarchy = CacheHierarchy(server)
     replay_line_trace(
         hierarchy,
         sls.line_trace_for_rows(rows, line_bytes=hierarchy.line_bytes),

@@ -46,7 +46,6 @@ def run(
     trace_length: int = 20_000,
     iterations: int = 4,
     seed: int = 7,
-    engine: str = "vectorized",
 ) -> Figure5Result:
     """Measure Figure 5 on a simulated ``server``.
 
@@ -64,14 +63,13 @@ def run(
     generator = TemporalReuseGenerator(table.rows, 1, reuse_probability=0.55)
     rows = generator.ids(trace_length, rng)
     mpki = [
-        measure_sls_trace_mpki(sls, server, rows, engine=engine),
+        measure_sls_trace_mpki(sls, server, rows),
         measure_mpki(
             RecurrentCell("RNN", 256, 512, 8),
             server,
             batch_size=2,
             iterations=iterations,
             warmup=1,
-            engine=engine,
         ),
         measure_mpki(
             FullyConnected("FC", 2048, 1000),
@@ -79,7 +77,6 @@ def run(
             batch_size=32,
             iterations=iterations,
             warmup=1,
-            engine=engine,
         ),
         measure_mpki(
             Conv2D("CNN", 64, 64, 3, 56),
@@ -87,7 +84,6 @@ def run(
             batch_size=1,
             iterations=iterations,
             warmup=1,
-            engine=engine,
         ),
     ]
     return Figure5Result(intensity=intensity, mpki=mpki)

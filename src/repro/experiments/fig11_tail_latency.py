@@ -80,7 +80,6 @@ def run(
     curve_jobs: tuple[int, ...] = (1, 4, 8, 16, 24, 32, 40),
     duration_s: float = 0.6,
     seed: int = 11,
-    engine: str = "reference",
 ) -> Figure11Result:
     """Simulate the production tail-latency study.
 
@@ -101,7 +100,6 @@ def run(
                 num_instances=min(n, physical_cores),
                 hyperthreading=n > physical_cores,
                 seed=sim_seed,
-                engine=engine,
             )
 
         pooled: list[np.ndarray] = []

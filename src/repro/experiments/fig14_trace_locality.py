@@ -45,7 +45,6 @@ def run(
     table_rows: int = 1_000_000,
     trace_length: int = 30_000,
     seed: int = 2020,
-    engine: str = "vectorized",
     tracer: Tracer | None = None,
 ) -> Figure14Result:
     """Generate the trace suite and measure locality + cache behaviour.
@@ -65,7 +64,7 @@ def run(
         if tracer is not None:
             tracer.set_track_name(track, trace.name)
         mpki = measure_sls_trace_mpki(
-            sls, server, trace.ids, engine=engine, tracer=tracer, track=track
+            sls, server, trace.ids, tracer=tracer, track=track
         )
         rows.append(
             TraceLocalityRow(

@@ -141,7 +141,6 @@ def _replay_model(
     batch_size: int,
     trace: EmbeddingTrace,
     geometry: NmpGeometry,
-    engine: str,
     tracer: Tracer | None,
     metrics: MetricsRegistry | None,
     track: int,
@@ -149,7 +148,7 @@ def _replay_model(
     """Price one model on one trace: engine vs Amdahl vs baseline."""
     baseline = TimingModel(server).model_latency(config, batch_size)
     system = NearMemorySystem(
-        geometry, engine=engine, tracer=tracer, metrics=metrics, track=track
+        geometry, tracer=tracer, metrics=metrics, track=track
     )
     nmp_seconds = 0.0
     hits = 0
@@ -204,7 +203,6 @@ def run(
     trace_length: int = 30_000,
     seed: int = 2020,
     projection_trace: str = "trace-6",
-    engine: str = "vectorized",
     tracer: Tracer | None = None,
     metrics: MetricsRegistry | None = None,
 ) -> FigNmpResult:
@@ -237,7 +235,6 @@ def run(
                     batch_size,
                     trace,
                     geometry,
-                    engine,
                     tracer,
                     metrics,
                     track,

@@ -1,44 +1,58 @@
-"""Self-contained native kernel for the vectorized cache-replay engine.
+"""Self-compiled native kernels: the cache-replay kernel and the one loader.
 
 Exact LRU simulation with cross-level feedback (inclusive back-
 invalidation, victim fills, prefetch pollution) is inherently sequential
-per cache line, so the vectorized engine's inner loop cannot be expressed
-as whole-trace numpy array arithmetic without giving up bit-identical
-stats. Instead the batch kernel is ~200 lines of C operating **in place on
-the engine's structure-of-arrays numpy state** (int64 tag matrices, uint8
+per cache line, so cache replay's inner loop cannot be expressed as
+whole-trace numpy array arithmetic without giving up bit-identical stats.
+Instead the batch kernel is ~200 lines of C operating **in place on the
+hierarchy's structure-of-arrays numpy state** (int64 tag matrices, uint8
 prefetch-flag matrices, int64 occupancy vectors — see
 :mod:`repro.hw.vectorized`), compiled on first use with the system C
 compiler and loaded through :mod:`ctypes`.
 
 No third-party dependency is added: when no compiler is available (or
 ``REPRO_DISABLE_NATIVE=1`` is set) :class:`~repro.hw.hierarchy.CacheHierarchy`
-runs its reference engine instead, with the same results. The
-equivalence test suite drives this kernel against that engine (built on
+runs its reference loop instead, with the same results. The equivalence
+test suite drives this kernel against that loop (built on
 :class:`~repro.hw.cache.SetAssociativeCache`), which remains the
 executable specification.
 
+Every kernel in the repo builds through :func:`compile_cached` and loads
+through :func:`load_native`, which memoizes each kernel per process.
 Build artifacts go to ``REPRO_NATIVE_CACHE`` if set (created when
 missing), else a ``_native_build`` directory next to this file when
 writable, else a process-private temporary directory. The shared object
-is keyed by a hash of the C source so edits trigger a rebuild.
+is keyed by a hash of the C source, the flags, the link inputs and the
+compiler, so a change to any of them triggers a rebuild.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections.abc import Callable
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
-__all__ = ["compile_cached", "load_kernel", "native_available", "NativeKernel"]
+__all__ = [
+    "compile_cached",
+    "load_kernel",
+    "load_native",
+    "native_available",
+    "NativeKernel",
+]
 
-# Mirror of the reference engine in repro.hw.cache / repro.hw.hierarchy.
+T = TypeVar("T")
+
+# Mirror of the reference loop in repro.hw.cache / repro.hw.hierarchy.
 # Each cache set keeps its resident lines contiguous from slot 0 in LRU
 # order (slot 0 = LRU victim, slot occ-1 = MRU), matching the iteration
 # order of the reference OrderedDict. The uint8 flag alongside each tag
@@ -379,10 +393,29 @@ def _build_dir() -> Path:
 
 
 def _compiler() -> str | None:
+    """Path of the first C compiler on ``PATH``: ``$CC``, cc, gcc, clang."""
     for cand in (os.environ.get("CC"), "cc", "gcc", "clang"):
-        if cand and shutil.which(cand):
-            return cand
+        path = shutil.which(cand) if cand else None
+        if path:
+            return path
     return None
+
+
+@functools.lru_cache(maxsize=None)
+def _compiler_identity(cc: str) -> str:
+    """``cc``'s resolved path and the first line of its ``--version``.
+
+    Part of every build key, so a kernel built by one compiler (another
+    ``CC``, a sanitizing wrapper, an upgraded gcc) is never loaded as if
+    another had built it. Asked once per compiler and process.
+    """
+    try:
+        version = subprocess.run(
+            [cc, "--version"], capture_output=True, text=True, timeout=30
+        ).stdout
+    except (subprocess.SubprocessError, OSError):
+        version = ""
+    return os.path.realpath(cc) + "\x00" + (version.splitlines() or [""])[0]
 
 
 def compile_cached(
@@ -393,18 +426,18 @@ def compile_cached(
 ) -> Path | None:
     """Compile C ``source`` into a cached shared object; None if impossible.
 
-    ``link_inputs`` (static archives, ``-l`` flags) go on the command line
-    *after* the source: the linker only pulls archive members that earlier
-    inputs reference, so an archive listed first resolves nothing. The
-    artifact is keyed by a hash of the source, the extra compiler flags,
-    the link inputs and the bytes of every link input that is a file, so
-    an edit to any of them (a numpy upgrade replacing an archive
-    included) triggers a rebuild while repeat calls reuse the cached
-    ``.so``. Honours ``REPRO_DISABLE_NATIVE=1`` and the
-    ``REPRO_NATIVE_CACHE`` build-directory override. Shared by every
-    self-compiled kernel in the repo (cache replay here, the DES kernels
-    in :mod:`repro.serving._des_native`, NMP replay in
-    :mod:`repro.memory.nmp_native`).
+    ``link_inputs`` are linker flags (``-lm``) or files (static archives).
+    They go on the command line *after* the source: the linker only pulls
+    archive members that earlier inputs reference, so an archive listed
+    first resolves nothing. A link input file that does not exist makes
+    the build impossible, and no compiler runs. The artifact is keyed by
+    a hash of the source, the extra compiler flags, the link inputs, the
+    bytes of every link input file, and the compiler's resolved path and
+    ``--version`` line, so an edit to any of them (a numpy upgrade
+    replacing an archive, or another compiler) triggers a rebuild while
+    repeat calls reuse the cached ``.so``. Honours
+    ``REPRO_DISABLE_NATIVE=1`` and the ``REPRO_NATIVE_CACHE``
+    build-directory override.
     """
     if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
         return None
@@ -416,8 +449,11 @@ def compile_cached(
     )
     for item in link_inputs:
         digest.update(b"\x00" + item.encode())
-        if os.path.isfile(item):
+        if not item.startswith("-"):
+            if not os.path.isfile(item):
+                return None
             digest.update(Path(item).read_bytes())
+    digest.update(b"\x00" + _compiler_identity(cc).encode())
     tag = digest.hexdigest()[:16]
     build_dir = _build_dir()
     suffix = ".dylib" if sys.platform == "darwin" else ".so"
@@ -445,23 +481,45 @@ def compile_cached(
     return target
 
 
-_CACHED: tuple[bool, NativeKernel | None] | None = None
+#: Every self-compiled kernel this process has asked for, by build stem:
+#: its bound ctypes facade, or None when it cannot load here.
+_CACHED: dict[str, object] = {}
 
 
-def native_available() -> bool:
-    """True when the compiled kernel is usable in this process."""
-    return load_kernel() is not None
+def load_native(
+    stem: str,
+    source: str,
+    bind: Callable[[ctypes.CDLL], T],
+    extra_flags: tuple[str, ...] = (),
+    link_inputs: tuple[str, ...] = (),
+) -> T | None:
+    """Build (once per process) and bind one kernel; None when unavailable.
+
+    The one loader behind every kernel in the repo: cache replay here,
+    the DES kernels in :mod:`repro.serving._des_native` and NMP replay in
+    :mod:`repro.memory.nmp_native`. The first call compiles ``source``
+    through :func:`compile_cached` and hands the loaded library to
+    ``bind``, which declares the ctypes signatures; every later call
+    returns the memoized result, so a probe costs one dict lookup.
+    """
+    if stem in _CACHED:
+        return _CACHED[stem]
+    kernel = None
+    try:
+        path = compile_cached(source, stem, extra_flags, link_inputs)
+        if path is not None:
+            kernel = bind(ctypes.CDLL(str(path)))
+    except OSError:
+        kernel = None
+    _CACHED[stem] = kernel
+    return kernel
 
 
 def load_kernel() -> NativeKernel | None:
-    """Compile (once) and load the native kernel; None when unavailable."""
-    global _CACHED
-    if _CACHED is not None:
-        return _CACHED[1]
-    try:
-        path = compile_cached(_C_SOURCE, "repro_replay")
-        kernel = NativeKernel(ctypes.CDLL(str(path))) if path else None
-    except OSError:
-        kernel = None
-    _CACHED = (kernel is not None, kernel)
-    return kernel
+    """The cache-replay kernel; None when unavailable."""
+    return load_native("repro_replay", _C_SOURCE, NativeKernel)
+
+
+def native_available() -> bool:
+    """True when the cache-replay kernel is usable in this process."""
+    return load_kernel() is not None

@@ -10,20 +10,19 @@ L2/L3 is non-inclusive (L3 acts as a victim cache), so LLC churn does not
 reach into L2.
 
 :class:`CacheHierarchy` simulates an L1/L2/L3 stack with either policy and
-returns per-level hit counts for an address trace. Two engines implement
-the same semantics:
+returns per-level hit counts for an address trace. It picks one of two
+loops with the same semantics when it is built:
 
-* ``engine="reference"`` — one OrderedDict per set, one Python call per
-  line. Slow, obvious, and the executable specification.
-* ``engine="vectorized"`` — structure-of-arrays numpy state
-  (:mod:`repro.hw.vectorized`) replayed in batches by a self-compiled C
-  kernel (:mod:`repro.hw._native`). Bit-identical stats to the reference
+* the C kernel (:mod:`repro.hw._native`), which replays batches of lines
+  over structure-of-arrays numpy state (:mod:`repro.hw.vectorized`),
+  whenever the kernel loads. Bit-identical stats to the reference loop
   across both inclusion policies, prefetching, and external-pressure
   paths — enforced by ``tests/test_engine_equivalence.py`` — at one-to-two
   orders of magnitude lower cost, which is what makes million-lookup
-  paper-scale traces tractable (see ``docs/PERFORMANCE.md``). When the
-  kernel cannot load (no compiler, or ``REPRO_DISABLE_NATIVE=1``) the
-  vectorized engine runs the reference loop, with the same results.
+  paper-scale traces tractable (see ``docs/PERFORMANCE.md``);
+* the reference loop — one OrderedDict per set, one Python call per
+  line; slow, obvious, and the executable specification — when the
+  kernel cannot load (no compiler, or ``REPRO_DISABLE_NATIVE=1``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .server import ServerSpec
 from .vectorized import VectorizedSetAssociativeCache, expand_spans
 
 # Accesses buffered per batch when draining a MemoryAccess iterable
-# through the vectorized engine.
+# through the kernel.
 _TRACE_CHUNK = 65536
 
 
@@ -94,13 +93,11 @@ class CacheHierarchy:
             streaming operators (FC weight reads); barely helps — and can
             pollute — under SLS's irregular row gathers, the effect the
             paper notes as "prefetching pollution". 0 disables.
-        engine: ``"reference"`` (per-line OrderedDict walk, the executable
-            spec) or ``"vectorized"`` (SoA numpy state + the native batch
-            kernel, bit-identical stats, built for million-lookup traces —
-            feed it through :meth:`access_lines` for full speed). Without
-            the kernel the vectorized engine runs the reference loop;
-            :attr:`backend` says which ran, ``"native"`` or
-            ``"reference"``.
+
+    The hierarchy replays in the native batch kernel when it loads (feed
+    it through :meth:`access_lines` for full speed), else in the per-line
+    reference loop; :attr:`backend` says which, ``"native"`` or
+    ``"reference"``.
     """
 
     def __init__(
@@ -109,21 +106,17 @@ class CacheHierarchy:
         l3_share: float = 1.0,
         line_bytes: int = 64,
         prefetch_degree: int = 0,
-        engine: str = "reference",
     ) -> None:
         if not 0.0 < l3_share <= 1.0:
             raise ValueError("l3_share must be in (0, 1]")
         if prefetch_degree < 0:
             raise ValueError("prefetch_degree must be non-negative")
-        if engine not in ("reference", "vectorized"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.server = server
         self.inclusive = server.inclusive_llc
         self.prefetch_degree = prefetch_degree
-        self.engine = engine
         self.line_bytes = line_bytes
         self._prefetched_lines: set[int] = set()
-        self._kernel = load_kernel() if engine == "vectorized" else None
+        self._kernel = load_kernel()
         self.backend = "reference" if self._kernel is None else "native"
         cache_cls = (
             SetAssociativeCache
@@ -155,10 +148,10 @@ class CacheHierarchy:
     def access_lines(self, lines: np.ndarray) -> None:
         """Batch-replay an int64 array of line indices, in trace order.
 
-        The fast path of the vectorized engine: one kernel call per batch
-        instead of one Python call per line. Available on the reference
-        engine too (a per-line loop) so callers and the equivalence suite
-        can drive both engines through the same entry point.
+        The fast path: one kernel call per batch instead of one Python
+        call per line. The reference loop takes the same entry point (a
+        per-line loop), so callers and the equivalence suite drive both
+        loops through it.
         """
         if self._kernel is None:
             for line in np.asarray(lines, dtype=np.int64).reshape(-1).tolist():

@@ -94,7 +94,6 @@ def replay_line_trace(
             end_s=t0_s + total_s,
             track=track,
             lines=int(np.asarray(lines).size),
-            engine=hierarchy.engine,
             backend=hierarchy.backend,
             dram_accesses=delta.dram_accesses,
         )
@@ -133,7 +132,6 @@ def measure_trace_hit_ratio(
     embedding_dim: int,
     trace_ids: np.ndarray,
     l3_share: float = 1.0,
-    engine: str = "vectorized",
     tracer: Tracer | None = None,
     profiler: OpProfiler | None = None,
     track: int = 0,
@@ -143,16 +141,15 @@ def measure_trace_hit_ratio(
 
     A "hit" here means the row was served from any cache level — the
     quantity the analytic SLS model blends against its DRAM-miss path.
-    Defaults to the vectorized engine (bit-identical stats, see
-    ``docs/PERFORMANCE.md``); pass ``engine="reference"`` to run the
-    executable spec instead.
+    The replay runs in the cache-replay kernel when it loads, and in the
+    bit-identical reference loop otherwise (see ``docs/PERFORMANCE.md``).
     """
     trace_ids = np.asarray(trace_ids).reshape(-1)
     if trace_ids.size == 0:
         raise ValueError("trace must contain lookups")
     table = EmbeddingTable(table_rows, embedding_dim)
     sls = SparseLengthsSum("trace", table, lookups_per_sample=1)
-    hierarchy = CacheHierarchy(server, l3_share=l3_share, engine=engine)
+    hierarchy = CacheHierarchy(server, l3_share=l3_share)
     replay_line_trace(
         hierarchy,
         sls.line_trace_for_rows(trace_ids, line_bytes=hierarchy.line_bytes),
@@ -173,7 +170,6 @@ def trace_driven_latency(
     trace_ids: np.ndarray,
     batch_size: int = 16,
     l3_share: float = 1.0,
-    engine: str = "vectorized",
 ) -> TraceDrivenResult:
     """Predict inference latency using a measured, trace-specific hit ratio.
 
@@ -182,7 +178,7 @@ def trace_driven_latency(
     """
     table = config.embedding_tables[0]
     hit_ratio, hierarchy = measure_trace_hit_ratio(
-        server, table.rows, table.dim, trace_ids, l3_share, engine=engine
+        server, table.rows, table.dim, trace_ids, l3_share
     )
     latency = TimingModel(server).model_latency(
         config, batch_size, sls_hit_ratio=hit_ratio

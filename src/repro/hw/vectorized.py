@@ -1,8 +1,8 @@
-"""Structure-of-arrays cache state for the vectorized replay engine.
+"""Structure-of-arrays cache state for the cache-replay kernel.
 
 The reference simulator (:mod:`repro.hw.cache`) keeps one ``OrderedDict``
 per set and walks it per cache line — perfectly clear, and far too slow
-for million-lookup traces. The vectorized engine keeps each level as flat
+for million-lookup traces. The kernel's hierarchy keeps each level as flat
 numpy matrices instead:
 
 * ``tags``   — ``(num_sets, associativity)`` int64; slots ``0..occ-1`` of

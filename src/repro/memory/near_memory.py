@@ -21,14 +21,14 @@ models that memory system end to end, at two fidelities:
   therefore shows up as *rank contention* — a pool is as slow as its
   busiest rank — not as a flat speedup.
 
-Following the repo's two-engine pattern (cache replay, serving DES), the
-per-access reference engine is the executable specification and the
-vectorized engine (the C kernel in :mod:`repro.memory.nmp_native` over
-the SoA state in :mod:`repro.memory.nmp_vectorized`) is proven
-bit-identical on every observable by ``tests/test_nmp_equivalence.py``.
-Without a compiler the vectorized engine runs the reference loop. All
-costs are integer nanoseconds, which is what makes bit-identity across
-engines trivial to guarantee.
+Following the repo's one-object, two-loop pattern (cache replay, serving
+DES), the per-access reference loop is the executable specification and
+the C kernel in :mod:`repro.memory.nmp_native` (over the SoA state in
+:mod:`repro.memory.nmp_vectorized`) is proven bit-identical to it on
+every observable by ``tests/test_nmp_equivalence.py``. A system runs the
+kernel when it loads and the reference loop otherwise. All costs are
+integer nanoseconds, which is what makes bit-identity across the loops
+trivial to guarantee.
 
 :class:`~repro.hw.timing.TimingModel` accepts ``nmp=NmpGeometry(...)`` to
 price SLS operators on this backend analytically (``nmp=None`` is the
@@ -194,7 +194,7 @@ class NmpGeometry:
     standard DRAM address-mapping default). No RNG — a table of a given
     size always maps to the same ranks, so two runs agree byte for byte.
 
-    Service times are integer nanoseconds, which keeps every engine
+    Service times are integer nanoseconds, which keeps every replay
     observable an exact integer sum.
 
     Attributes:
@@ -261,9 +261,9 @@ class NmpGeometry:
 class NmpReplayResult:
     """Observables of one trace replay through :class:`NearMemorySystem`.
 
-    Every field is integer-exact and engine-invariant: the equivalence
-    suite compares them record for record between the reference and
-    vectorized engines.
+    Every field is integer-exact and loop-invariant: the equivalence
+    suite compares them record for record between the reference loop and
+    the native kernel.
     """
 
     pool_latencies_ns: np.ndarray
@@ -346,7 +346,7 @@ class NmpReplayResult:
 class NearMemorySystem:
     """Rank-parallel DIMM-side SLS execution with per-DIMM hot-row caches.
 
-    Timing semantics (identical in both engines):
+    Timing semantics (identical in both loops):
 
     * each lookup is placed on rank ``row % num_ranks``;
     * a lookup first probes its DIMM's LRU hot-row cache — a hit costs
@@ -363,12 +363,6 @@ class NearMemorySystem:
 
     Args:
         geometry: channel/DIMM/rank shape and service times.
-        engine: ``"reference"`` for the per-access specification loop, or
-            ``"vectorized"`` for the native C kernel (bit-identical).
-            Without the kernel (no compiler, or
-            ``REPRO_DISABLE_NATIVE=1``) the vectorized engine runs the
-            reference loop; :attr:`backend` says which ran, ``"native"``
-            or ``"reference"``.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; each replay
             is recorded as a ``memory.nmp.replay`` span on the simulated
             clock. Observational only — never changes an observable.
@@ -376,25 +370,27 @@ class NearMemorySystem:
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
             replays increment ``memory.nmp.lookups`` /
             ``memory.nmp.hot_hits`` / ``memory.nmp.hot_misses`` counters
-            and set the ``memory.nmp.rank_imbalance`` gauge.
+            and set the ``memory.nmp.rank_imbalance`` gauge, each
+            labelled with :attr:`backend`.
+
+    A system replays in the native C kernel when it loads, and in the
+    per-access reference loop otherwise (no compiler, or
+    ``REPRO_DISABLE_NATIVE=1``); :attr:`backend` says which,
+    ``"native"`` or ``"reference"``.
     """
 
     def __init__(
         self,
         geometry: NmpGeometry = NmpGeometry(),
-        engine: str = "vectorized",
         tracer: "Tracer | NullTracer | None" = None,
         metrics: MetricsRegistry | None = None,
         track: int = 0,
     ) -> None:
-        if engine not in ("reference", "vectorized"):
-            raise ValueError(f"unknown engine {engine!r}")
         self.geometry = geometry
-        self.engine = engine
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
         self.track = track
-        self._kernel = load_nmp_kernel() if engine == "vectorized" else None
+        self._kernel = load_nmp_kernel()
         self.backend = "reference" if self._kernel is None else "native"
         self._clock_ns = 0
         self.reset()
@@ -444,7 +440,7 @@ class NearMemorySystem:
     def replay(
         self, rows: np.ndarray, lengths: np.ndarray | None = None
     ) -> NmpReplayResult:
-        """Execute a lookup trace; returns engine-invariant observables.
+        """Execute a lookup trace; returns loop-invariant observables.
 
         Args:
             rows: int64 embedding-row ids in trace order.
@@ -474,17 +470,17 @@ class NearMemorySystem:
             rank_imbalance=result.rank_imbalance,
         )
         if self.metrics is not None:
-            engine = self.engine
-            self.metrics.counter("memory.nmp.lookups", engine=engine).inc(
+            backend = self.backend
+            self.metrics.counter("memory.nmp.lookups", backend=backend).inc(
                 result.num_lookups
             )
-            self.metrics.counter("memory.nmp.hot_hits", engine=engine).inc(
+            self.metrics.counter("memory.nmp.hot_hits", backend=backend).inc(
                 result.hot_hits
             )
-            self.metrics.counter("memory.nmp.hot_misses", engine=engine).inc(
+            self.metrics.counter("memory.nmp.hot_misses", backend=backend).inc(
                 result.hot_misses
             )
-            self.metrics.gauge("memory.nmp.rank_imbalance", engine=engine).set(
+            self.metrics.gauge("memory.nmp.rank_imbalance", backend=backend).set(
                 result.rank_imbalance
             )
 
@@ -614,7 +610,7 @@ def amdahl_crosscheck(
     derived = NmpConfig.from_geometry(server, geometry, config, batch_size)
     amdahl = nmp_speedup(server, config, batch_size, derived)
 
-    system = NearMemorySystem(geometry, engine="vectorized")
+    system = NearMemorySystem(geometry)
     engine_seconds = 0.0
     next_row = 0
     for spec, op in zip(config_ops(config), baseline.per_op):

@@ -1,6 +1,6 @@
-"""Self-contained native kernel for the near-memory replay engine.
+"""Self-contained native kernel for near-memory replay.
 
-The one sequential piece of the RecNMP-style replay engine
+The one sequential piece of RecNMP-style replay
 (:mod:`repro.memory.near_memory`) is the per-DIMM hot-row cache: exact
 LRU over row ids, probed in trace order, where each access's hit/miss
 outcome depends on every earlier access to the same DIMM. Row→rank
@@ -8,11 +8,11 @@ placement, per-rank occupancy and pool critical paths are plain integer
 arithmetic on top of those hit/miss outcomes.
 
 So the native kernel walks the lookup trace twice: a hot-flags pass that
-maintains the per-DIMM LRU tag arrays **in place on the engine's
+maintains the per-DIMM LRU tag arrays **in place on the system's
 structure-of-arrays numpy state** (:mod:`repro.memory.nmp_vectorized`)
 and emits one hit/miss byte per lookup, then an accounting pass that
-charges ranks and pools. Compilation goes through the shared
-:func:`repro.hw._native.compile_cached` toolchain (same build cache, same
+charges ranks and pools. It builds and loads through the shared
+:func:`repro.hw._native.load_native` (same build cache, same
 ``REPRO_DISABLE_NATIVE=1`` off-switch); without a compiler
 :class:`~repro.memory.near_memory.NearMemorySystem` runs its per-access
 reference loop, the spec the equivalence suite
@@ -25,7 +25,7 @@ import ctypes
 
 import numpy as np
 
-from ..hw._native import compile_cached
+from ..hw._native import load_native
 
 __all__ = ["NmpNativeKernel", "load_nmp_kernel", "nmp_native_available"]
 
@@ -327,23 +327,11 @@ class NmpNativeKernel:
         return pool_latencies, rank_busy, dimm_hits, dimm_misses
 
 
-_CACHED: tuple[bool, NmpNativeKernel | None] | None = None
+def load_nmp_kernel() -> NmpNativeKernel | None:
+    """The NMP replay kernel; None when unavailable."""
+    return load_native("repro_nmp", _C_SOURCE, NmpNativeKernel)
 
 
 def nmp_native_available() -> bool:
     """True when the compiled NMP kernel is usable in this process."""
     return load_nmp_kernel() is not None
-
-
-def load_nmp_kernel() -> NmpNativeKernel | None:
-    """Compile (once) and load the NMP kernel; None when unavailable."""
-    global _CACHED
-    if _CACHED is not None:
-        return _CACHED[1]
-    try:
-        path = compile_cached(_C_SOURCE, "repro_nmp")
-        kernel = NmpNativeKernel(ctypes.CDLL(str(path))) if path else None
-    except OSError:
-        kernel = None
-    _CACHED = (kernel is not None, kernel)
-    return kernel

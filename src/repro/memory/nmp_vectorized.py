@@ -1,16 +1,16 @@
-"""Structure-of-arrays hot-row state for the native NMP replay engine.
+"""Structure-of-arrays hot-row state for the native NMP replay kernel.
 
-The reference engine in :mod:`repro.memory.near_memory` walks a lookup
+The reference loop in :mod:`repro.memory.near_memory` walks a lookup
 trace one row at a time: place the row on its rank, probe the owning
 DIMM's LRU hot-row cache, charge the rank. Perfectly clear — and far too
-slow for million-lookup traces. The vectorized engine hands the whole
-trace to the native C kernel (:mod:`repro.memory.nmp_native`), which
+slow for million-lookup traces. With the kernel loaded, the system hands
+the whole trace to the native C kernel (:mod:`repro.memory.nmp_native`), which
 does the placement, the hot-row cache and the pool/rank accounting in one
 walk. The only state that outlives a replay is the hot-row cache, kept
 here as flat tag matrices (:class:`VectorizedHotRowState`, mirroring
 :class:`repro.hw.vectorized.VectorizedSetAssociativeCache`): slots
 ``0..occ-1`` of a row hold the DIMM's resident rows in LRU→MRU order.
-Without a compiler the system keeps the reference engine's OrderedDicts
+Without a compiler the system keeps the reference loop's OrderedDicts
 instead and never builds this state.
 """
 

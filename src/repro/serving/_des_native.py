@@ -6,7 +6,7 @@ control law, one fault-multiplier routine and one RNG bridge:
 * ``repro_des`` is an exact transliteration of the per-event loop in
   ``ServingSimulator._run_reference``, its spec: the same event order
   (``(time, seq)`` tie-breaking, with the static events pre-sorted by
-  :func:`repro.serving.des.run_simulator_vectorized`), FIFO queues, CoDel
+  :func:`repro.serving.des.run_simulator_native`), FIFO queues, CoDel
   control law, admission policies and fault multipliers.
 * ``repro_router`` is an exact transliteration of the Python loop of
   :meth:`repro.serving.faults.ResilientRouter.run`: the same merge of
@@ -29,7 +29,8 @@ Three rules keep both bitwise-faithful:
   numpy and CPython's :mod:`math` use in-process.
 * ``libnpyrandom.a`` is linked *after* the source (a static archive only
   resolves symbols that earlier inputs reference) and is hashed into the
-  build-cache key by :func:`repro.hw._native.compile_cached`.
+  build-cache key by :func:`repro.hw._native.compile_cached`; the
+  kernels load through :func:`repro.hw._native.load_native`.
 
 Simulator records stream out through a flush callback in 64Ki-row blocks
 of six float64 columns and are reassembled into a
@@ -47,7 +48,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..hw._native import compile_cached
+from ..hw._native import load_native
 from .overload import (
     SHED_CODEL,
     SHED_DEADLINE,
@@ -1401,58 +1402,48 @@ class _RouterRun(ctypes.Structure):
     ]
 
 
-_CACHED: tuple[bool, ctypes.CDLL | None] | None = None
+#: numpy's static distributions library; some numpy builds do not ship
+#: it, and then the kernels cannot build.
+_NPYRANDOM_ARCHIVE = (
+    Path(np.__file__).resolve().parent / "random" / "lib" / "libnpyrandom.a"
+)
 
 
-def _npyrandom_archive() -> Path | None:
-    """numpy's static distributions library, or None if not shipped."""
-    path = Path(np.__file__).resolve().parent / "random" / "lib" / "libnpyrandom.a"
-    return path if path.is_file() else None
+def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
+    lib.repro_des.restype = _I64
+    lib.repro_des.argtypes = [
+        _F64P, _I64P, _I64P,                      # static events
+        _I64, _I64,                               # n_static, N
+        _F64, _I64,                               # duration, closed_loop
+        _F64P, _F64P, _F64P,                      # svc params
+        _I64, _I64,                               # adm present, capacity
+        _I64, _I64,                               # reject_oldest, has_dl
+        _F64, _I64,                               # deadline, codel on
+        _F64, _F64,                               # codel target, interval
+        _I64, ctypes.POINTER(_Faults),            # fault_active, faults
+        _F64P, _I64P, _I64P,                      # queue buffer/base/cap
+        ctypes.c_void_p, _REC_CB, _I64P,          # bitgen, flush, out[5]
+    ]
+    lib.repro_router.restype = _I64
+    lib.repro_router.argtypes = [ctypes.POINTER(_RouterRun)]
+    lib.repro_router_run_size.restype = _I64
+    lib.repro_router_run_size.argtypes = []
+    if lib.repro_router_run_size() != ctypes.sizeof(_RouterRun):
+        raise RuntimeError("_RouterRun does not match the kernel's RouterRun")
+    return lib
 
 
 def _load() -> ctypes.CDLL | None:
-    global _CACHED
-    if _CACHED is not None:
-        return _CACHED[1]
-    archive = _npyrandom_archive()
-    lib = None
-    if archive is not None:
-        try:
-            # -ffp-contract=off: no a + b*c may be fused into an FMA, or
-            # native drifts from python by one ulp on architectures where
-            # GCC contracts by default. The archive goes after the source.
-            path = compile_cached(
-                _C_SOURCE,
-                "repro_des",
-                extra_flags=("-ffp-contract=off",),
-                link_inputs=(str(archive), "-lm"),
-            )
-            lib = ctypes.CDLL(str(path)) if path else None
-        except OSError:
-            lib = None
-    if lib is not None:
-        lib.repro_des.restype = _I64
-        lib.repro_des.argtypes = [
-            _F64P, _I64P, _I64P,                      # static events
-            _I64, _I64,                               # n_static, N
-            _F64, _I64,                               # duration, closed_loop
-            _F64P, _F64P, _F64P,                      # svc params
-            _I64, _I64,                               # adm present, capacity
-            _I64, _I64,                               # reject_oldest, has_dl
-            _F64, _I64,                               # deadline, codel on
-            _F64, _F64,                               # codel target, interval
-            _I64, ctypes.POINTER(_Faults),            # fault_active, faults
-            _F64P, _I64P, _I64P,                      # queue buffer/base/cap
-            ctypes.c_void_p, _REC_CB, _I64P,          # bitgen, flush, out[5]
-        ]
-        lib.repro_router.restype = _I64
-        lib.repro_router.argtypes = [ctypes.POINTER(_RouterRun)]
-        lib.repro_router_run_size.restype = _I64
-        lib.repro_router_run_size.argtypes = []
-        if lib.repro_router_run_size() != ctypes.sizeof(_RouterRun):
-            raise RuntimeError("_RouterRun does not match the kernel's RouterRun")
-    _CACHED = (lib is not None, lib)
-    return lib
+    # -ffp-contract=off: no a + b*c may be fused into an FMA, or native
+    # drifts from python by one ulp on architectures where GCC contracts
+    # by default. The archive goes after the source.
+    return load_native(
+        "repro_des",
+        _C_SOURCE,
+        _bind,
+        extra_flags=("-ffp-contract=off",),
+        link_inputs=(str(_NPYRANDOM_ARCHIVE), "-lm"),
+    )
 
 
 def native_available() -> bool:
@@ -1533,20 +1524,6 @@ def simulate_native(
     kinds = _as_i64(kinds)
     insts = _as_i64(insts)
 
-    # Service-time parameters per active-job level. The admission deadline
-    # check can probe level N+1 (all instances busy); _base_latency and
-    # noise_sigma are pure, so eager evaluation matches the lazy cache.
-    levels = num_instances + 2
-    svc_base = np.zeros(levels, dtype=np.float64)
-    svc_logmean = np.zeros(levels, dtype=np.float64)
-    svc_sigma = np.zeros(levels, dtype=np.float64)
-    for active in range(1, levels):
-        base_s = sim._base_latency(active).total_seconds
-        sigma = sim.noise_sigma(active)
-        svc_base[active] = base_s
-        svc_logmean[active] = -0.5 * sigma**2
-        svc_sigma[active] = sigma
-
     admission = sim.overload.admission if sim.overload is not None else None
     adm_present = admission is not None
     adm_capacity = admission.queue_capacity if adm_present else 0
@@ -1556,6 +1533,22 @@ def simulate_native(
         and admission.shed_policy == "deadline_aware"
         and admission.deadline_s is not None
     )
+
+    # Service-time parameters per active-job level: a dispatch reads
+    # levels 1..N, and only deadline-aware admission probes level N+1
+    # (all instances busy), so only it pays for pricing that level.
+    # _base_latency and noise_sigma are pure, so eager evaluation matches
+    # the reference loop's lazy cache.
+    levels = num_instances + 2
+    svc_base = np.zeros(levels, dtype=np.float64)
+    svc_logmean = np.zeros(levels, dtype=np.float64)
+    svc_sigma = np.zeros(levels, dtype=np.float64)
+    for active in range(1, levels if adm_has_deadline else levels - 1):
+        base_s = sim._base_latency(active).total_seconds
+        sigma = sim.noise_sigma(active)
+        svc_base[active] = base_s
+        svc_logmean[active] = -0.5 * sigma**2
+        svc_sigma[active] = sigma
     adm_deadline = admission.deadline_s if adm_has_deadline else 0.0
     codel_enabled = adm_present and admission.codel_target_s is not None
     codel_target = admission.codel_target_s if codel_enabled else 1.0

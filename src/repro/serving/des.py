@@ -1,10 +1,10 @@
-"""The vectorized single-machine DES engine: arrivals, events, records.
+"""The single-machine DES kernel driver: arrivals, events, records.
 
 The per-event python loop in :class:`~repro.serving.simulator.ServingSimulator`
 (``_run_reference``) is the *executable spec*: every behaviour question is
-settled by reading it. ``engine="vectorized"`` reproduces it **bit for
-bit** (records, summaries, overload stats, RNG stream position) one to two
-orders of magnitude faster:
+settled by reading it. :func:`run_simulator_native` reproduces it **bit
+for bit** (records, summaries, overload stats, RNG stream position) one
+to two orders of magnitude faster:
 
 * arrivals are generated in numpy chunks whose values *and* final RNG state
   are provably identical to the scalar draw loops
@@ -12,16 +12,15 @@ orders of magnitude faster:
 * static events (arrivals, fault transitions) are pre-sorted once with a
   stable sort that matches the reference heap's ``(t, seq)`` total order;
 * the event core runs in a self-compiled C kernel
-  (:mod:`repro.serving._des_native`, built through the same build cache as
-  :mod:`repro.hw._native`), which draws its service noise from the
-  simulator's own generator through numpy's C API and calls back into
-  python only to flush records;
-* completed inferences come back as a struct-of-arrays
-  :class:`RecordBatch` instead of per-record dataclasses.
+  (:mod:`repro.serving._des_native`, built and loaded through
+  :func:`repro.hw._native.load_native`), which draws its service noise
+  from the simulator's own generator through numpy's C API and calls back
+  into python only to flush records.
 
-When the kernel cannot load, or a tracer or profiler observes the run,
-``ServingSimulator.run`` takes the reference loop instead, before any RNG
-draw, so the results are the same either way.
+Both loops return completed inferences as a struct-of-arrays
+:class:`RecordBatch`. ``ServingSimulator.run`` takes the kernel when it
+loads and no tracer or profiler observes the run, and the reference loop
+otherwise, before any RNG draw, so the results are the same either way.
 
 The fleet routers (:class:`~repro.serving.faults.ResilientRouter`,
 :class:`~repro.serving.multimodel.MultiModelRouter`) each have one event
@@ -43,27 +42,13 @@ import numpy as np
 from ._des_native import simulate_native
 
 if TYPE_CHECKING:
-    from .simulator import ServingSimulator, SimulationResult
+    from .simulator import InferenceRecord, ServingSimulator, SimulationResult
 
 __all__ = [
-    "ENGINES",
     "RecordBatch",
     "poisson_arrival_times",
-    "run_simulator_vectorized",
-    "validate_engine",
+    "run_simulator_native",
 ]
-
-#: :class:`~repro.serving.simulator.ServingSimulator` engine selector: the
-#: reference per-event loop (the executable spec) or the native kernel
-#: driven from this module (bit-identical, much faster).
-ENGINES = ("reference", "vectorized")
-
-
-def validate_engine(engine: str) -> str:
-    """Validate an ``engine=`` argument; returns it unchanged."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; valid: {ENGINES}")
-    return engine
 
 
 # ------------------------------------------------------------- RNG parity
@@ -116,12 +101,13 @@ def poisson_arrival_times(
 class RecordBatch(Sequence):
     """Struct-of-arrays store of completed inferences.
 
-    Duck-compatible with a ``list[InferenceRecord]`` — indexing materialises
-    a real :class:`~repro.serving.simulator.InferenceRecord` — while the
-    array accessors (:meth:`latencies_s`, :meth:`service_times_s`,
-    :meth:`active_job_counts`) short-circuit the per-record loops in
-    :class:`~repro.serving.simulator.SimulationResult`. Element order and
-    float values are identical to the reference engine's record list.
+    A sequence of :class:`~repro.serving.simulator.InferenceRecord` —
+    indexing materialises a real record — with array accessors
+    (:meth:`latencies_s`, :meth:`service_times_s`,
+    :meth:`active_job_counts`) for
+    :class:`~repro.serving.simulator.SimulationResult`. Both simulator
+    loops return one, so two runs compare with ``==``: equal when every
+    column holds the same values in the same order.
     """
 
     __slots__ = (
@@ -148,6 +134,26 @@ class RecordBatch(Sequence):
         self.ends_s = np.ascontiguousarray(ends_s, dtype=np.float64)
         self.active_jobs = active_jobs.astype(np.int64)
         self.services_s = np.ascontiguousarray(services_s, dtype=np.float64)
+
+    @classmethod
+    def from_records(cls, records: "list[InferenceRecord]") -> "RecordBatch":
+        """The columns of a record list, in list order."""
+        return cls(
+            np.array([r.instance_id for r in records], dtype=np.int64),
+            np.array([r.arrival_s for r in records], dtype=np.float64),
+            np.array([r.start_s for r in records], dtype=np.float64),
+            np.array([r.end_s for r in records], dtype=np.float64),
+            np.array([r.active_jobs for r in records], dtype=np.int64),
+            np.array([r.service_s for r in records], dtype=np.float64),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordBatch):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
+        )
 
     def __len__(self) -> int:
         return int(self.arrivals_s.size)
@@ -187,10 +193,10 @@ class RecordBatch(Sequence):
 # ------------------------------------------------- single-machine simulator
 
 
-def run_simulator_vectorized(
+def run_simulator_native(
     sim: "ServingSimulator", duration_s: float
 ) -> "SimulationResult":
-    """The vectorized engine behind ``ServingSimulator.run``.
+    """``ServingSimulator.run`` in the C kernel.
 
     Bit-identical to ``ServingSimulator._run_reference``: same records in
     the same order, same counters, same RNG stream position afterwards,

@@ -18,7 +18,7 @@ cross-machine structure). This module adds the missing structure:
 * **Compilation** — :meth:`DomainSchedule.expand_to_schedule` lowers a
   domain schedule to ordinary per-replica
   :class:`~repro.serving.faults.FaultSchedule` primitives. The router
-  and every simulator engine (``reference``/``vectorized``/native)
+  and the simulator, in their reference loops and their kernels alike,
   consume the expanded schedule unchanged, so every bit-identity proof
   keeps holding; the
   crash-vs-partition distinction matters only to the shard-recovery model

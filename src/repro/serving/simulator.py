@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -34,6 +33,7 @@ from ..hw.server import ServerSpec
 from ..hw.timing import ModelLatency, TimingModel
 from ..obs.tracer import as_tracer
 from ._des_native import native_available
+from .des import RecordBatch, run_simulator_native
 from .overload import SHED_CODEL, SHED_DEADLINE, SHED_OLDEST, SHED_QUEUE_FULL
 
 if TYPE_CHECKING:
@@ -115,11 +115,8 @@ class SimulationResult:
     batch_size: int
     num_instances: int
     duration_s: float
-    #: Completed inferences: a ``list[InferenceRecord]`` from the reference
-    #: loop, or a duck-compatible :class:`~repro.serving.des.RecordBatch`
-    #: (SoA) from the native kernel — same elements, same order, same
-    #: floats.
-    records: Sequence[InferenceRecord]
+    #: Completed inferences, in completion order.
+    records: RecordBatch
     offered: int = 0
     killed: int = 0
     downtime_s: float = 0.0
@@ -128,17 +125,11 @@ class SimulationResult:
 
     def latencies_s(self) -> np.ndarray:
         """End-to-end latency of every completed inference."""
-        fast = getattr(self.records, "latencies_s", None)
-        if fast is not None:
-            return fast()
-        return np.array([r.latency_s for r in self.records], dtype=np.float64)
+        return self.records.latencies_s()
 
     def service_times_s(self) -> np.ndarray:
         """Service time (excluding queueing) of every inference."""
-        fast = getattr(self.records, "service_times_s", None)
-        if fast is not None:
-            return fast()
-        return np.array([r.service_s for r in self.records], dtype=np.float64)
+        return self.records.service_times_s()
 
     def summary(self) -> LatencySummary:
         """Percentile summary of end-to-end latencies."""
@@ -152,10 +143,7 @@ class SimulationResult:
 
     def active_job_counts(self) -> np.ndarray:
         """Active co-located jobs observed at each dispatch."""
-        fast = getattr(self.records, "active_job_counts", None)
-        if fast is not None:
-            return fast()
-        return np.array([r.active_jobs for r in self.records], dtype=np.int64)
+        return self.records.active_job_counts()
 
     def availability(self) -> float:
         """Fraction of offered arrivals that completed (1.0 when idle)."""
@@ -207,16 +195,6 @@ class ServingSimulator:
             gauge (backlog left at the horizon), the
             ``serving.queue.max_depth`` gauge, and the
             ``serving.overload.shed`` counter.
-        engine: DES engine (:data:`repro.serving.des.ENGINES`).
-            ``"reference"`` runs the per-event loop below (the executable
-            spec); ``"vectorized"`` runs the C kernel driven by
-            :mod:`repro.serving.des`, bit-identical on records, stats and
-            RNG stream. A vectorized run takes the reference loop when
-            the kernel cannot load (no compiler, no numpy
-            ``libnpyrandom.a``, or ``REPRO_DISABLE_NATIVE=1``) or a
-            tracer or profiler observes it. After each run,
-            :attr:`last_backend` records which path executed,
-            ``"native"`` or ``"reference"``.
     """
 
     def __init__(
@@ -233,11 +211,8 @@ class ServingSimulator:
         profiler: "OpProfiler | None" = None,
         overload: "OverloadConfig | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        engine: str = "reference",
         pool: "MultiModelPool | None" = None,
     ) -> None:
-        from .des import validate_engine
-
         if num_instances < 1:
             raise ValueError("need at least one instance")
         if pool is not None and config.name not in pool.model_names:
@@ -255,7 +230,6 @@ class ServingSimulator:
         self.pool = pool
         if per_instance_qps is not None and not 0 < per_instance_qps < math.inf:
             raise ValueError("per_instance_qps must be positive and finite")
-        self.engine = validate_engine(engine)
         #: Execution path of the most recent :meth:`run`: ``"reference"``
         #: (the per-event loop) or ``"native"`` (the C kernel).
         self.last_backend: str | None = None
@@ -414,19 +388,21 @@ class ServingSimulator:
     def run(self, duration_s: float = 1.0) -> SimulationResult:
         """Simulate ``duration_s`` of serving; returns completed inferences.
 
-        Dispatches on ``engine=``: the reference loop below is the
-        executable spec; the vectorized engine's C kernel reproduces it
-        bit for bit (``tests/test_des_equivalence.py``). The choice is
-        made before the first RNG draw.
+        Runs in the C kernel (:func:`repro.serving.des.run_simulator_native`)
+        when it loads and no tracer or profiler observes the run.
+        Otherwise (no compiler or numpy ``libnpyrandom.a``,
+        ``REPRO_DISABLE_NATIVE=1``, or an observed run) it runs the
+        reference loop below, the executable spec, which the kernel
+        reproduces bit for bit (``tests/test_des_equivalence.py``). The
+        choice is made before the first RNG draw; :attr:`last_backend`
+        says which loop ran.
         """
         if not 0 < duration_s < math.inf:
             raise ValueError("duration_s must be positive and finite")
         observing = self.tracer.enabled or self.profiler is not None
-        if self.engine == "vectorized" and not observing and native_available():
-            from .des import run_simulator_vectorized
-
+        if not observing and native_available():
             self.last_backend = "native"
-            result = run_simulator_vectorized(self, duration_s)
+            result = run_simulator_native(self, duration_s)
         else:
             self.last_backend = "reference"
             result = self._run_reference(duration_s)
@@ -659,7 +635,7 @@ class ServingSimulator:
             batch_size=self.batch_size,
             num_instances=self.num_instances,
             duration_s=duration_s,
-            records=records,
+            records=RecordBatch.from_records(records),
             offered=offered,
             killed=killed,
             downtime_s=downtime_s,

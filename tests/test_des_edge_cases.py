@@ -33,26 +33,21 @@ from repro.serving import (
     ServingSimulator,
     Straggler,
 )
-from repro.serving._des_native import native_available
 from tests.test_des_equivalence import (
     ROUTER_RUNS,
     SERVICE_S,
+    SIM_RUNS,
     router_key,
     sim_key,
 )
-
-#: Simulator engines to compare: the reference loop and, with a compiler,
-#: the native kernel (without one the vectorized engine reruns the
-#: reference loop, so its case is skipped).
-SIM_ENGINES = ("reference",) + (("vectorized",) if native_available() else ())
 
 
 def sim_keys(**kwargs):
     duration_s = kwargs.pop("duration_s", 0.03)
     keys = []
-    for engine in SIM_ENGINES:
-        sim = ServingSimulator(BROADWELL, RMC1_SMALL, 8, engine=engine, **kwargs)
-        keys.append(sim_key(sim.run(duration_s)))
+    for run in SIM_RUNS:
+        sim = ServingSimulator(BROADWELL, RMC1_SMALL, 8, **kwargs)
+        keys.append(sim_key(run(sim, duration_s)))
     return keys
 
 
@@ -77,7 +72,7 @@ class TestSimultaneousEvents:
     def test_arrival_crash_restart_share_one_timestamp(self):
         # A crash, a restart of another replica, and explicit arrivals all
         # at t=0.01 — the (time, seq) tie-break must order them the same
-        # way in every engine.
+        # way in every loop.
         t = 0.01
         faults = FaultSchedule(
             crashes=(
@@ -324,7 +319,7 @@ class TestEventOrderingDeterminism:
         permuted = FaultSchedule(
             crashes=crashes[::-1], stragglers=stragglers[::-1]
         )
-        for engine in SIM_ENGINES:
+        for run in SIM_RUNS:
             runs = []
             for schedule in (forward, permuted):
                 sim = ServingSimulator(
@@ -335,10 +330,9 @@ class TestEventOrderingDeterminism:
                     per_instance_qps=3.0 / SERVICE_S,
                     seed=8,
                     faults=schedule,
-                    engine=engine,
                 )
-                runs.append(sim_key(sim.run(0.03)))
-            assert runs[0] == runs[1], engine
+                runs.append(sim_key(run(sim, 0.03)))
+            assert runs[0] == runs[1], run.__name__
         for run in ROUTER_RUNS:
             runs = []
             for schedule in (forward, permuted):

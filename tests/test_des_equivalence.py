@@ -1,8 +1,9 @@
 """DES equivalence: every fast loop must be bit-identical to its spec.
 
 ``ServingSimulator._run_reference`` is the simulator's executable
-specification; its vectorized engine runs a self-compiled C kernel over
-the same event order, pre-sorted from batched arrays. The router's spec
+specification; ``ServingSimulator.run`` takes a self-compiled C kernel
+over the same event order, pre-sorted from batched arrays, whenever it
+loads and nothing observes the run. The router's spec
 is the test-only per-event loop ``tests/oracles/resilient_router.py``
 (``run_reference``); ``ResilientRouter.run`` keeps O(1) fleet state and
 pre-sorted event streams instead, in a C kernel when one loads and in
@@ -10,21 +11,20 @@ Python otherwise. This suite drives the spec and every fast loop through
 random policy x fault x load x tier compositions and asserts *byte*
 equality of every observable — record arrays, counters, overload books,
 downtime — plus RNG stream-position parity (a second run from the same
-objects must also match) and request conservation.
+objects must also match) and request conservation. Runs reach the
+reference loops through ``tests/reference_loops.py``.
 
 ``DES_EXAMPLES`` scales the hypothesis sweep (CI uses the default).
 """
 
 import dataclasses
 import os
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.serving.faults as faults_module
 from repro.config import RMC1_SMALL
 from repro.hw import BROADWELL
 from repro.hw._native import _compiler
@@ -47,8 +47,9 @@ from repro.serving import (
     domain_storm,
     fault_storm,
 )
-from repro.serving._des_native import _npyrandom_archive, native_available
+from repro.serving._des_native import _NPYRANDOM_ARCHIVE, native_available
 from tests.oracles.resilient_router import run_reference
+from tests.reference_loops import reference_loops
 
 NUM_MACHINES = 4
 DURATION_S = 0.04
@@ -59,7 +60,7 @@ SERVICE_S = ResilientRouter(
 
 def run_python_loop(router, *args, **kwargs):
     """``ResilientRouter.run`` held to its Python loop."""
-    with mock.patch.object(faults_module, "native_available", lambda: False):
+    with reference_loops():
         result = ResilientRouter.run(router, *args, **kwargs)
     assert router.last_backend == "reference"
     return result
@@ -78,6 +79,29 @@ def run_kernel(router, *args, **kwargs):
 #: ``test_des_kernel_loads_where_it_can`` keeps that from going unnoticed).
 ROUTER_RUNS = (run_reference, run_python_loop) + (
     (run_kernel,) if native_available() else ()
+)
+
+
+def run_sim_reference(sim, duration_s):
+    """``ServingSimulator.run`` held to its reference loop (the spec)."""
+    with reference_loops():
+        result = sim.run(duration_s)
+    assert sim.last_backend == "reference"
+    return result
+
+
+def run_sim_kernel(sim, duration_s):
+    """``ServingSimulator.run`` in the C kernel (unobserved runs only)."""
+    result = sim.run(duration_s)
+    assert sim.last_backend == "native"
+    return result
+
+
+#: The simulator loops every simulator test compares, called as
+#: ``run(sim, duration_s)``: the reference loop and, when it loads, the
+#: C kernel.
+SIM_RUNS = (run_sim_reference,) + (
+    (run_sim_kernel,) if native_available() else ()
 )
 
 EQUIV = settings(
@@ -215,7 +239,7 @@ def sim_overloads() -> st.SearchStrategy[OverloadConfig | None]:
     )
 
 
-def run_sim(engine, load_factor, overload, faults, seed):
+def run_sim(run, load_factor, overload, faults, seed):
     sim = ServingSimulator(
         BROADWELL,
         RMC1_SMALL,
@@ -227,12 +251,11 @@ def run_sim(engine, load_factor, overload, faults, seed):
         seed=seed,
         overload=overload,
         faults=faults,
-        engine=engine,
     )
-    first = sim.run(DURATION_S)
+    first = run(sim, DURATION_S)
     # Second run from the same simulator: equal keys here prove the RNG
     # stream position after the first run matched bitwise.
-    second = sim.run(DURATION_S / 2)
+    second = run(sim, DURATION_S / 2)
     return sim, sim_key(first) + sim_key(second), first
 
 
@@ -334,62 +357,52 @@ class TestSimulatorEquivalence:
         self, load_factor, overload, faults, seed
     ):
         _, ref_key, ref = run_sim(
-            "reference", load_factor, overload, faults, seed
+            run_sim_reference, load_factor, overload, faults, seed
         )
-        sim, nat_key, nat = run_sim(
-            "vectorized", load_factor, overload, faults, seed
+        _, nat_key, nat = run_sim(
+            run_sim_kernel, load_factor, overload, faults, seed
         )
-        assert sim.last_backend == "native"
         assert ref_key == nat_key
         check_conservation(
             nat.offered, len(nat.records), shed=nat.shed, killed=nat.killed
         )
-        # Record-for-record equality through the SoA container.
+        # Record-for-record equality: both loops return a RecordBatch.
+        assert ref.records == nat.records
         for i in (0, len(ref.records) // 2, len(ref.records) - 1):
             assert ref.records[i] == nat.records[i]
 
     def test_tracing_does_not_perturb_results(self):
         from repro.obs import Tracer
 
-        for engine in ("reference", "vectorized"):
-            baseline = None
-            for tracer in (None, Tracer()):
-                sim = ServingSimulator(
-                    BROADWELL,
-                    RMC1_SMALL,
-                    8,
-                    num_instances=3,
-                    per_instance_qps=2.0 / SERVICE_S,
-                    seed=5,
-                    tracer=tracer,
-                    engine=engine,
-                )
-                key = sim_key(sim.run(DURATION_S))
-                # An observed run takes the reference loop.
-                native = engine == "vectorized" and tracer is None
-                assert sim.last_backend == (
-                    "native" if native and native_available() else "reference"
-                )
-                if baseline is None:
-                    baseline = key
-                else:
-                    assert key == baseline, engine
+        def simulator(tracer):
+            return ServingSimulator(
+                BROADWELL,
+                RMC1_SMALL,
+                8,
+                num_instances=3,
+                per_instance_qps=2.0 / SERVICE_S,
+                seed=5,
+                tracer=tracer,
+            )
 
-    def test_vectorized_falls_back_to_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        import repro.serving._des_native as dn
+        results = [run(simulator(None), DURATION_S) for run in SIM_RUNS]
+        # An observed run takes the reference loop.
+        traced = simulator(Tracer())
+        results.append(traced.run(DURATION_S))
+        assert traced.last_backend == "reference"
+        keys = [sim_key(result) for result in results]
+        assert keys[1:] == keys[:1] * (len(keys) - 1)
+        assert all(r.records == results[0].records for r in results)
 
-        monkeypatch.setattr(dn, "_CACHED", None)
+    def test_vectorized_falls_back_to_reference(self):
         faults = FaultSchedule(
             crashes=(ReplicaCrash(replica_id=1, at_s=0.01, downtime_s=0.01),)
         )
         overload = OverloadConfig(admission=AdmissionPolicy(queue_capacity=2))
-        keys = []
-        for engine in ("reference", "vectorized"):
-            sim, key, _ = run_sim(engine, 3.0, overload, faults, 21)
-            assert sim.last_backend == "reference"
-            keys.append(key)
-        assert keys[0] == keys[1]
+        keys = [
+            run_sim(run, 3.0, overload, faults, 21)[1] for run in SIM_RUNS
+        ]
+        assert keys[1:] == keys[:1] * (len(keys) - 1)
 
 
 class TestRouterEquivalence:
@@ -513,14 +526,11 @@ class TestRouterEquivalence:
             assert router.last_backend == expected
         assert keys[0] == keys[1]
 
-    def test_disabled_native_falls_back_to_python_loop(self, monkeypatch):
-        import repro.serving._des_native as dn
-
+    def test_disabled_native_falls_back_to_python_loop(self):
         expected = router_key(full_stack_router().run(**FULL_STACK_RUN))
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        monkeypatch.setattr(dn, "_CACHED", None)
         router = full_stack_router()
-        assert router_key(router.run(**FULL_STACK_RUN)) == expected
+        with reference_loops():
+            assert router_key(router.run(**FULL_STACK_RUN)) == expected
         assert router.last_backend == "reference"
 
     @pytest.mark.skipif(
@@ -565,7 +575,7 @@ def test_des_kernel_loads_where_it_can():
     # fails to build or link would silently drop every kernel case above.
     if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
         pytest.skip("native kernels disabled")
-    if _compiler() is None or _npyrandom_archive() is None:
+    if _compiler() is None or not _NPYRANDOM_ARCHIVE.is_file():
         pytest.skip("no C compiler or no libnpyrandom.a")
     assert native_available()
 

@@ -1,19 +1,21 @@
-"""Engine equivalence: vectorized replay vs the reference hierarchy.
+"""Cache-replay equivalence: the native kernel vs the reference loop.
 
-The vectorized engine's whole contract is **bit-identical stats** to the
-reference OrderedDict implementation — both inclusion policies, multi-line
+The kernel's whole contract is **bit-identical stats** to the reference
+OrderedDict implementation — both inclusion policies, multi-line
 accesses, prefetching (degrees 0-4) and ``external_llc_pressure``
 interleavings. These tests drive random programs through the reference
-engine and the native kernel and compare every counter after every step
-(record-for-record, not just final totals), plus regression-test the
-``_prefetched_lines`` leak the kernel's per-copy flags were designed
-against. Without a compiler the kernel cases skip, and the vectorized
-engine must fall back to the reference loop.
+loop (a hierarchy built inside ``reference_loops()``) and the native
+kernel and compare every counter after every step (record-for-record,
+not just final totals), plus regression-test the ``_prefetched_lines``
+leak the kernel's per-copy flags were designed against. Without a
+compiler the kernel cases skip, and every hierarchy runs the reference
+loop. The build cache's key is tested here too.
 """
 
 import ctypes
 import dataclasses
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.server import BROADWELL, SKYLAKE
 from repro.hw.vectorized import VectorizedSetAssociativeCache, expand_spans
 from tests.native_build_worker import PROBE_SOURCE, build_probe
+from tests.reference_loops import reference_loops
 
 # Tiny hierarchies make evictions, back-invalidations and prefetch
 # pollution dense enough for short hypothesis programs to reach them.
@@ -42,8 +45,25 @@ needs_native = pytest.mark.skipif(
 BACKENDS = [pytest.param("native", marks=needs_native)]
 
 
+def reference_hierarchy(*args, **kwargs) -> CacheHierarchy:
+    """A hierarchy held to its reference loop."""
+    with reference_loops():
+        h = CacheHierarchy(*args, **kwargs)
+    assert h.backend == "reference"
+    return h
+
+
+def both_loops(*args, **kwargs) -> list[CacheHierarchy]:
+    """The same hierarchy on the reference loop and, when it loads, the kernel."""
+    hierarchies = [reference_hierarchy(*args, **kwargs)]
+    if native_available():
+        hierarchies.append(CacheHierarchy(*args, **kwargs))
+        assert hierarchies[-1].backend == "native"
+    return hierarchies
+
+
 def snapshot(h: CacheHierarchy) -> dict:
-    """Every counter the two engines must agree on."""
+    """Every counter the two loops must agree on."""
     state = dataclasses.asdict(h.stats)
     for name, level in (("l1", h.l1), ("l2", h.l2), ("l3", h.l3)):
         stats = level.stats
@@ -97,12 +117,12 @@ _STEP = st.one_of(
     degree=st.integers(min_value=0, max_value=4),
 )
 def test_property_engines_bit_identical(server, backend, program, degree):
-    reference = CacheHierarchy(server, l3_share=0.5, prefetch_degree=degree)
-    vectorized = CacheHierarchy(
-        server, l3_share=0.5, prefetch_degree=degree, engine="vectorized"
+    reference = reference_hierarchy(
+        server, l3_share=0.5, prefetch_degree=degree
     )
-    assert vectorized.backend == backend
-    assert run_program(reference, program) == run_program(vectorized, program)
+    kernel = CacheHierarchy(server, l3_share=0.5, prefetch_degree=degree)
+    assert kernel.backend == backend
+    assert run_program(reference, program) == run_program(kernel, program)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -114,15 +134,13 @@ def test_full_size_servers_bit_identical(server, backend, degree):
     uniform = rng.integers(0, 200_000, size=6000)
     skewed = (rng.zipf(1.3, size=6000) - 1) % 200_000
     lines = np.where(rng.random(6000) < 0.5, uniform, skewed).astype(np.int64)
-    engines = [
+    loops = [
+        reference_hierarchy(server, l3_share=0.25, prefetch_degree=degree),
         CacheHierarchy(server, l3_share=0.25, prefetch_degree=degree),
-        CacheHierarchy(
-            server, l3_share=0.25, prefetch_degree=degree, engine="vectorized"
-        ),
     ]
-    assert engines[1].backend == backend
+    assert loops[1].backend == backend
     states = []
-    for h in engines:
+    for h in loops:
         per_step = []
         for chunk in np.array_split(lines, 4):
             h.access_lines(chunk)
@@ -140,18 +158,17 @@ def test_sls_trace_path_bit_identical(backend):
     sls = SparseLengthsSum("sls", table, lookups_per_sample=4)
     rows = rng.integers(0, table.rows, size=3000)
 
-    reference = CacheHierarchy(BROADWELL, l3_share=0.1)
+    reference = reference_hierarchy(BROADWELL, l3_share=0.1)
     reference.access_trace(sls.trace_for_rows(rows))
 
-    vectorized = CacheHierarchy(BROADWELL, l3_share=0.1, engine="vectorized")
-    assert vectorized.backend == backend
-    vectorized.access_lines(sls.line_trace_for_rows(rows))
-    assert snapshot(reference) == snapshot(vectorized)
+    kernel = CacheHierarchy(BROADWELL, l3_share=0.1)
+    assert kernel.backend == backend
+    kernel.access_lines(sls.line_trace_for_rows(rows))
+    assert snapshot(reference) == snapshot(kernel)
 
 
 def test_reset_stats_keeps_contents_on_both_engines():
-    for kwargs in ({}, {"engine": "vectorized"}):
-        h = CacheHierarchy(TINY_BROADWELL, **kwargs)
+    for h in both_loops(TINY_BROADWELL):
         h.access_lines(np.arange(40, dtype=np.int64))
         finished = h.reset_stats()
         assert finished.dram_accesses == 40
@@ -161,30 +178,102 @@ def test_reset_stats_keeps_contents_on_both_engines():
 
 
 def test_engine_and_backend_validation():
-    with pytest.raises(ValueError):
-        CacheHierarchy(BROADWELL, engine="turbo")
-    with pytest.raises(TypeError):  # the kernel is the only fast path
-        CacheHierarchy(BROADWELL, engine="vectorized", backend="native")
+    """Every object picks its own loop: neither option is left to pass."""
+    import inspect
 
+    from repro.analysis import mpki
+    from repro.experiments import (
+        fig05_intensity_mpki,
+        fig11_tail_latency,
+        fig14_trace_locality,
+        fignmp_near_memory,
+    )
+    from repro.hw import trace_integration
+    from repro.memory.near_memory import NearMemorySystem
+    from repro.serving import ServingSimulator
 
-def test_vectorized_falls_back_to_reference(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-    import repro.hw._native as native
-
-    monkeypatch.setattr(native, "_CACHED", None)
-    lines = np.random.default_rng(11).integers(0, 3000, size=4000)
-    hierarchies = [
-        CacheHierarchy(TINY_BROADWELL, prefetch_degree=2, engine=engine)
-        for engine in ("reference", "vectorized")
+    with pytest.raises(TypeError):
+        CacheHierarchy(BROADWELL, backend="native")
+    takers = [
+        ServingSimulator,
+        CacheHierarchy,
+        NearMemorySystem,
+        mpki.measure_mpki,
+        mpki.measure_sls_trace_mpki,
+        trace_integration.measure_trace_hit_ratio,
+        trace_integration.trace_driven_latency,
+        fignmp_near_memory._replay_model,
+        fig05_intensity_mpki.run,
+        fig11_tail_latency.run,
+        fig14_trace_locality.run,
+        fignmp_near_memory.run,
     ]
-    assert [h.backend for h in hierarchies] == ["reference", "reference"]
+    for fn in takers:
+        with pytest.raises(TypeError):
+            inspect.signature(fn).bind_partial(engine="reference")
+    with pytest.raises(TypeError):
+        CacheHierarchy(BROADWELL, engine="reference")
+
+
+def test_vectorized_falls_back_to_reference():
+    lines = np.random.default_rng(11).integers(0, 3000, size=4000)
+    hierarchies = both_loops(TINY_BROADWELL, prefetch_degree=2)
     states = []
     for h in hierarchies:
         h.access_lines(lines)
         h.external_llc_pressure(200)
         h.access(MemoryAccess(address=64 * 17, size=300))
         states.append(snapshot(h))
-    assert states[0] == states[1]
+    assert states[1:] == states[:1] * (len(states) - 1)
+
+
+def test_reference_loops_restores_environment_and_kernels():
+    disabled = os.environ.get("REPRO_DISABLE_NATIVE")
+    available = native_available()
+    with reference_loops():
+        assert os.environ["REPRO_DISABLE_NATIVE"] == "1"
+        assert not native_available()
+        assert CacheHierarchy(TINY_BROADWELL).backend == "reference"
+    assert os.environ.get("REPRO_DISABLE_NATIVE") == disabled
+    assert native_available() == available
+
+
+def test_build_key_includes_the_compiler(monkeypatch, tmp_path):
+    import repro.hw._native as native
+
+    real_cc = native._compiler()
+    if real_cc is None:
+        pytest.skip("no C compiler")
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+
+    def build_with(name: str, version: str):
+        """Build the probe through a wrapper compiler named ``name``."""
+        wrapper = tmp_path / name
+        wrapper.write_text(
+            "#!/bin/sh\n"
+            f'if [ "$1" = "--version" ]; then echo "{version}"; exit 0; fi\n'
+            f'exec "{real_cc}" "$@"\n'
+        )
+        wrapper.chmod(0o755)
+        monkeypatch.setenv("CC", str(wrapper))
+        # Each build stands for a new process: the identity is asked once
+        # per compiler and process.
+        native._compiler_identity.cache_clear()
+        return native.compile_cached(PROBE_SOURCE, "repro_probe")
+
+    first = build_with("cc-a", "wrapper-cc 1.0")
+    other_path = build_with("cc-b", "wrapper-cc 1.0")
+    other_version = build_with("cc-a", "wrapper-cc 2.0")
+    built = sorted(cache.glob("*.so"))
+    again = build_with("cc-a", "wrapper-cc 2.0")
+    assert len({first, other_path, other_version}) == 3
+    assert again == other_version
+    assert sorted(cache.glob("*.so")) == built
+    for path in (first, other_path, other_version):
+        assert ctypes.CDLL(str(path)).repro_probe() == 42
+    native._compiler_identity.cache_clear()
 
 
 def test_compile_cached_creates_missing_cache_dir(monkeypatch, tmp_path):
@@ -202,6 +291,19 @@ def test_compile_cached_creates_missing_cache_dir(monkeypatch, tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         [path.name, path.with_suffix(".c").name]
     )
+
+
+def test_compile_cached_missing_link_input_builds_nothing(monkeypatch, tmp_path):
+    import repro.hw._native as native
+
+    cache = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
+    monkeypatch.delenv("REPRO_DISABLE_NATIVE", raising=False)
+    missing = str(tmp_path / "libmissing.a")
+    assert native.compile_cached(
+        PROBE_SOURCE, "repro_probe", link_inputs=(missing, "-lm")
+    ) is None
+    assert not cache.exists()  # no source written, no compiler run
 
 
 def test_compile_cached_concurrent_builds_share_one_object(monkeypatch, tmp_path):
@@ -236,7 +338,7 @@ class TestPrefetchLeakRegression:
     """`_prefetched_lines` must drop entries whose line left L2 and L3."""
 
     def test_bookkeeping_is_bounded_by_residency(self):
-        h = CacheHierarchy(TINY_BROADWELL, l3_share=0.5, prefetch_degree=4)
+        h = reference_hierarchy(TINY_BROADWELL, l3_share=0.5, prefetch_degree=4)
         rng = np.random.default_rng(0)
         capacity = (
             h.l2.num_sets * h.l2.associativity
@@ -249,30 +351,32 @@ class TestPrefetchLeakRegression:
 
     def test_stale_prefetch_is_not_a_hit(self):
         """A prefetched-then-evicted line must not count as a prefetch hit."""
-        h = CacheHierarchy(TINY_BROADWELL, l3_share=0.5, prefetch_degree=1)
-        h.access_lines(np.array([0], dtype=np.int64))  # prefetches line 1
-        assert h.stats.prefetches_issued == 1
-        # Thrash until the prefetched line is gone from both L2 and L3.
-        h.external_llc_pressure(4096)
-        rng = np.random.default_rng(1)
-        h.access_lines(rng.integers(10_000, 40_000, size=4000).astype(np.int64))
-        assert not h.l2.probe(1) and not h.l3.probe(1)
-        assert 1 not in h._prefetched_lines
-        before = h.stats.prefetch_hits
-        h.access_lines(np.array([1], dtype=np.int64))
-        assert h.stats.prefetch_hits == before
+        for h in both_loops(TINY_BROADWELL, l3_share=0.5, prefetch_degree=1):
+            h.access_lines(np.array([0], dtype=np.int64))  # prefetches line 1
+            assert h.stats.prefetches_issued == 1
+            # Thrash until the prefetched line is gone from both L2 and L3.
+            h.external_llc_pressure(4096)
+            rng = np.random.default_rng(1)
+            h.access_lines(
+                rng.integers(10_000, 40_000, size=4000).astype(np.int64)
+            )
+            assert not h.l2.probe(1) and not h.l3.probe(1)
+            assert 1 not in h._prefetched_lines
+            before = h.stats.prefetch_hits
+            h.access_lines(np.array([1], dtype=np.int64))
+            assert h.stats.prefetch_hits == before
 
     def test_prefetched_line_in_both_l2_and_l3_still_hits(self):
         """Non-inclusive corner: the flag survives while an L2 copy lives,
         even if the L3 copy is evicted first."""
-        h = CacheHierarchy(TINY_SKYLAKE, l3_share=0.5, prefetch_degree=1)
-        # Demand-miss line 10 -> prefetch line 11 into L2 (victim L3 has
-        # no copy); a later L3 eviction of anything must not kill it.
-        h.access_lines(np.array([10], dtype=np.int64))
-        h.external_llc_pressure(2048)
-        assert h.l2.probe(11)
-        h.access_lines(np.array([11], dtype=np.int64))
-        assert h.stats.prefetch_hits == 1
+        for h in both_loops(TINY_SKYLAKE, l3_share=0.5, prefetch_degree=1):
+            # Demand-miss line 10 -> prefetch line 11 into L2 (victim L3
+            # has no copy); a later L3 eviction of anything must not kill it.
+            h.access_lines(np.array([10], dtype=np.int64))
+            h.external_llc_pressure(2048)
+            assert h.l2.probe(11)
+            h.access_lines(np.array([11], dtype=np.int64))
+            assert h.stats.prefetch_hits == 1
 
 
 class TestReplayObservability:
@@ -282,7 +386,7 @@ class TestReplayObservability:
         from repro.hw.trace_integration import replay_line_trace
 
         rng = np.random.default_rng(3)
-        h = CacheHierarchy(TINY_BROADWELL, l3_share=0.5, engine="vectorized")
+        h = CacheHierarchy(TINY_BROADWELL, l3_share=0.5)
         lines = rng.integers(0, 2000, size=3000).astype(np.int64)
         delta = replay_line_trace(h, lines, tracer=tracer, profiler=profiler)
         return delta, snapshot(h)
@@ -316,7 +420,7 @@ class TestReplayObservability:
         assert profiler.by_op_type[OP_SLS].invocations == 1
         assert profiler.by_op_type[OP_SLS].cycles > 0
 
-    def test_measure_functions_accept_engine_and_match_reference(self):
+    def test_measure_functions_match_reference(self):
         from repro.analysis.mpki import measure_sls_trace_mpki
         from repro.hw.trace_integration import measure_trace_hit_ratio
 
@@ -324,18 +428,20 @@ class TestReplayObservability:
         rows = rng.integers(0, 30_000, size=2000)
         table = EmbeddingTable(30_000, 32)
         sls = SparseLengthsSum("sls", table, lookups_per_sample=4)
-        by_engine = [
-            measure_sls_trace_mpki(sls, BROADWELL, rows, engine=engine)
-            for engine in ("reference", "vectorized")
-        ]
-        assert by_engine[0] == by_engine[1]
-        ratios = [
-            measure_trace_hit_ratio(
-                BROADWELL, 30_000, 32, rows, l3_share=0.5, engine=engine
-            )[0]
-            for engine in ("reference", "vectorized")
-        ]
-        assert ratios[0] == ratios[1]
+
+        def measure():
+            hit_ratio, hierarchy = measure_trace_hit_ratio(
+                BROADWELL, 30_000, 32, rows, l3_share=0.5
+            )
+            mpki = measure_sls_trace_mpki(sls, BROADWELL, rows)
+            return hierarchy.backend, mpki, hit_ratio
+
+        with reference_loops():
+            backend, *reference = measure()
+        assert backend == "reference"
+        backend, *kernel = measure()
+        assert backend == ("native" if native_available() else "reference")
+        assert kernel == reference
 
 
 class TestVectorizedCacheUnit:
@@ -348,7 +454,7 @@ class TestVectorizedCacheUnit:
     @needs_native
     def test_probe_and_ages(self):
         cache = VectorizedSetAssociativeCache("L", 4096, 4, 64)
-        h = CacheHierarchy(TINY_BROADWELL, engine="vectorized")
+        h = CacheHierarchy(TINY_BROADWELL)
         h.access_lines(np.array([3, 7, 3], dtype=np.int64))
         assert h.l1.probe(3) and h.l1.probe(7) and not h.l1.probe(99)
         ages = h.l1.age_matrix()
@@ -359,7 +465,7 @@ class TestVectorizedCacheUnit:
 
     @needs_native
     def test_probe_lines_matches_scalar_probe(self):
-        h = CacheHierarchy(TINY_BROADWELL, engine="vectorized")
+        h = CacheHierarchy(TINY_BROADWELL)
         h.access_lines(np.arange(0, 200, 3, dtype=np.int64))
         queries = np.arange(0, 250, dtype=np.int64)
         batched = h.l2.probe_lines(queries)

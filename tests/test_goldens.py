@@ -27,6 +27,7 @@ from repro.hw import BROADWELL, TimingModel
 from repro.serving.faults import ResiliencePolicy, ResilientRouter, fault_storm
 from repro.serving.router import POLICIES, RequestRouter, compare_policies
 from tests.oracles.resilient_router import run_reference
+from tests.reference_loops import reference_loops
 
 
 def test_fig10_latency_throughput_golden(golden):
@@ -107,12 +108,13 @@ def _fig11_payload(result):
 
 
 def test_fig11_tail_latency_golden(golden):
-    result = fig11_tail_latency.run(
-        regimes=(1, 8),
-        curve_jobs=(1, 8, 16),
-        duration_s=0.15,
-        seed=11,
-    )
+    with reference_loops():
+        result = fig11_tail_latency.run(
+            regimes=(1, 8),
+            curve_jobs=(1, 8, 16),
+            duration_s=0.15,
+            seed=11,
+        )
     golden("fig11_tail_latency", _fig11_payload(result))
 
 
@@ -234,14 +236,14 @@ def test_fig11z_domains_golden(golden):
     golden("fig11z_domains", _fig11z_payload(result))
 
 
-# --- Engine byte-identity against the checked-in goldens -------------------
+# --- Loop byte-identity against the checked-in goldens ---------------------
 #
-# The Figure 11 golden above was recorded with the simulator's reference
-# engine. Re-running it with ``engine="vectorized"`` must reproduce the
-# same golden byte for byte — the two engines are one model. Figures 9, 10
-# and 14 contain no DES (analytic roofline sweeps and a cache trace), and
-# the router-driven figures run the router's single event loop, so their
-# goldens above already cover every engine.
+# The Figure 11 golden above runs the simulator's reference loop. Running
+# it by default (the C kernel, when it loads) must reproduce the same
+# golden byte for byte — the two loops are one model. Figures 9, 10 and 14
+# contain no DES (analytic roofline sweeps and a cache trace), and the
+# router-driven figures run the router's single event loop, so their
+# goldens above already cover every loop.
 
 
 def test_fig11_vectorized_engine_matches_golden(golden):
@@ -250,7 +252,6 @@ def test_fig11_vectorized_engine_matches_golden(golden):
         curve_jobs=(1, 8, 16),
         duration_s=0.15,
         seed=11,
-        engine="vectorized",
     )
     golden("fig11_tail_latency", _fig11_payload(result))
 
@@ -359,11 +360,10 @@ def test_fignmp_golden(golden):
 
 
 def test_fignmp_golden_engine_invariant(golden):
-    # The NMP engines are bit-identical by contract, so the reference
-    # engine must reproduce the vectorized golden byte for byte.
-    result = fignmp_near_memory.run(
-        table_rows=100_000, trace_length=10_000, engine="reference"
-    )
+    # NMP replay's two loops are bit-identical by contract, so the
+    # reference loop must reproduce the golden byte for byte.
+    with reference_loops():
+        result = fignmp_near_memory.run(table_rows=100_000, trace_length=10_000)
     golden("fignmp", _fignmp_payload(result))
 
 

@@ -5,12 +5,42 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.operators.base import MemoryAccess
+from repro.data.reuse import stack_distances
 from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.server import BROADWELL, SKYLAKE
+from repro.hw.vectorized import VectorizedSetAssociativeCache
+from tests.test_engine_equivalence import TINY_SKYLAKE, both_loops
 
 
 def read(address, size=64):
     return MemoryAccess(address=address, size=size)
+
+
+def resident(level) -> list[int]:
+    """Every line a cache level holds, on either loop."""
+    if isinstance(level, VectorizedSetAssociativeCache):
+        return [
+            int(line)
+            for tags, occupied in zip(level.tags, level.occupancy)
+            for line in tags[:occupied]
+        ]
+    return [line for cache_set in level._sets for line in cache_set]
+
+
+def lru_hits(lines: np.ndarray, num_sets: int, ways: int) -> int:
+    """Hits of a ``ways``-way LRU cache with ``num_sets`` sets on ``lines``.
+
+    An independent oracle: a reference hits exactly when fewer than
+    ``ways`` distinct lines of its set were touched since the previous
+    reference to its line, i.e. when its stack distance within its set's
+    subsequence is in ``[0, ways)``.
+    """
+    sets = lines % num_sets
+    hits = 0
+    for s in np.unique(sets):
+        distances = stack_distances(lines[sets == s])
+        hits += int(((distances >= 0) & (distances < ways)).sum())
+    return hits
 
 
 class TestBasicFlow:
@@ -81,23 +111,57 @@ class TestInclusionSemantics:
     @given(st.lists(st.integers(min_value=0, max_value=4095), max_size=300))
     def test_property_inclusion_invariant(self, lines):
         """In an inclusive hierarchy, every L2-resident line is L3-resident."""
-        h = CacheHierarchy(BROADWELL, l3_share=0.002)
-        for line in lines:
-            h.access(read(line * 64))
-        for cache_set in h.l2._sets:
-            for line in cache_set:
+        for h in both_loops(BROADWELL, l3_share=0.002):
+            for line in lines:
+                h.access(read(line * 64))
+            for line in resident(h.l2):
                 assert h.l3.probe(line)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=4095), max_size=300))
     def test_property_exclusive_l2_l3_mostly_disjoint(self, lines):
         """In the victim-style hierarchy, a line sits in L2 or L3, not both."""
-        h = CacheHierarchy(SKYLAKE, l3_share=0.002)
-        for line in lines:
-            h.access(read(line * 64))
-        for cache_set in h.l2._sets:
-            for line in cache_set:
+        for h in both_loops(SKYLAKE, l3_share=0.002):
+            for line in lines:
+                h.access(read(line * 64))
+            for line in resident(h.l2):
                 assert not h.l3.probe(line)
+
+
+class TestStackDistanceOracle:
+    """Non-inclusive, no prefetch: nothing invalidates L1, so it is an LRU.
+
+    L3 evictions reach neither L1 nor L2 in the victim-style hierarchy,
+    so even interleaved foreign LLC pressure leaves L1 a plain per-set
+    LRU, and its hits must match the stack-distance oracle exactly.
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        server=st.sampled_from([SKYLAKE, TINY_SKYLAKE]),
+        seed=st.integers(0, 2**32 - 1),
+        footprint=st.sampled_from([20, 300, 5_000, 200_000]),
+        skew=st.floats(1.05, 2.0),
+        length=st.integers(1, 6_000),
+        pressure=st.lists(st.integers(0, 3_000), max_size=3),
+    )
+    def test_l1_hits_match_stack_distances(
+        self, server, seed, footprint, skew, length, pressure
+    ):
+        rng = np.random.default_rng(seed)
+        ranks = (rng.zipf(skew, size=length) - 1) % footprint
+        lines = rng.permutation(footprint)[ranks].astype(np.int64)
+        chunks = np.array_split(lines, len(pressure) + 1)
+        assert not server.inclusive_llc
+        expected = None
+        for h in both_loops(server, l3_share=0.5, prefetch_degree=0):
+            for chunk, evict_lines in zip(chunks, pressure + [0]):
+                h.access_lines(chunk)
+                h.external_llc_pressure(evict_lines)
+            if expected is None:
+                expected = lru_hits(lines, h.l1.num_sets, h.l1.associativity)
+            assert h.stats.l1_hits == expected
+            assert h.l1.stats.hits == expected
 
 
 class TestIrregularVsStreaming:

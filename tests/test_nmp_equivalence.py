@@ -1,15 +1,16 @@
-"""NMP engine equivalence: vectorized replay vs the reference system.
+"""NMP replay equivalence: the native kernel vs the reference loop.
 
-The vectorized engine's whole contract is **bit-identical observables** to
-the per-access reference loop — pool latencies, per-rank busy times,
+The kernel's whole contract is **bit-identical observables** to the
+per-access reference loop — pool latencies, per-rank busy times,
 per-DIMM hit/miss counts, and the persistent hot-row cache state — across
 geometries (rank counts that do and don't divide pool sizes, power-of-two
 and odd shapes), hot-cache capacities including zero, skewed pooling
 distributions, degenerate traces (empty, zero-length pools), and
 multi-replay state persistence. These tests drive random pooled traces
-through the reference engine and the native kernel and compare every
-replay record for record. Without a compiler the kernel cases skip, and
-the vectorized engine must fall back to the reference loop.
+through the reference loop (a system built inside ``reference_loops()``)
+and the native kernel and compare every replay record for record.
+Without a compiler the kernel cases skip, and every system runs the
+reference loop.
 
 Also covers the two off-switches promised by the ISSUE: ``nmp=None`` on
 :class:`~repro.hw.timing.TimingModel` is byte-identical to not passing it,
@@ -30,11 +31,20 @@ from repro.memory.near_memory import (
     amdahl_crosscheck,
 )
 from repro.memory.nmp_native import nmp_native_available
+from tests.reference_loops import reference_loops
 
 needs_native = pytest.mark.skipif(
     not nmp_native_available(), reason="native kernel unavailable"
 )
 BACKENDS = [pytest.param("native", marks=needs_native)]
+
+
+def reference_system(*args, **kwargs) -> NearMemorySystem:
+    """A system held to its reference loop."""
+    with reference_loops():
+        system = NearMemorySystem(*args, **kwargs)
+    assert system.backend == "reference"
+    return system
 
 # Geometry corpus: the default shape, a single-rank degenerate, odd
 # (non-power-of-two) shapes, a rank count that does not divide the common
@@ -87,23 +97,21 @@ def trace_batches(draw):
 @settings(max_examples=40, deadline=None)
 @given(batches=trace_batches())
 def test_engines_bit_identical(geometry, backend, batches):
-    reference = NearMemorySystem(geometry, engine="reference")
-    vectorized = NearMemorySystem(geometry, engine="vectorized")
-    assert vectorized.backend == backend
+    reference = reference_system(geometry)
+    kernel = NearMemorySystem(geometry)
+    assert kernel.backend == backend
     for draw_rows, lengths in batches:
         rows, lengths = _pools(draw_rows, lengths)
-        got = vectorized.replay(rows, lengths)
+        got = kernel.replay(rows, lengths)
         want = reference.replay(rows, lengths)
         assert got.digest() == want.digest()
         # Persistent cache state must agree too, not just the observables.
-        assert (
-            vectorized.resident_hot_rows() == reference.resident_hot_rows()
-        )
+        assert kernel.resident_hot_rows() == reference.resident_hot_rows()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_degenerate_traces(backend):
-    system = NearMemorySystem(NmpGeometry(), engine="vectorized")
+    system = NearMemorySystem(NmpGeometry())
     assert system.backend == backend
     empty = system.replay(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     assert empty.num_pools == 0
@@ -115,7 +123,7 @@ def test_degenerate_traces(backend):
     )
     assert zeros.num_pools == 3
     assert zeros.elapsed_ns == 3 * NmpGeometry().pool_overhead_ns
-    reference = NearMemorySystem(NmpGeometry(), engine="reference")
+    reference = reference_system(NmpGeometry())
     assert zeros.digest() == reference.replay(
         np.zeros(0, dtype=np.int64), np.zeros(3, dtype=np.int64)
     ).digest()
@@ -321,24 +329,20 @@ def test_replay_result_empty_and_idle_properties():
 
 
 def test_invalid_engine_and_backend_rejected():
-    with pytest.raises(ValueError):
-        NearMemorySystem(NmpGeometry(), engine="turbo")
-    with pytest.raises(TypeError):  # the kernel is the only fast path
+    # The system picks its own loop: there is no option to pass.
+    with pytest.raises(TypeError):
+        NearMemorySystem(NmpGeometry(), engine="reference")
+    with pytest.raises(TypeError):
         NearMemorySystem(NmpGeometry(), backend="native")
 
 
-def test_vectorized_falls_back_to_reference(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-    import repro.memory.nmp_native as nmp_native
-
-    monkeypatch.setattr(nmp_native, "_CACHED", None)
+def test_vectorized_falls_back_to_reference():
     geometry = NmpGeometry(hot_rows_per_dimm=8)
     rng = np.random.default_rng(4)
-    systems = [
-        NearMemorySystem(geometry, engine=engine)
-        for engine in ("reference", "vectorized")
-    ]
-    assert [system.backend for system in systems] == ["reference", "reference"]
+    systems = [reference_system(geometry), NearMemorySystem(geometry)]
+    assert systems[1].backend == (
+        "native" if nmp_native_available() else "reference"
+    )
     for _ in range(3):
         rows = rng.integers(0, 200, size=400)
         lengths = np.full(5, 80, dtype=np.int64)
@@ -361,10 +365,10 @@ def test_observability_hooks_record_replay():
     assert span.name == "memory.nmp.replay"
     assert span.track == 3
     assert span.args["lookups"] == 32
-    engine = system.engine
-    assert metrics.counter("memory.nmp.lookups", engine=engine).value == 32
-    hits = metrics.counter("memory.nmp.hot_hits", engine=engine).value
-    misses = metrics.counter("memory.nmp.hot_misses", engine=engine).value
+    backend = system.backend
+    assert metrics.counter("memory.nmp.lookups", backend=backend).value == 32
+    hits = metrics.counter("memory.nmp.hot_hits", backend=backend).value
+    misses = metrics.counter("memory.nmp.hot_misses", backend=backend).value
     assert hits + misses == 32
 
 

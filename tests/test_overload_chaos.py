@@ -8,9 +8,9 @@ the draw, the books must balance:
   offered = completed + shed + killed + in-flight (simulator);
 * rate level — goodput <= throughput <= offered rate.
 
-Every simulator example also draws which engine (``reference`` or
-``vectorized``) runs it, so the invariants are exercised on both
-simulator engines in the same sweep. CI runs this as a dedicated "chaos
+Every simulator example also draws which loop (the reference loop or,
+when it loads, the C kernel) runs it, so the invariants are exercised on
+both simulator loops in the same sweep. CI runs this as a dedicated "chaos
 smoke" step with ``CHAOS_EXAMPLES=40``; crank the sweep with
 ``CHAOS_EXAMPLES=200`` locally when touching the overload or DES layers.
 """
@@ -46,6 +46,7 @@ from repro.serving import (
     replicate_shards,
     shard_tables,
 )
+from tests.test_des_equivalence import SIM_RUNS
 
 NUM_MACHINES = 3
 DURATION_S = 0.05
@@ -236,10 +237,10 @@ class TestSimulatorChaos:
         load_factor=st.floats(0.3, 5.0),
         faults=fault_schedules(),
         seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
+        run=st.sampled_from(SIM_RUNS),
     )
     def test_conservation(
-        self, capacity, shed_policy, load_factor, faults, seed, engine
+        self, capacity, shed_policy, load_factor, faults, seed, run
     ):
         overload = (
             None
@@ -261,9 +262,8 @@ class TestSimulatorChaos:
             seed=seed,
             overload=overload,
             faults=faults,
-            engine=engine,
         )
-        result = sim.run(duration_s=DURATION_S)
+        result = run(sim, DURATION_S)
         in_flight = check_conservation(
             result.offered,
             len(result.records),
@@ -485,10 +485,10 @@ class TestMultiModelChaos:
         faults=fault_schedules(),
         load_factor=st.floats(0.3, 6.0),
         seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
+        run=st.sampled_from(SIM_RUNS),
     )
     def test_single_model_pool_is_observationally_inert(
-        self, faults, load_factor, seed, engine
+        self, faults, load_factor, seed, run
     ):
         """``pool=`` must leave single-model runs record-for-record equal."""
         pool = MultiModelPool(MM_REPLICAS, (RMC1_SMALL,), slots_per_replica=1)
@@ -514,7 +514,7 @@ class TestMultiModelChaos:
         assert list(with_pool.latencies_s) == list(without.latencies_s)
 
         def run_sim(pool_arg):
-            return ServingSimulator(
+            sim = ServingSimulator(
                 BROADWELL,
                 RMC1_SMALL,
                 batch_size=8,
@@ -522,13 +522,11 @@ class TestMultiModelChaos:
                 per_instance_qps=load_factor / SERVICE_S,
                 seed=seed,
                 faults=faults,
-                engine=engine,
                 pool=pool_arg,
-            ).run(duration_s=DURATION_S)
+            )
+            return run(sim, DURATION_S)
 
         sim_with, sim_without = run_sim(pool), run_sim(None)
         assert sim_with.offered == sim_without.offered
-        # RecordBatch (vectorized) and list[InferenceRecord] (reference)
-        # are duck-compatible: indexing yields comparable records.
-        assert list(sim_with.records) == list(sim_without.records)
+        assert sim_with.records == sim_without.records
         assert list(sim_with.latencies_s()) == list(sim_without.latencies_s())

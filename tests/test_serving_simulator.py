@@ -1,5 +1,6 @@
 """Tests for the discrete-event serving simulator."""
 
+import contextlib
 import gc
 import math
 import weakref
@@ -10,6 +11,14 @@ import pytest
 from repro.config import RMC1_SMALL, RMC2_SMALL
 from repro.hw import BROADWELL, SKYLAKE
 from repro.serving import ServingSimulator
+from tests.reference_loops import reference_loops
+
+#: The two loops a case runs on: the reference loop, and the default (the
+#: C kernel when it loads).
+LOOPS = [
+    pytest.param(reference_loops, id="reference"),
+    pytest.param(contextlib.nullcontext, id="vectorized"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +107,15 @@ class TestNoiseModel:
 
 
 class TestLifetime:
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
-    def test_simulator_dies_after_run(self, engine):
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_simulator_dies_after_run(self, loop):
         """No module-level cache keeps a finished simulator alive."""
         sim = ServingSimulator(
             BROADWELL, RMC2_SMALL, 32, num_instances=4, per_instance_qps=50,
-            seed=0, engine=engine,
+            seed=0,
         )
-        result = sim.run(0.05)
+        with loop():
+            result = sim.run(0.05)
         assert len(result.records) > 0
         ref = weakref.ref(sim)
         del sim, result
@@ -142,26 +152,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             sim.run(0.0)
 
-    @pytest.mark.parametrize("engine", ["reference", "vectorized"])
+    @pytest.mark.parametrize("loop", LOOPS)
     @pytest.mark.parametrize("field", ["qps", "duration"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_rejects_non_finite_inputs(self, value, field, engine):
+    def test_rejects_non_finite_inputs(self, value, field, loop):
         """An inf or nan rate or horizon used to hang the event loop."""
         if field == "qps":
             with pytest.raises(ValueError, match="finite"):
                 ServingSimulator(
                     BROADWELL, RMC1_SMALL, 1, 2, per_instance_qps=value,
-                    engine=engine,
                 )
             return
         for qps in (None, 50.0):  # closed and open loop
             sim = ServingSimulator(
                 BROADWELL, RMC1_SMALL, 1, 2, per_instance_qps=qps,
-                engine=engine,
             )
-            with pytest.raises(ValueError, match="finite"):
+            with loop(), pytest.raises(ValueError, match="finite"):
                 sim.run(value)
 
     def test_backend_option_is_gone(self):
-        with pytest.raises(TypeError):
-            ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1, backend="native")
+        # The simulator picks its own loop: there is no option to pass.
+        for option in ("backend", "engine"):
+            with pytest.raises(TypeError):
+                ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1, **{option: "native"})
