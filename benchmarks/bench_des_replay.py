@@ -1,16 +1,14 @@
-"""Perf-trajectory bench: the DES reference loops vs their C kernels.
+"""Perf-trajectory bench: the router's Python loop vs its C kernel.
 
-Times identical serving simulations through the simulator's reference
-per-event loop (reached through ``reference_loops()``) and its
-self-compiled C kernel. The loops are bit-identical by contract
+Times ``ResilientRouter.run`` through its Python loop (reached through
+``reference_loops()``) and its self-compiled C kernel on the figure-11x
+``retry+hedge+degrade`` rung (8 replicas) and on one fleet-day window at
+the ~1,050-replica peak with the full overload stack, asserting equal
+result digests: the loops are bit-identical by contract
 (``tests/test_des_equivalence.py``), so every timing pair is the same
-computation — any speedup is pure implementation. A router section does the same for
-``ResilientRouter.run``: its Python loop against its C kernel on the
-figure-11x ``retry+hedge+degrade`` rung (8 replicas) and on one
-fleet-day window at the ~1,050-replica peak with the full overload
-stack, asserting equal result digests. A full-scale fleet day then runs
-through the router. A routing-draws section times the Python loop's
-per-pick draws as numpy calls and as a
+computation and any speedup is pure implementation. A full-scale fleet
+day then runs through the router. A routing-draws section times the
+Python loop's per-pick draws as numpy calls and as a
 :class:`~repro.serving.router.RoutingDraws` stream, and asserts
 identical picks and final generator state. Writes
 ``BENCH_des_replay.json`` so future changes can track the DES loops'
@@ -40,22 +38,15 @@ import pytest
 from conftest import reference_loops
 
 from repro.analysis import format_table
-from repro.config.presets import RMC1, RMC1_SMALL
+from repro.config.presets import RMC1_SMALL
 from repro.experiments import fig11x_faults, fleet_day
 from repro.hw.server import BROADWELL
 from repro.serving import SLA, ResilientRouter, fault_storm
 from repro.serving._des_native import native_available
 from repro.serving.router import RoutingDraws
-from repro.serving.simulator import ServingSimulator
 
 DEFAULT_OUT = Path(__file__).parent / "BENCH_des_replay.json"
 
-SIM_INSTANCES = 48
-SIM_DURATION_S = 0.5
-SIM_SEED = 7
-# The native kernel must beat the reference loop by at least this factor
-# at the largest simulator size.
-NATIVE_FLOOR = 10.0
 # Routing draws: the figure fleets and the fleet-day peak.
 ROUTING_POOLS = (8, 1048)
 ROUTING_PICKS = 100_000
@@ -67,57 +58,6 @@ ROUTING_FLOOR = 3.0
 # this factor on every case.
 ROUTER_FLOOR = 10.0
 ROUTER_REPEATS = 3
-
-
-def _sim_once(
-    reference: bool, offered_target: int
-) -> tuple[float, str, int, tuple]:
-    qps = offered_target / (SIM_INSTANCES * SIM_DURATION_S)
-    sim = ServingSimulator(
-        BROADWELL,
-        RMC1,
-        batch_size=4,
-        num_instances=SIM_INSTANCES,
-        per_instance_qps=qps,
-        seed=SIM_SEED,
-    )
-    with reference_loops() if reference else contextlib.nullcontext():
-        start_s = time.perf_counter()
-        result = sim.run(SIM_DURATION_S)
-        elapsed_s = time.perf_counter() - start_s
-    digest = (
-        result.offered,
-        result.killed,
-        result.shed,
-        result.max_queue_depth,
-        hashlib.sha256(
-            np.asarray(result.latencies_s()).tobytes()
-        ).hexdigest(),
-    )
-    return elapsed_s, sim.last_backend, result.offered, digest
-
-
-def bench_simulator(offered_targets: tuple[int, ...]) -> list[dict]:
-    """Time both loops on identical open-loop simulations."""
-    rows = []
-    for target in offered_targets:
-        reference_s, _, offered, reference_digest = _sim_once(True, target)
-        row = {
-            "offered_target": int(target),
-            "offered": int(offered),
-            "num_instances": SIM_INSTANCES,
-            "reference_s": reference_s,
-            "native_s": None,
-            "native_speedup": None,
-        }
-        if native_available():
-            native_s, backend, _, native_digest = _sim_once(False, target)
-            assert backend == "native"
-            assert native_digest == reference_digest, "C kernel diverged"
-            row["native_s"] = native_s
-            row["native_speedup"] = reference_s / native_s
-        rows.append(row)
-    return rows
 
 
 def _router_cases() -> dict[str, tuple]:
@@ -292,21 +232,15 @@ def bench_routing_draws() -> list[dict]:
     return rows
 
 
-def run_bench(
-    offered_targets: tuple[int, ...] = (10_000, 100_000, 1_000_000),
-    fleet: bool = True,
-) -> dict:
-    """Time engines on shared workloads; returns the JSON report."""
+def run_bench(fleet: bool = True) -> dict:
+    """Time the router's loops on shared workloads; returns the JSON report."""
     report = {
         "bench": "des_replay",
         "config": {
             "server": "BROADWELL",
-            "model": RMC1.name,
-            "sim_instances": SIM_INSTANCES,
-            "sim_duration_s": SIM_DURATION_S,
+            "model": RMC1_SMALL.name,
             "native_available": native_available(),
         },
-        "simulator": bench_simulator(offered_targets),
         "router": bench_router(),
         "routing_draws": bench_routing_draws(),
     }
@@ -317,12 +251,6 @@ def run_bench(
 
 def check_floors(report: dict) -> None:
     """Assert the speedup floors the engine contract promises."""
-    largest = max(report["simulator"], key=lambda r: r["offered_target"])
-    if report["config"]["native_available"]:
-        assert largest["native_speedup"] >= NATIVE_FLOOR, (
-            f"native speedup {largest['native_speedup']:.1f}x below "
-            f"{NATIVE_FLOOR:.0f}x floor at {largest['offered_target']:,}"
-        )
     if report["config"]["native_available"]:
         for row in report["router"]:
             assert row["native_speedup"] >= ROUTER_FLOOR, (
@@ -343,28 +271,7 @@ def check_floors(report: dict) -> None:
 
 def render(report: dict) -> str:
     """Text tables of one bench report."""
-    sim_rows = [
-        [
-            f"{r['offered']:,}",
-            f"{r['reference_s']:.3f}",
-            "-" if r["native_s"] is None else f"{r['native_s']:.3f}",
-            "-"
-            if r["native_speedup"] is None
-            else f"{r['native_speedup']:.1f}x",
-        ]
-        for r in report["simulator"]
-    ]
     parts = [
-        format_table(
-            ["offered", "reference s", "native s", "speedup"],
-            sim_rows,
-            title=(
-                f"DES engine wallclock, {SIM_INSTANCES}-instance simulator "
-                "(bit-identical records)"
-            ),
-        )
-    ]
-    parts.append(
         format_table(
             ["case", "offered", "python us/req", "native us/req", "speedup"],
             [
@@ -383,7 +290,7 @@ def render(report: dict) -> str:
             ],
             title="ResilientRouter.run: Python loop vs C kernel (equal digests)",
         )
-    )
+    ]
     parts.append(
         format_table(
             ["pool", "policy", "numpy us", "stream us", "speedup"],
@@ -414,13 +321,13 @@ def render(report: dict) -> str:
 
 @pytest.mark.perf
 def test_des_replay_perf():
-    """Small-size bench; asserts the native kernel wins."""
+    """The router cases without the full day; asserts the kernel wins."""
     from conftest import emit
 
-    report = run_bench(offered_targets=(100_000,), fleet=False)
-    emit("DES replay: reference vs native", render(report))
+    report = run_bench(fleet=False)
+    emit("DES replay: Python loop vs native", render(report))
     if report["config"]["native_available"]:
-        assert report["simulator"][0]["native_speedup"] > 1.0
+        assert all(row["native_speedup"] > 1.0 for row in report["router"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -429,19 +336,12 @@ def main(argv: list[str] | None = None) -> int:
         "--out", type=Path, default=DEFAULT_OUT, help="JSON report path"
     )
     parser.add_argument(
-        "--offered",
-        type=int,
-        nargs="+",
-        default=[10_000, 100_000, 1_000_000],
-        help="simulator offered-load sizes to time",
-    )
-    parser.add_argument(
         "--skip-fleet",
         action="store_true",
         help="skip the full-scale fleet-day section",
     )
     args = parser.parse_args(argv)
-    report = run_bench(tuple(args.offered), fleet=not args.skip_fleet)
+    report = run_bench(fleet=not args.skip_fleet)
     check_floors(report)
     print(render(report))
     args.out.write_text(json.dumps(report, indent=2) + "\n")

@@ -496,7 +496,7 @@ def load_native(
     """Build (once per process) and bind one kernel; None when unavailable.
 
     The one loader behind every kernel in the repo: cache replay here,
-    the DES kernels in :mod:`repro.serving._des_native` and NMP replay in
+    the router kernel in :mod:`repro.serving._des_native` and NMP replay in
     :mod:`repro.memory.nmp_native`. The first call compiles ``source``
     through :func:`compile_cached` and hands the loaded library to
     ``bind``, which declares the ctypes signatures; every later call

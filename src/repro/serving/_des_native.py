@@ -1,43 +1,32 @@
-"""Self-compiled C kernels for the serving DES: simulator and router.
+"""Self-compiled C kernel for the fleet router's event loop.
 
-One C source holds two event loops that share one event heap, one CoDel
-control law, one fault-multiplier routine and one RNG bridge:
+``repro_router`` is an exact transliteration of the Python loop of
+:meth:`repro.serving.faults.ResilientRouter.run`: the same merge of
+pre-sorted arrivals, crash/restart edges and health probes against a
+heap of dynamic events, the same O(1) fleet aggregates, routing
+policies, timeouts, retries, hedges, degradation, admission with every
+shed policy, CoDel, circuit breakers and brownout.
 
-* ``repro_des`` is an exact transliteration of the per-event loop in
-  ``ServingSimulator._run_reference``, its spec: the same event order
-  (``(time, seq)`` tie-breaking, with the static events pre-sorted by
-  :func:`repro.serving.des.run_simulator_native`), FIFO queues, CoDel
-  control law, admission policies and fault multipliers.
-* ``repro_router`` is an exact transliteration of the Python loop of
-  :meth:`repro.serving.faults.ResilientRouter.run`: the same merge of
-  pre-sorted arrivals, crash/restart edges and health probes against a
-  heap of dynamic events, the same O(1) fleet aggregates, routing
-  policies, timeouts, retries, hedges, degradation, admission with every
-  shed policy, CoDel, circuit breakers and brownout.
+Three rules keep it bitwise-faithful:
 
-Three rules keep both bitwise-faithful:
-
-* Every random draw comes from the caller's own generator. The kernels
-  receive its ``bitgen_t*`` (``rng.bit_generator.ctypes.bit_generator``)
-  and call numpy's own ``random_lognormal`` from ``libnpyrandom.a``, the
+* Every random draw comes from the caller's own generator. The kernel
+  receives its ``bitgen_t*`` (``rng.bit_generator.ctypes.bit_generator``)
+  and calls numpy's own ``random_lognormal`` from ``libnpyrandom.a``, the
   function ``Generator.lognormal`` calls. Routing picks run the
   Lemire/Floyd/shuffle steps of :class:`repro.serving.router.RoutingDraws`
   on ``next_uint32``, which honours PCG64's buffered half-word. The
-  generator is left in exactly the state the Python loops leave it in.
+  generator is left in exactly the state the Python loop leaves it in.
 * The source is compiled with ``-ffp-contract=off`` so no ``a + b*c`` is
   fused into an FMA; ``exp``/``sqrt`` resolve to the same libm that
   numpy and CPython's :mod:`math` use in-process.
 * ``libnpyrandom.a`` is linked *after* the source (a static archive only
   resolves symbols that earlier inputs reference) and is hashed into the
   build-cache key by :func:`repro.hw._native.compile_cached`; the
-  kernels load through :func:`repro.hw._native.load_native`.
+  kernel loads through :func:`repro.hw._native.load_native`.
 
-Simulator records stream out through a flush callback in 64Ki-row blocks
-of six float64 columns and are reassembled into a
-:class:`~repro.serving.des.RecordBatch`. When no C compiler or no
-``libnpyrandom.a`` is available (or ``REPRO_DISABLE_NATIVE=1``),
-:func:`native_available` is false and both callers run their Python
-loops instead.
+When no C compiler or no ``libnpyrandom.a`` is available (or
+``REPRO_DISABLE_NATIVE=1``), :func:`native_available` is false and the
+router runs its Python loop instead.
 """
 
 from __future__ import annotations
@@ -61,9 +50,8 @@ from .router import POLICIES, SERVICE_NOISE_SIGMA
 if TYPE_CHECKING:
     from .faults import FaultSchedule, FaultyServingResult, ResilientRouter
     from .metrics import SLA
-    from .simulator import ServingSimulator
 
-__all__ = ["native_available", "route_native", "simulate_native"]
+__all__ = ["native_available", "route_native"]
 
 _C_SOURCE = r"""
 #include <math.h>
@@ -73,10 +61,8 @@ _C_SOURCE = r"""
 
 typedef int64_t i64;
 
-typedef void (*rec_cb_t)(const double *rows, i64 n);
-
 /* ---------------------------------------------------------- RNG bridge
-   numpy's bitgen_t (numpy/random/bitgen.h). Both kernels draw from the
+   numpy's bitgen_t (numpy/random/bitgen.h). The kernel draws from the
    caller's generator through it, so every draw advances the same PCG64
    state (buffered half-word included) that rng.integers and
    rng.lognormal advance. random_lognormal is numpy's own function from
@@ -256,290 +242,6 @@ static double fault_multiplier(const Faults *f, i64 inst, double t) {
             m *= f->bw_mult[i];
     }
     return m;
-}
-
-/* ================================================ simulator kernel */
-typedef struct {
-    /* static pre-sorted events */
-    const double *st_t;
-    const i64 *st_kind;
-    const i64 *st_inst;
-    i64 n_static;
-    i64 num_instances;
-    double duration;
-    i64 closed_loop;
-    /* service-time params indexed by active-job level (1..N+1) */
-    const double *svc_base;
-    const double *svc_logmean;
-    const double *svc_sigma;
-    /* admission */
-    i64 adm_present;
-    i64 adm_capacity;
-    i64 adm_reject_oldest;
-    i64 adm_has_deadline;
-    double adm_deadline;
-    i64 codel_enabled;
-    /* faults */
-    i64 fault_active;
-    const Faults *faults;
-    /* per-instance ring queues over one flat arrival-time buffer */
-    double *qbuf;
-    const i64 *qbase;
-    const i64 *qcap;
-    i64 *qhead;
-    i64 *qlen;
-    /* scratch */
-    unsigned char *busy;
-    unsigned char *down;
-    i64 *epoch;
-    double *cur; /* 5 doubles per instance: arrival,start,end,active,service */
-    CoDel *codels;
-    Heap heap;
-    i64 busy_count;
-    i64 dseq;
-    bitgen_t *bg;
-    int oom;
-    /* record flushing */
-    rec_cb_t rec_cb;
-    double *rows;
-    i64 rows_n;
-    /* counters */
-    i64 offered_extra;
-    i64 killed;
-    i64 shed;
-    i64 max_queue_depth;
-} Des;
-
-static void q_push(Des *d, i64 inst, double t) {
-    i64 cap = d->qcap[inst];
-    d->qbuf[d->qbase[inst] + (d->qhead[inst] + d->qlen[inst]) % cap] = t;
-    d->qlen[inst]++;
-}
-
-static double q_popleft(Des *d, i64 inst) {
-    double t = d->qbuf[d->qbase[inst] + d->qhead[inst]];
-    d->qhead[inst] = (d->qhead[inst] + 1) % d->qcap[inst];
-    d->qlen[inst]--;
-    return t;
-}
-
-/* admission.admit(): 1 = enqueue the arrival, 0 = shed it. */
-static int admit(Des *d, i64 inst) {
-    i64 depth = d->qlen[inst];
-    if (d->adm_has_deadline) {
-        double expected = d->svc_base[d->busy_count + 1];
-        if ((double)(depth + 2) * expected > d->adm_deadline) {
-            d->shed++;
-            return 0;
-        }
-    }
-    if (depth >= d->adm_capacity) {
-        if (d->adm_reject_oldest) {
-            q_popleft(d, inst);
-            d->shed++;
-            return 1;
-        }
-        d->shed++;
-        return 0;
-    }
-    return 1;
-}
-
-/* next_arrival(): CoDel-filtered dequeue; 0 when the queue drains. */
-static int next_arrival(Des *d, i64 inst, double now, double *arrival) {
-    while (d->qlen[inst] > 0) {
-        double a = q_popleft(d, inst);
-        if (d->codel_enabled &&
-            codel_on_dequeue(&d->codels[inst], now - a, now)) {
-            d->shed++;
-            continue;
-        }
-        *arrival = a;
-        return 1;
-    }
-    return 0;
-}
-
-static void dispatch(Des *d, i64 inst, double arrival, double now) {
-    i64 active = d->busy_count + 1;
-    /* sample_service_s: base * rng.lognormal(-sigma**2/2, sigma) */
-    double service =
-        d->svc_base[active] *
-        random_lognormal(d->bg, d->svc_logmean[active], d->svc_sigma[active]);
-    if (d->fault_active)
-        service *= fault_multiplier(d->faults, inst, now);
-    d->busy[inst] = 1;
-    d->busy_count++;
-    double end = now + service;
-    double *c = d->cur + inst * 5;
-    c[0] = arrival;
-    c[1] = now;
-    c[2] = end;
-    c[3] = (double)active;
-    c[4] = service;
-    Ev e = {end, d->dseq++, 0, inst, d->epoch[inst]};
-    if (heap_push(&d->heap, e))
-        d->oom = 1;
-}
-
-static void emit_record(Des *d, i64 inst) {
-    const double *c = d->cur + inst * 5;
-    double *r = d->rows + d->rows_n * 6;
-    r[0] = (double)inst;
-    r[1] = c[0];
-    r[2] = c[1];
-    r[3] = c[2];
-    r[4] = c[3];
-    r[5] = c[4];
-    if (++d->rows_n == 65536) {
-        d->rec_cb(d->rows, d->rows_n);
-        d->rows_n = 0;
-    }
-}
-
-/* Returns 0 on success, 1 when memory runs out. */
-i64 repro_des(const double *st_t, const i64 *st_kind, const i64 *st_inst,
-              i64 n_static, i64 num_instances, double duration,
-              i64 closed_loop, const double *svc_base,
-              const double *svc_logmean, const double *svc_sigma,
-              i64 adm_present, i64 adm_capacity, i64 adm_reject_oldest,
-              i64 adm_has_deadline, double adm_deadline, i64 codel_enabled,
-              double codel_target, double codel_interval, i64 fault_active,
-              const Faults *faults, double *qbuf, const i64 *qbase,
-              const i64 *qcap, void *bitgen, rec_cb_t rec_cb, i64 *out) {
-    Des d;
-    memset(&d, 0, sizeof(d));
-    d.st_t = st_t;
-    d.st_kind = st_kind;
-    d.st_inst = st_inst;
-    d.n_static = n_static;
-    d.num_instances = num_instances;
-    d.duration = duration;
-    d.closed_loop = closed_loop;
-    d.svc_base = svc_base;
-    d.svc_logmean = svc_logmean;
-    d.svc_sigma = svc_sigma;
-    d.adm_present = adm_present;
-    d.adm_capacity = adm_capacity;
-    d.adm_reject_oldest = adm_reject_oldest;
-    d.adm_has_deadline = adm_has_deadline;
-    d.adm_deadline = adm_deadline;
-    d.codel_enabled = codel_enabled;
-    d.fault_active = fault_active;
-    d.faults = faults;
-    d.qbuf = qbuf;
-    d.qbase = qbase;
-    d.qcap = qcap;
-    d.bg = (bitgen_t *)bitgen;
-    d.rec_cb = rec_cb;
-
-    i64 n_crash = 0;
-    for (i64 i = 0; i < n_static; ++i)
-        if (st_kind[i] == 2)
-            n_crash++;
-
-    i64 N = num_instances;
-    d.qhead = calloc((size_t)N, sizeof(i64));
-    d.qlen = calloc((size_t)N, sizeof(i64));
-    d.busy = calloc((size_t)N, 1);
-    d.down = calloc((size_t)N, 1);
-    d.epoch = calloc((size_t)N, sizeof(i64));
-    d.cur = calloc((size_t)N * 5, sizeof(double));
-    d.codels = calloc((size_t)N, sizeof(CoDel));
-    /* One live completion per instance plus one stale one per crash. */
-    d.heap.cap = N + n_crash + 2;
-    d.heap.ev = malloc((size_t)d.heap.cap * sizeof(Ev));
-    d.rows = malloc((size_t)65536 * 6 * sizeof(double));
-    if (!d.qhead || !d.qlen || !d.busy || !d.down || !d.epoch || !d.cur ||
-        !d.codels || !d.heap.ev || !d.rows)
-        d.oom = 1;
-    for (i64 i = 0; i < N && !d.oom; ++i) {
-        d.codels[i].target = codel_target;
-        d.codels[i].interval = codel_interval;
-    }
-
-    i64 si = 0;
-    while (!d.oom && (si < n_static || d.heap.n > 0)) {
-        if (si < n_static &&
-            (d.heap.n == 0 || st_t[si] <= d.heap.ev[0].t)) {
-            double now = st_t[si];
-            i64 kind = st_kind[si];
-            i64 inst = st_inst[si];
-            si++;
-            if (kind == 0) { /* arrival */
-                if (now >= duration)
-                    continue;
-                if (d.busy[inst] || d.down[inst]) {
-                    if (adm_present && !admit(&d, inst))
-                        continue;
-                    q_push(&d, inst, now);
-                    if (d.qlen[inst] > d.max_queue_depth)
-                        d.max_queue_depth = d.qlen[inst];
-                } else {
-                    dispatch(&d, inst, now, now);
-                }
-            } else if (kind == 2) { /* replica crash */
-                d.down[inst] = 1;
-                d.epoch[inst]++;
-                if (d.busy[inst]) {
-                    d.killed++;
-                    d.busy[inst] = 0;
-                    d.busy_count--;
-                }
-            } else { /* kind == 3: replica restart */
-                d.down[inst] = 0;
-                if (now >= duration)
-                    continue;
-                double arrival;
-                if (next_arrival(&d, inst, now, &arrival)) {
-                    dispatch(&d, inst, arrival, now);
-                } else if (closed_loop && !d.busy[inst]) {
-                    d.offered_extra++;
-                    dispatch(&d, inst, now, now);
-                }
-            }
-        } else { /* completion */
-            Ev e = heap_pop(&d.heap);
-            i64 inst = e.a;
-            if (e.b != d.epoch[inst])
-                continue; /* killed by a crash */
-            double now = e.t;
-            emit_record(&d, inst);
-            d.busy[inst] = 0;
-            d.busy_count--;
-            if (now >= duration)
-                continue;
-            double arrival;
-            if (next_arrival(&d, inst, now, &arrival)) {
-                dispatch(&d, inst, arrival, now);
-            } else if (closed_loop) {
-                d.offered_extra++;
-                dispatch(&d, inst, now, now);
-            }
-        }
-    }
-
-    if (!d.oom && d.rows_n > 0)
-        d.rec_cb(d.rows, d.rows_n);
-    i64 leftover = 0;
-    for (i64 i = 0; i < N && d.qlen; ++i)
-        leftover += d.qlen[i];
-    out[0] = d.offered_extra;
-    out[1] = d.killed;
-    out[2] = d.shed;
-    out[3] = d.max_queue_depth;
-    out[4] = leftover;
-
-    free(d.qhead);
-    free(d.qlen);
-    free(d.busy);
-    free(d.down);
-    free(d.epoch);
-    free(d.cur);
-    free(d.codels);
-    free(d.heap.ev);
-    free(d.rows);
-    return d.oom;
 }
 
 /* =================================================== router kernel
@@ -1302,7 +1004,6 @@ i64 repro_router(RouterRun *p) {
 
 _F64P = ctypes.POINTER(ctypes.c_double)
 _I64P = ctypes.POINTER(ctypes.c_int64)
-_REC_CB = ctypes.CFUNCTYPE(None, _F64P, ctypes.c_int64)
 _I64 = ctypes.c_int64
 _F64 = ctypes.c_double
 
@@ -1403,27 +1104,13 @@ class _RouterRun(ctypes.Structure):
 
 
 #: numpy's static distributions library; some numpy builds do not ship
-#: it, and then the kernels cannot build.
+#: it, and then the kernel cannot build.
 _NPYRANDOM_ARCHIVE = (
     Path(np.__file__).resolve().parent / "random" / "lib" / "libnpyrandom.a"
 )
 
 
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
-    lib.repro_des.restype = _I64
-    lib.repro_des.argtypes = [
-        _F64P, _I64P, _I64P,                      # static events
-        _I64, _I64,                               # n_static, N
-        _F64, _I64,                               # duration, closed_loop
-        _F64P, _F64P, _F64P,                      # svc params
-        _I64, _I64,                               # adm present, capacity
-        _I64, _I64,                               # reject_oldest, has_dl
-        _F64, _I64,                               # deadline, codel on
-        _F64, _F64,                               # codel target, interval
-        _I64, ctypes.POINTER(_Faults),            # fault_active, faults
-        _F64P, _I64P, _I64P,                      # queue buffer/base/cap
-        ctypes.c_void_p, _REC_CB, _I64P,          # bitgen, flush, out[5]
-    ]
     lib.repro_router.restype = _I64
     lib.repro_router.argtypes = [ctypes.POINTER(_RouterRun)]
     lib.repro_router_run_size.restype = _I64
@@ -1438,7 +1125,7 @@ def _load() -> ctypes.CDLL | None:
     # drifts from python by one ulp on architectures where GCC contracts
     # by default. The archive goes after the source.
     return load_native(
-        "repro_des",
+        "repro_router",
         _C_SOURCE,
         _bind,
         extra_flags=("-ffp-contract=off",),
@@ -1447,7 +1134,7 @@ def _load() -> ctypes.CDLL | None:
 
 
 def native_available() -> bool:
-    """Whether the C kernels can be (or were) built on this host."""
+    """Whether the router kernel can be (or was) built on this host."""
     return _load() is not None
 
 
@@ -1499,128 +1186,6 @@ def _fault_arrays(
         bw_mult.ctypes.data_as(_F64P),
     )
     return view, arrays
-
-
-def simulate_native(
-    sim: "ServingSimulator",
-    duration_s: float,
-    times: np.ndarray,
-    kinds: np.ndarray,
-    insts: np.ndarray,
-):
-    """Run the simulator loop natively over pre-sorted static events.
-
-    Returns ``(records, reissued, killed, shed, max_queue_depth,
-    leftover_depth)``; ``reissued`` counts the closed-loop arrivals the
-    loop added. The kernel draws from ``sim._rng`` itself, so the
-    generator ends where the reference loop leaves it.
-    """
-    lib = _load()
-    assert lib is not None, "callers check native_available() first"
-    rng = sim._rng
-    num_instances = sim.num_instances
-
-    times = _as_f64(times)
-    kinds = _as_i64(kinds)
-    insts = _as_i64(insts)
-
-    admission = sim.overload.admission if sim.overload is not None else None
-    adm_present = admission is not None
-    adm_capacity = admission.queue_capacity if adm_present else 0
-    adm_reject_oldest = adm_present and admission.shed_policy == "reject_oldest"
-    adm_has_deadline = (
-        adm_present
-        and admission.shed_policy == "deadline_aware"
-        and admission.deadline_s is not None
-    )
-
-    # Service-time parameters per active-job level: a dispatch reads
-    # levels 1..N, and only deadline-aware admission probes level N+1
-    # (all instances busy), so only it pays for pricing that level.
-    # _base_latency and noise_sigma are pure, so eager evaluation matches
-    # the reference loop's lazy cache.
-    levels = num_instances + 2
-    svc_base = np.zeros(levels, dtype=np.float64)
-    svc_logmean = np.zeros(levels, dtype=np.float64)
-    svc_sigma = np.zeros(levels, dtype=np.float64)
-    for active in range(1, levels if adm_has_deadline else levels - 1):
-        base_s = sim._base_latency(active).total_seconds
-        sigma = sim.noise_sigma(active)
-        svc_base[active] = base_s
-        svc_logmean[active] = -0.5 * sigma**2
-        svc_sigma[active] = sigma
-    adm_deadline = admission.deadline_s if adm_has_deadline else 0.0
-    codel_enabled = adm_present and admission.codel_target_s is not None
-    codel_target = admission.codel_target_s if codel_enabled else 1.0
-    codel_interval = admission.codel_interval_s if codel_enabled else 1.0
-
-    faults = sim.faults
-    fault_active = faults is not None and not faults.is_zero
-    fault_view, fault_arrays = _fault_arrays(
-        faults if fault_active else None, sim._memory_fraction
-    )
-
-    # Flat ring-queue storage: an instance's queue can never exceed its
-    # static arrival count (only kind-0 events enqueue).
-    arrival_counts = np.bincount(
-        insts[kinds == 0], minlength=num_instances
-    ).astype(np.int64)
-    qcap = arrival_counts + 1
-    qbase = np.zeros(num_instances, dtype=np.int64)
-    np.cumsum(qcap[:-1], out=qbase[1:])
-    qbuf = np.zeros(int(qcap.sum()), dtype=np.float64)
-
-    chunks: list[np.ndarray] = []
-
-    def _rec_flush(rows_ptr, n):
-        flat = np.ctypeslib.as_array(rows_ptr, shape=(int(n) * 6,))
-        chunks.append(flat.copy())
-
-    out = np.zeros(5, dtype=np.int64)
-    bit_generator = rng.bit_generator
-    with bit_generator.lock:
-        status = lib.repro_des(
-            times.ctypes.data_as(_F64P),
-            kinds.ctypes.data_as(_I64P),
-            insts.ctypes.data_as(_I64P),
-            times.size,
-            num_instances,
-            float(duration_s),
-            int(sim.per_instance_qps is None),
-            svc_base.ctypes.data_as(_F64P),
-            svc_logmean.ctypes.data_as(_F64P),
-            svc_sigma.ctypes.data_as(_F64P),
-            int(adm_present),
-            int(adm_capacity),
-            int(adm_reject_oldest),
-            int(adm_has_deadline),
-            float(adm_deadline),
-            int(codel_enabled),
-            float(codel_target),
-            float(codel_interval),
-            int(fault_active),
-            ctypes.byref(fault_view),
-            qbuf.ctypes.data_as(_F64P),
-            qbase.ctypes.data_as(_I64P),
-            qcap.ctypes.data_as(_I64P),
-            bit_generator.ctypes.bit_generator,
-            _REC_CB(_rec_flush),
-            out.ctypes.data_as(_I64P),
-        )
-    del fault_arrays
-    if status:
-        raise MemoryError("the simulator kernel ran out of memory")
-
-    from .des import RecordBatch
-
-    if chunks:
-        data = np.concatenate(chunks).reshape(-1, 6)
-    else:
-        data = np.empty((0, 6), dtype=np.float64)
-    records = RecordBatch(
-        data[:, 0], data[:, 1], data[:, 2], data[:, 3], data[:, 4], data[:, 5]
-    )
-    return records, int(out[0]), int(out[1]), int(out[2]), int(out[3]), int(out[4])
 
 
 def route_native(

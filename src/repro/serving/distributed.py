@@ -43,7 +43,7 @@ from .domains import (
     best_spread,
     diverse_domain_order,
 )
-from .faults import degraded_quality
+from .faults import _merge_intervals, degraded_quality
 
 
 @dataclass(frozen=True)
@@ -523,19 +523,6 @@ def degraded_fanout_quality(
 # ------------------------------------------------------- shard recovery
 
 
-def _merge_intervals(
-    intervals: Sequence[tuple[float, float]],
-) -> tuple[tuple[float, float], ...]:
-    """Union of half-open intervals, sorted and coalesced."""
-    merged: list[tuple[float, float]] = []
-    for start_s, end_s in sorted(intervals):
-        if merged and start_s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end_s))
-        else:
-            merged.append((start_s, end_s))
-    return tuple(merged)
-
-
 def _covers(intervals: Sequence[tuple[float, float]], t_s: float) -> bool:
     """True when ``t_s`` falls inside any half-open interval."""
     return any(start_s <= t_s < end_s for start_s, end_s in intervals)
@@ -732,7 +719,7 @@ def recovery_timeline(
                 (crash.at_s, crash.at_s + crash.downtime_s)
             )
     for host, intervals in raw_crashes.items():
-        host_crash_intervals[host] = _merge_intervals(intervals)
+        host_crash_intervals[host] = tuple(_merge_intervals(intervals))
     host_partition_intervals: dict[int, tuple[tuple[float, float], ...]] = {}
     raw_partitions: dict[int, list[tuple[float, float]]] = {}
     for part in events.partitions:
@@ -741,7 +728,7 @@ def recovery_timeline(
                 (part.start_s, part.start_s + part.duration_s)
             )
     for host, intervals in raw_partitions.items():
-        host_partition_intervals[host] = _merge_intervals(intervals)
+        host_partition_intervals[host] = tuple(_merge_intervals(intervals))
 
     copies = [
         (shard, copy_index)
@@ -826,11 +813,13 @@ def recovery_timeline(
 
     copy_down_intervals = tuple(
         tuple(
-            _merge_intervals(
-                committed[(shard, copy_index)]
-                + list(
-                    host_partition_intervals.get(
-                        replication.copy_hosts[shard][copy_index], ()
+            tuple(
+                _merge_intervals(
+                    committed[(shard, copy_index)]
+                    + list(
+                        host_partition_intervals.get(
+                            replication.copy_hosts[shard][copy_index], ()
+                        )
                     )
                 )
             )

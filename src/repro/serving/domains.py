@@ -18,9 +18,9 @@ cross-machine structure). This module adds the missing structure:
 * **Compilation** — :meth:`DomainSchedule.expand_to_schedule` lowers a
   domain schedule to ordinary per-replica
   :class:`~repro.serving.faults.FaultSchedule` primitives. The router
-  and the simulator, in their reference loops and their kernels alike,
-  consume the expanded schedule unchanged, so every bit-identity proof
-  keeps holding; the
+  (its Python loop and its kernel alike) and the simulator consume the
+  expanded schedule unchanged, so every bit-identity proof keeps
+  holding; the
   crash-vs-partition distinction matters only to the shard-recovery model
   (:mod:`repro.serving.distributed`), which a router cannot observe
   anyway (a dead replica and an unreachable one refuse connections the

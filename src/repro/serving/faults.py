@@ -38,7 +38,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,11 +50,8 @@ from ..hw.timing import TimingModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 from ._des_native import native_available, route_native
-from .des import poisson_arrival_times
+from .loadgen import poisson_arrival_times
 from .metrics import SLA, ResilienceStats, goodput_qps
-
-if TYPE_CHECKING:
-    from .multimodel import MultiModelPool
 from .ranking_quality import pipeline_quality
 from .router import POLICIES, SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
 
@@ -722,25 +719,11 @@ class ResilientRouter:
         tracer: Tracer | NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
         metrics_labels: dict[str, str] | None = None,
-        pool: "MultiModelPool | None" = None,
     ) -> None:
         if num_machines < 1:
             raise ValueError("need at least one machine")
         if routing not in POLICIES:
             raise ValueError(f"unknown policy {routing!r}; valid: {POLICIES}")
-        if pool is not None and config.name not in pool.model_names:
-            raise ValueError(
-                f"model {config.name!r} is not registered in the "
-                f"multi-model pool {pool.model_names}"
-            )
-        #: Optional :class:`~repro.serving.multimodel.MultiModelPool` this
-        #: single-model run belongs to. The pool is a capacity contract —
-        #: construction already proved the model fits a replica resident —
-        #: plus an observability hook; it never perturbs the simulation
-        #: (a run with a pool is record-for-record identical to one
-        #: without). Cross-model dispatch lives in
-        #: :class:`~repro.serving.multimodel.MultiModelRouter`.
-        self.pool = pool
         self.server = server
         self.config = config
         self.batch_size = batch_size
@@ -957,12 +940,6 @@ class ResilientRouter:
                 latencies=result.latencies_s.tolist(),
                 overload_stats=result.overload,
             )
-        if self.pool is not None and self.metrics is not None:
-            self.metrics.gauge(
-                "serving.multimodel.capacity_slots",
-                model=self.config.name,
-                **self.metrics_labels,
-            ).set(float(self.pool.total_slots))
         return result
 
     def _run_python(

@@ -45,6 +45,47 @@ class Query:
             raise ValueError("a query must carry at least one item")
 
 
+def poisson_arrival_times(
+    rng: np.random.Generator,
+    rate_qps: float,
+    duration_s: float,
+    chunk: int = 8192,
+) -> np.ndarray:
+    """Arrival times of a Poisson process, bit-identical to the scalar loop.
+
+    Reproduces exactly::
+
+        t = 0.0
+        while True:
+            t += float(rng.exponential(1.0 / rate_qps))
+            if t >= duration_s:
+                break
+            times.append(t)
+
+    both in values (``cumsum`` over a concatenation that includes the
+    running offset reproduces scalar float accumulation bit for bit) and
+    in the generator's final state (the last chunk is rolled back and
+    re-drawn at the exact scalar count, including the draw that crossed
+    the horizon).
+    """
+    scale = 1.0 / rate_qps
+    out = []
+    t = 0.0
+    while True:
+        state = rng.bit_generator.state
+        gaps = rng.exponential(scale, size=chunk)
+        times = np.cumsum(np.concatenate(([t], gaps)))[1:]
+        crossed = int(np.searchsorted(times, duration_s, side="left"))
+        if crossed < chunk:
+            rng.bit_generator.state = state
+            rng.exponential(scale, size=crossed + 1)
+            out.append(times[:crossed])
+            break
+        out.append(times)
+        t = float(times[-1])
+    return np.concatenate(out) if len(out) > 1 else out[0]
+
+
 class PoissonLoadGenerator:
     """Open-loop Poisson arrivals.
 
@@ -67,16 +108,11 @@ class PoissonLoadGenerator:
         """All queries arriving within ``duration_s``."""
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        queries: list[Query] = []
-        t = 0.0
-        qid = 0
-        while True:
-            t += float(self._rng.exponential(1.0 / self.rate_qps))
-            if t >= duration_s:
-                break
-            queries.append(Query(query_id=qid, arrival_s=t, num_items=self.num_items))
-            qid += 1
-        return queries
+        times = poisson_arrival_times(self._rng, self.rate_qps, duration_s)
+        return [
+            Query(query_id=qid, arrival_s=t, num_items=self.num_items)
+            for qid, t in enumerate(times.tolist())
+        ]
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.quantiles import quantile
 from ..obs.tracer import as_tracer
-from .des import poisson_arrival_times
 from .distributed import min_shards_for_capacity
+from .loadgen import poisson_arrival_times
 from .overload import (
     SHED_CODEL,
     SHED_DEADLINE,

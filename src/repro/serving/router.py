@@ -30,6 +30,7 @@ from ..analysis.distributions import LatencySummary, summarize
 from ..config.model_config import ModelConfig
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
+from .loadgen import poisson_arrival_times
 
 POLICIES = ("round_robin", "random", "jsq2")
 
@@ -266,13 +267,7 @@ class RequestRouter:
         if not (0 < offered_qps < math.inf and 0 < duration_s < math.inf):
             raise ValueError("rate and duration must be positive")
         rng = self._rng
-        arrivals = []
-        t = 0.0
-        while True:
-            t += float(rng.exponential(1.0 / offered_qps))
-            if t >= duration_s:
-                break
-            arrivals.append(t)
+        arrivals = poisson_arrival_times(rng, offered_qps, duration_s).tolist()
 
         queue_depth = [0] * self.num_machines
         free_at = [0.0] * self.num_machines

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -32,8 +33,6 @@ from ..hw.colocation import ColocationState
 from ..hw.server import ServerSpec
 from ..hw.timing import ModelLatency, TimingModel
 from ..obs.tracer import as_tracer
-from ._des_native import native_available
-from .des import RecordBatch, run_simulator_native
 from .overload import SHED_CODEL, SHED_DEADLINE, SHED_OLDEST, SHED_QUEUE_FULL
 
 if TYPE_CHECKING:
@@ -41,7 +40,6 @@ if TYPE_CHECKING:
     from ..obs.profile import OpProfiler
     from ..obs.tracer import NullTracer, Tracer
     from .faults import FaultSchedule
-    from .multimodel import MultiModelPool
     from .overload import OverloadConfig
 
 #: Baseline multiplicative latency noise (OS jitter, clock, queue probes).
@@ -91,6 +89,94 @@ class InferenceRecord:
     def queue_s(self) -> float:
         """Time spent waiting for the instance to become free."""
         return self.start_s - self.arrival_s
+
+
+class RecordBatch(Sequence):
+    """Struct-of-arrays store of completed inferences.
+
+    A sequence of :class:`InferenceRecord` — indexing materialises a real
+    record — with array accessors (:meth:`latencies_s`,
+    :meth:`service_times_s`, :meth:`active_job_counts`) for
+    :class:`SimulationResult`. Two runs compare with ``==``: equal when
+    every column holds the same values in the same order.
+    """
+
+    __slots__ = (
+        "instance_ids",
+        "arrivals_s",
+        "starts_s",
+        "ends_s",
+        "active_jobs",
+        "services_s",
+    )
+
+    def __init__(
+        self,
+        instance_ids: np.ndarray,
+        arrivals_s: np.ndarray,
+        starts_s: np.ndarray,
+        ends_s: np.ndarray,
+        active_jobs: np.ndarray,
+        services_s: np.ndarray,
+    ) -> None:
+        self.instance_ids = instance_ids.astype(np.int64)
+        self.arrivals_s = np.ascontiguousarray(arrivals_s, dtype=np.float64)
+        self.starts_s = np.ascontiguousarray(starts_s, dtype=np.float64)
+        self.ends_s = np.ascontiguousarray(ends_s, dtype=np.float64)
+        self.active_jobs = active_jobs.astype(np.int64)
+        self.services_s = np.ascontiguousarray(services_s, dtype=np.float64)
+
+    @classmethod
+    def from_records(cls, records: list[InferenceRecord]) -> "RecordBatch":
+        """The columns of a record list, in list order."""
+        return cls(
+            np.array([r.instance_id for r in records], dtype=np.int64),
+            np.array([r.arrival_s for r in records], dtype=np.float64),
+            np.array([r.start_s for r in records], dtype=np.float64),
+            np.array([r.end_s for r in records], dtype=np.float64),
+            np.array([r.active_jobs for r in records], dtype=np.int64),
+            np.array([r.service_s for r in records], dtype=np.float64),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RecordBatch):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__
+        )
+
+    def __len__(self) -> int:
+        return int(self.arrivals_s.size)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        n = len(self)
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("record index out of range")
+        return InferenceRecord(
+            instance_id=int(self.instance_ids[index]),
+            arrival_s=float(self.arrivals_s[index]),
+            start_s=float(self.starts_s[index]),
+            end_s=float(self.ends_s[index]),
+            active_jobs=int(self.active_jobs[index]),
+            service_s=float(self.services_s[index]),
+        )
+
+    def latencies_s(self) -> np.ndarray:
+        """End-to-end latency per record (bitwise ``end - arrival``)."""
+        return self.ends_s - self.arrivals_s
+
+    def service_times_s(self) -> np.ndarray:
+        """Service time per record."""
+        return self.services_s.copy()
+
+    def active_job_counts(self) -> np.ndarray:
+        """Dispatch-time active-job count per record."""
+        return self.active_jobs.copy()
 
 
 @dataclass
@@ -211,28 +297,11 @@ class ServingSimulator:
         profiler: "OpProfiler | None" = None,
         overload: "OverloadConfig | None" = None,
         metrics: "MetricsRegistry | None" = None,
-        pool: "MultiModelPool | None" = None,
     ) -> None:
         if num_instances < 1:
             raise ValueError("need at least one instance")
-        if pool is not None and config.name not in pool.model_names:
-            raise ValueError(
-                f"model {config.name!r} is not registered in the "
-                f"multi-model pool {pool.model_names}"
-            )
-        #: Optional :class:`~repro.serving.multimodel.MultiModelPool` this
-        #: single-model run belongs to. The pool is a capacity contract —
-        #: construction already proved the model fits a replica resident —
-        #: plus an observability hook; it never perturbs the simulation
-        #: (a run with a pool is record-for-record identical to one
-        #: without). Cross-model dispatch lives in
-        #: :class:`~repro.serving.multimodel.MultiModelRouter`.
-        self.pool = pool
         if per_instance_qps is not None and not 0 < per_instance_qps < math.inf:
             raise ValueError("per_instance_qps must be positive and finite")
-        #: Execution path of the most recent :meth:`run`: ``"reference"``
-        #: (the per-event loop) or ``"native"`` (the C kernel).
-        self.last_backend: str | None = None
         if overload is not None and (
             overload.breaker is not None or overload.brownout is not None
         ):
@@ -388,32 +457,12 @@ class ServingSimulator:
     def run(self, duration_s: float = 1.0) -> SimulationResult:
         """Simulate ``duration_s`` of serving; returns completed inferences.
 
-        Runs in the C kernel (:func:`repro.serving.des.run_simulator_native`)
-        when it loads and no tracer or profiler observes the run.
-        Otherwise (no compiler or numpy ``libnpyrandom.a``,
-        ``REPRO_DISABLE_NATIVE=1``, or an observed run) it runs the
-        reference loop below, the executable spec, which the kernel
-        reproduces bit for bit (``tests/test_des_equivalence.py``). The
-        choice is made before the first RNG draw; :attr:`last_backend`
-        says which loop ran.
+        One per-event loop over a ``(time, seq)`` heap: the simulator's
+        whole semantics, pinned by the Figure 11 golden and checked
+        against queueing theory (``tests/test_queueing_oracles.py``).
         """
         if not 0 < duration_s < math.inf:
             raise ValueError("duration_s must be positive and finite")
-        observing = self.tracer.enabled or self.profiler is not None
-        if not observing and native_available():
-            self.last_backend = "native"
-            result = run_simulator_native(self, duration_s)
-        else:
-            self.last_backend = "reference"
-            result = self._run_reference(duration_s)
-        if self.pool is not None and self.metrics is not None:
-            self.metrics.gauge(
-                "serving.multimodel.capacity_slots", model=self.config.name
-            ).set(float(self.pool.total_slots))
-        return result
-
-    def _run_reference(self, duration_s: float) -> SimulationResult:
-        """The per-event reference loop (the executable spec)."""
         rng = self._rng
         faults = self.faults
         fault_active = faults is not None and not faults.is_zero

@@ -1,10 +1,11 @@
-"""DES edge cases every loop must agree with its spec on.
+"""DES edge cases: the router's loops must agree with its spec on them.
 
-The simulator's reference loop is compared with its native kernel (when
-a compiler is present), and ``ResilientRouter.run`` (its Python loop and,
-when it loads, its C kernel) with the router's test-only spec
-(``tests/oracles/resilient_router.py``). Satellites of the equivalence
-suite: degenerate compositions where event ordering is most fragile —
+``ResilientRouter.run`` (its Python loop and, when it loads, its C
+kernel) is compared with the router's test-only spec
+(``tests/oracles/resilient_router.py``). ``ServingSimulator`` has one
+loop, so its cases check invariants instead: request conservation and
+per-instance FIFO record order. Satellites of the equivalence suite:
+degenerate compositions where event ordering is most fragile —
 multiple event kinds landing on one timestamp, zero-duration backoffs,
 empty arrival streams, one-replica fleets, capacity-1 queues, routing
 picks over one, two and many candidates, event times that overflow to
@@ -32,23 +33,51 @@ from repro.serving import (
     ResilientRouter,
     ServingSimulator,
     Straggler,
+    check_conservation,
 )
-from tests.test_des_equivalence import (
-    ROUTER_RUNS,
-    SERVICE_S,
-    SIM_RUNS,
-    router_key,
-    sim_key,
-)
+from tests.test_des_equivalence import ROUTER_RUNS, SERVICE_S, router_key
 
 
-def sim_keys(**kwargs):
-    duration_s = kwargs.pop("duration_s", 0.03)
-    keys = []
-    for run in SIM_RUNS:
-        sim = ServingSimulator(BROADWELL, RMC1_SMALL, 8, **kwargs)
-        keys.append(sim_key(run(sim, duration_s)))
-    return keys
+def sim_key(result) -> tuple:
+    """Every observable of a simulator run, bytes-exact."""
+    return (
+        result.offered,
+        result.killed,
+        result.shed,
+        result.max_queue_depth,
+        result.downtime_s,
+        len(result.records),
+        np.asarray(result.latencies_s()).tobytes(),
+        np.asarray(result.service_times_s()).tobytes(),
+        np.asarray(result.active_job_counts()).tobytes(),
+    )
+
+
+def check_simulator(num_instances, **kwargs):
+    """Run the simulator; assert conservation and FIFO order per instance.
+
+    Each instance serves its requests one at a time in arrival order:
+    arrivals never decrease along its records, and each inference starts
+    no earlier than its arrival or the end of the one before it.
+    """
+    sim = ServingSimulator(BROADWELL, RMC1_SMALL, 8, num_instances, **kwargs)
+    result = sim.run(0.03)
+    in_flight = check_conservation(
+        result.offered, len(result.records),
+        shed=result.shed, killed=result.killed,
+    )
+    assert in_flight >= 0
+    records = result.records
+    for instance in range(num_instances):
+        mine = records.instance_ids == instance
+        arrivals_s = records.arrivals_s[mine]
+        starts_s = records.starts_s[mine]
+        ends_s = records.ends_s[mine]
+        assert np.all(np.diff(arrivals_s) >= 0.0)
+        assert np.all(starts_s >= arrivals_s)
+        assert np.all(starts_s[1:] >= ends_s[:-1])
+        assert np.array_equal(ends_s, starts_s + records.services_s[mine])
+    return result
 
 
 def router_keys(run_kwargs=None, **kwargs):
@@ -107,14 +136,13 @@ class TestSimultaneousEvents:
                 ),
             ),
         )
-        assert_all_equal(
-            sim_keys(
-                num_instances=2,
-                per_instance_qps=3.0 / SERVICE_S,
-                seed=5,
-                faults=faults,
-            )
+        result = check_simulator(
+            num_instances=2,
+            per_instance_qps=3.0 / SERVICE_S,
+            seed=5,
+            faults=faults,
         )
+        assert result.killed > 0
 
     def test_breaker_transition_with_simultaneous_arrivals(self):
         # Timeouts trip breakers; tied arrival bursts then race the
@@ -159,9 +187,10 @@ class TestDegenerateStreams:
 
     def test_near_empty_open_loop(self):
         # An arrival rate so low most seeds produce zero arrivals.
-        assert_all_equal(
-            sim_keys(num_instances=2, per_instance_qps=1e-6, seed=13)
+        result = check_simulator(
+            num_instances=2, per_instance_qps=1e-6, seed=13
         )
+        assert result.offered == len(result.records) == 0
 
     def test_single_replica_fleet(self):
         assert_all_equal(
@@ -183,8 +212,8 @@ class TestDegenerateStreams:
                 },
             )
         )
-        assert_all_equal(
-            sim_keys(num_instances=1, per_instance_qps=2.0 / SERVICE_S, seed=4)
+        check_simulator(
+            num_instances=1, per_instance_qps=2.0 / SERVICE_S, seed=4
         )
 
     @pytest.mark.parametrize(
@@ -198,14 +227,13 @@ class TestDegenerateStreams:
             codel_target_s=2.0 * SERVICE_S,
             codel_interval_s=8.0 * SERVICE_S,
         )
-        assert_all_equal(
-            sim_keys(
-                num_instances=2,
-                per_instance_qps=5.0 / SERVICE_S,
-                seed=6,
-                overload=OverloadConfig(admission=admission),
-            )
+        result = check_simulator(
+            num_instances=2,
+            per_instance_qps=5.0 / SERVICE_S,
+            seed=6,
+            overload=OverloadConfig(admission=admission),
         )
+        assert result.shed > 0 and result.max_queue_depth <= 1
         assert_all_equal(
             router_keys(
                 num_machines=2,
@@ -319,20 +347,19 @@ class TestEventOrderingDeterminism:
         permuted = FaultSchedule(
             crashes=crashes[::-1], stragglers=stragglers[::-1]
         )
-        for run in SIM_RUNS:
-            runs = []
-            for schedule in (forward, permuted):
-                sim = ServingSimulator(
-                    BROADWELL,
-                    RMC1_SMALL,
-                    8,
-                    num_instances=3,
-                    per_instance_qps=3.0 / SERVICE_S,
-                    seed=8,
-                    faults=schedule,
-                )
-                runs.append(sim_key(run(sim, 0.03)))
-            assert runs[0] == runs[1], run.__name__
+        runs = []
+        for schedule in (forward, permuted):
+            sim = ServingSimulator(
+                BROADWELL,
+                RMC1_SMALL,
+                8,
+                num_instances=3,
+                per_instance_qps=3.0 / SERVICE_S,
+                seed=8,
+                faults=schedule,
+            )
+            runs.append(sim_key(sim.run(0.03)))
+        assert runs[0] == runs[1]
         for run in ROUTER_RUNS:
             runs = []
             for schedule in (forward, permuted):

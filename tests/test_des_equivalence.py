@@ -1,18 +1,16 @@
-"""DES equivalence: every fast loop must be bit-identical to its spec.
+"""DES equivalence: the router's fast loops must be bit-identical to its spec.
 
-``ServingSimulator._run_reference`` is the simulator's executable
-specification; ``ServingSimulator.run`` takes a self-compiled C kernel
-over the same event order, pre-sorted from batched arrays, whenever it
-loads and nothing observes the run. The router's spec
-is the test-only per-event loop ``tests/oracles/resilient_router.py``
-(``run_reference``); ``ResilientRouter.run`` keeps O(1) fleet state and
-pre-sorted event streams instead, in a C kernel when one loads and in
-Python otherwise. This suite drives the spec and every fast loop through
-random policy x fault x load x tier compositions and asserts *byte*
-equality of every observable — record arrays, counters, overload books,
-downtime — plus RNG stream-position parity (a second run from the same
-objects must also match) and request conservation. Runs reach the
-reference loops through ``tests/reference_loops.py``.
+The router's spec is the test-only per-event loop
+``tests/oracles/resilient_router.py`` (``run_reference``);
+``ResilientRouter.run`` keeps O(1) fleet state and pre-sorted event
+streams instead, in a C kernel when one loads and in Python otherwise.
+This suite drives the spec and both fast loops through random policy x
+fault x load x tier compositions and asserts *byte* equality of every
+observable — latencies, counters, overload books — plus RNG
+stream-position parity (a second run from the same objects must also
+match) and request conservation. Runs reach the Python loop through
+``tests/reference_loops.py``. ``ServingSimulator`` has one loop; it is
+checked against queueing theory in ``tests/test_queueing_oracles.py``.
 
 ``DES_EXAMPLES`` scales the hypothesis sweep (CI uses the default).
 """
@@ -40,7 +38,6 @@ from repro.serving import (
     ReplicaCrash,
     ResiliencePolicy,
     ResilientRouter,
-    ServingSimulator,
     Straggler,
     check_conservation,
     default_brownout_tiers,
@@ -81,28 +78,6 @@ ROUTER_RUNS = (run_reference, run_python_loop) + (
     (run_kernel,) if native_available() else ()
 )
 
-
-def run_sim_reference(sim, duration_s):
-    """``ServingSimulator.run`` held to its reference loop (the spec)."""
-    with reference_loops():
-        result = sim.run(duration_s)
-    assert sim.last_backend == "reference"
-    return result
-
-
-def run_sim_kernel(sim, duration_s):
-    """``ServingSimulator.run`` in the C kernel (unobserved runs only)."""
-    result = sim.run(duration_s)
-    assert sim.last_backend == "native"
-    return result
-
-
-#: The simulator loops every simulator test compares, called as
-#: ``run(sim, duration_s)``: the reference loop and, when it loads, the
-#: C kernel.
-SIM_RUNS = (run_sim_reference,) + (
-    (run_sim_kernel,) if native_available() else ()
-)
 
 EQUIV = settings(
     max_examples=int(os.environ.get("DES_EXAMPLES", "15")),
@@ -183,21 +158,6 @@ def fault_schedules(
 # -------------------------------------------------------------- run keys
 
 
-def sim_key(result) -> tuple:
-    """Every observable of a simulator run, bytes-exact."""
-    return (
-        result.offered,
-        result.killed,
-        result.shed,
-        result.max_queue_depth,
-        result.downtime_s,
-        len(result.records),
-        np.asarray(result.latencies_s()).tobytes(),
-        np.asarray(result.service_times_s()).tobytes(),
-        np.asarray(result.active_job_counts()).tobytes(),
-    )
-
-
 def router_key(result) -> tuple:
     """Every observable of a router run, bytes-exact."""
     ovl = result.overload
@@ -229,34 +189,6 @@ def router_key(result) -> tuple:
             ovl.max_queue_depth,
         ),
     )
-
-
-def sim_overloads() -> st.SearchStrategy[OverloadConfig | None]:
-    # The simulator composes admission control only (breakers/brownout
-    # live in the router).
-    return st.one_of(
-        st.none(), st.builds(OverloadConfig, admission=admission_policies())
-    )
-
-
-def run_sim(run, load_factor, overload, faults, seed):
-    sim = ServingSimulator(
-        BROADWELL,
-        RMC1_SMALL,
-        batch_size=8,
-        num_instances=NUM_MACHINES,
-        per_instance_qps=(
-            None if load_factor is None else load_factor / SERVICE_S
-        ),
-        seed=seed,
-        overload=overload,
-        faults=faults,
-    )
-    first = run(sim, DURATION_S)
-    # Second run from the same simulator: equal keys here prove the RNG
-    # stream position after the first run matched bitwise.
-    second = run(sim, DURATION_S / 2)
-    return sim, sim_key(first) + sim_key(second), first
 
 
 def run_router(run, routing, load_factor, policy, overload, faults, seed):
@@ -340,69 +272,6 @@ def full_stack_router(routing="jsq2", tracer=None):
         seed=9,
         tracer=tracer,
     )
-
-
-class TestSimulatorEquivalence:
-    @pytest.mark.skipif(
-        not native_available(), reason="native kernel unavailable"
-    )
-    @EQUIV
-    @given(
-        load_factor=st.one_of(st.none(), st.floats(0.3, 5.0)),
-        overload=sim_overloads(),
-        faults=fault_schedules(),
-        seed=st.integers(0, 2**16),
-    )
-    def test_native_backend_bit_identical(
-        self, load_factor, overload, faults, seed
-    ):
-        _, ref_key, ref = run_sim(
-            run_sim_reference, load_factor, overload, faults, seed
-        )
-        _, nat_key, nat = run_sim(
-            run_sim_kernel, load_factor, overload, faults, seed
-        )
-        assert ref_key == nat_key
-        check_conservation(
-            nat.offered, len(nat.records), shed=nat.shed, killed=nat.killed
-        )
-        # Record-for-record equality: both loops return a RecordBatch.
-        assert ref.records == nat.records
-        for i in (0, len(ref.records) // 2, len(ref.records) - 1):
-            assert ref.records[i] == nat.records[i]
-
-    def test_tracing_does_not_perturb_results(self):
-        from repro.obs import Tracer
-
-        def simulator(tracer):
-            return ServingSimulator(
-                BROADWELL,
-                RMC1_SMALL,
-                8,
-                num_instances=3,
-                per_instance_qps=2.0 / SERVICE_S,
-                seed=5,
-                tracer=tracer,
-            )
-
-        results = [run(simulator(None), DURATION_S) for run in SIM_RUNS]
-        # An observed run takes the reference loop.
-        traced = simulator(Tracer())
-        results.append(traced.run(DURATION_S))
-        assert traced.last_backend == "reference"
-        keys = [sim_key(result) for result in results]
-        assert keys[1:] == keys[:1] * (len(keys) - 1)
-        assert all(r.records == results[0].records for r in results)
-
-    def test_vectorized_falls_back_to_reference(self):
-        faults = FaultSchedule(
-            crashes=(ReplicaCrash(replica_id=1, at_s=0.01, downtime_s=0.01),)
-        )
-        overload = OverloadConfig(admission=AdmissionPolicy(queue_capacity=2))
-        keys = [
-            run_sim(run, 3.0, overload, faults, 21)[1] for run in SIM_RUNS
-        ]
-        assert keys[1:] == keys[:1] * (len(keys) - 1)
 
 
 class TestRouterEquivalence:

@@ -108,13 +108,12 @@ def _fig11_payload(result):
 
 
 def test_fig11_tail_latency_golden(golden):
-    with reference_loops():
-        result = fig11_tail_latency.run(
-            regimes=(1, 8),
-            curve_jobs=(1, 8, 16),
-            duration_s=0.15,
-            seed=11,
-        )
+    result = fig11_tail_latency.run(
+        regimes=(1, 8),
+        curve_jobs=(1, 8, 16),
+        duration_s=0.15,
+        seed=11,
+    )
     golden("fig11_tail_latency", _fig11_payload(result))
 
 
@@ -234,26 +233,6 @@ def _fig11z_payload(result):
 def test_fig11z_domains_golden(golden):
     result = fig11z_domains.run(duration_s=0.4, seed=11)
     golden("fig11z_domains", _fig11z_payload(result))
-
-
-# --- Loop byte-identity against the checked-in goldens ---------------------
-#
-# The Figure 11 golden above runs the simulator's reference loop. Running
-# it by default (the C kernel, when it loads) must reproduce the same
-# golden byte for byte — the two loops are one model. Figures 9, 10 and 14
-# contain no DES (analytic roofline sweeps and a cache trace), and the
-# router-driven figures run the router's single event loop, so their
-# goldens above already cover every loop.
-
-
-def test_fig11_vectorized_engine_matches_golden(golden):
-    result = fig11_tail_latency.run(
-        regimes=(1, 8),
-        curve_jobs=(1, 8, 16),
-        duration_s=0.15,
-        seed=11,
-    )
-    golden("fig11_tail_latency", _fig11_payload(result))
 
 
 def test_fleet_day_golden(golden):

@@ -11,7 +11,6 @@ dispatched a model other than the one resident in it.
 import math
 import os
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -409,37 +408,13 @@ class TestMixedLoadgen:
         assert gen.max_rate_qps(0) == pytest.approx(1500.0)
 
 
-class TestSingleModelPoolParam:
-    """The observational ``pool=`` hook on the single-model layers."""
-
-    def test_rejects_unregistered_model(self):
-        pool = MultiModelPool(REPLICAS, (RMC1_SMALL,))
-        with pytest.raises(ValueError, match="not registered"):
-            ServingSimulator(BROADWELL, RMC2_SMALL, 8, 2, pool=pool)
-        with pytest.raises(ValueError, match="not registered"):
-            ResilientRouter(BROADWELL, RMC2_SMALL, 8, 2, pool=pool)
-
-    def test_simulator_results_unchanged_by_pool(self):
-        pool = make_pool()
-        with_pool = ServingSimulator(
-            BROADWELL, RMC1_SMALL, 8, 2, seed=3, pool=pool
-        ).run(0.05)
-        without = ServingSimulator(BROADWELL, RMC1_SMALL, 8, 2, seed=3).run(0.05)
-        assert np.array_equal(with_pool.latencies_s(), without.latencies_s())
-        assert with_pool.offered == without.offered
-
-    def test_router_results_unchanged_by_pool(self):
-        pool = make_pool()
-        metrics = MetricsRegistry()
-        with_pool = ResilientRouter(
-            BROADWELL, RMC1_SMALL, 8, 2, seed=3, pool=pool, metrics=metrics
-        ).run(800.0, 0.05)
-        without = ResilientRouter(BROADWELL, RMC1_SMALL, 8, 2, seed=3).run(
-            800.0, 0.05
-        )
-        assert np.array_equal(with_pool.latencies_s, without.latencies_s)
-        gauge = "serving.multimodel.capacity_slots{model=%s}" % RMC1_SMALL.name
-        assert metrics.snapshot().gauges[gauge] == pool.total_slots
+def test_single_model_layers_take_no_pool():
+    # Cross-model dispatch lives only in MultiModelRouter.
+    pool = make_pool()
+    with pytest.raises(TypeError):
+        ServingSimulator(BROADWELL, RMC1_SMALL, 8, 2, pool=pool)
+    with pytest.raises(TypeError):
+        ResilientRouter(BROADWELL, RMC1_SMALL, 8, 2, pool=pool)
 
 
 class TestSlotAccountingProperties:

@@ -8,11 +8,9 @@ the draw, the books must balance:
   offered = completed + shed + killed + in-flight (simulator);
 * rate level — goodput <= throughput <= offered rate.
 
-Every simulator example also draws which loop (the reference loop or,
-when it loads, the C kernel) runs it, so the invariants are exercised on
-both simulator loops in the same sweep. CI runs this as a dedicated "chaos
-smoke" step with ``CHAOS_EXAMPLES=40``; crank the sweep with
-``CHAOS_EXAMPLES=200`` locally when touching the overload or DES layers.
+CI runs this as a dedicated "chaos smoke" step with
+``CHAOS_EXAMPLES=40``; crank the sweep with ``CHAOS_EXAMPLES=200``
+locally when touching the overload or DES layers.
 """
 
 import os
@@ -46,7 +44,6 @@ from repro.serving import (
     replicate_shards,
     shard_tables,
 )
-from tests.test_des_equivalence import SIM_RUNS
 
 NUM_MACHINES = 3
 DURATION_S = 0.05
@@ -237,10 +234,9 @@ class TestSimulatorChaos:
         load_factor=st.floats(0.3, 5.0),
         faults=fault_schedules(),
         seed=st.integers(0, 2**16),
-        run=st.sampled_from(SIM_RUNS),
     )
     def test_conservation(
-        self, capacity, shed_policy, load_factor, faults, seed, run
+        self, capacity, shed_policy, load_factor, faults, seed
     ):
         overload = (
             None
@@ -263,7 +259,7 @@ class TestSimulatorChaos:
             overload=overload,
             faults=faults,
         )
-        result = run(sim, DURATION_S)
+        result = sim.run(DURATION_S)
         in_flight = check_conservation(
             result.offered,
             len(result.records),
@@ -479,54 +475,3 @@ class TestMultiModelChaos:
             ) + ovl.shed_by_reason.get("deadline_hopeless", 0)
             assert ovl.admitted + door_shed == ovl.offered
             assert ovl.shed == sum(ovl.shed_by_reason.values())
-
-    @CHAOS
-    @given(
-        faults=fault_schedules(),
-        load_factor=st.floats(0.3, 6.0),
-        seed=st.integers(0, 2**16),
-        run=st.sampled_from(SIM_RUNS),
-    )
-    def test_single_model_pool_is_observationally_inert(
-        self, faults, load_factor, seed, run
-    ):
-        """``pool=`` must leave single-model runs record-for-record equal."""
-        pool = MultiModelPool(MM_REPLICAS, (RMC1_SMALL,), slots_per_replica=1)
-
-        def run_router(pool_arg):
-            return ResilientRouter(
-                BROADWELL,
-                RMC1_SMALL,
-                8,
-                NUM_MACHINES,
-                seed=seed,
-                pool=pool_arg,
-            ).run(
-                offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
-                duration_s=DURATION_S,
-                faults=faults,
-                sla=SLA(deadline_s=25.0 * SERVICE_S),
-            )
-
-        with_pool, without = run_router(pool), run_router(None)
-        assert with_pool.offered == without.offered
-        assert with_pool.completed == without.completed
-        assert list(with_pool.latencies_s) == list(without.latencies_s)
-
-        def run_sim(pool_arg):
-            sim = ServingSimulator(
-                BROADWELL,
-                RMC1_SMALL,
-                batch_size=8,
-                num_instances=NUM_MACHINES,
-                per_instance_qps=load_factor / SERVICE_S,
-                seed=seed,
-                faults=faults,
-                pool=pool_arg,
-            )
-            return run(sim, DURATION_S)
-
-        sim_with, sim_without = run_sim(pool), run_sim(None)
-        assert sim_with.offered == sim_without.offered
-        assert sim_with.records == sim_without.records
-        assert list(sim_with.latencies_s()) == list(sim_without.latencies_s())

@@ -12,6 +12,7 @@ from repro.serving import (
     ThroughputPoint,
     batch_stream,
     latency_bounded_throughput,
+    poisson_arrival_times,
 )
 
 
@@ -70,6 +71,43 @@ class TestPoissonLoadGenerator:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             PoissonLoadGenerator(rate_qps=0)
+
+
+def scalar_arrival_times(rng, rate_qps, duration_s):
+    """The scalar draw loop ``poisson_arrival_times`` reproduces."""
+    times = []
+    t = 0.0
+    while True:
+        t += float(rng.exponential(1.0 / rate_qps))
+        if t >= duration_s:
+            break
+        times.append(t)
+    return times
+
+
+class TestPoissonArrivalTimes:
+    CHUNK = 16
+
+    # Streams shorter than one chunk, ending exactly on a chunk boundary,
+    # and spanning several chunks.
+    @pytest.mark.parametrize("count", [5, 32, 75])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scalar_loop(self, count, seed):
+        rate_qps = 1000.0
+        # The horizon is the (count+1)-th scalar arrival, so exactly
+        # ``count`` arrivals fall before it.
+        probe = scalar_arrival_times(np.random.default_rng(seed), rate_qps, 1.0)
+        duration_s = probe[count]
+        scalar_rng = np.random.default_rng(seed)
+        batched_rng = np.random.default_rng(seed)
+        expected = scalar_arrival_times(scalar_rng, rate_qps, duration_s)
+        got = poisson_arrival_times(
+            batched_rng, rate_qps, duration_s, chunk=self.CHUNK
+        )
+        assert len(expected) == count
+        assert got.tolist() == expected
+        # The generator ends where the scalar loop leaves it.
+        assert batched_rng.random() == scalar_rng.random()
 
 
 class TestClosedLoop:
