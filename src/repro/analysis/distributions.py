@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.quantiles import quantile
+from ..obs.quantiles import as_samples, quantiles
 
 
 @dataclass(frozen=True)
@@ -36,19 +36,20 @@ class LatencySummary:
 
 def summarize(samples) -> LatencySummary:
     """Percentile summary of a non-empty latency sample."""
-    arr = np.asarray(list(samples), dtype=np.float64)
+    arr = as_samples(samples)
     if arr.size == 0:
         raise ValueError("cannot summarize an empty sample")
     if np.any(arr < 0):
         raise ValueError("latencies must be non-negative")
+    p5, p50, p95, p99, p999 = quantiles(arr, (0.05, 0.50, 0.95, 0.99, 0.999))
     return LatencySummary(
         count=int(arr.size),
         mean=float(arr.mean()),
-        p5=quantile(arr, 0.05),
-        p50=quantile(arr, 0.50),
-        p95=quantile(arr, 0.95),
-        p99=quantile(arr, 0.99),
-        p999=quantile(arr, 0.999),
+        p5=p5,
+        p50=p50,
+        p95=p95,
+        p99=p99,
+        p999=p999,
     )
 
 
@@ -67,7 +68,7 @@ def count_modes(
     "several clearly separated co-location modes", which is all Figure 11a
     needs.
     """
-    arr = np.asarray(list(samples), dtype=np.float64)
+    arr = as_samples(samples)
     if arr.size < 10:
         raise ValueError("need at least 10 samples to count modes")
     hist, _ = np.histogram(arr, bins=bins)

@@ -8,20 +8,12 @@ ratio of *every* cache size simultaneously (the miss-ratio curve), which
 is how capacity decisions for embedding caches / DRAM tiers should be
 made rather than replaying per size.
 
-Two implementations of the same exact computation:
-
-* ``method="fenwick"`` — a Fenwick (binary indexed) tree over reference
-  timestamps, O(N log N) but pure Python per lookup. Kept as the
-  executable specification and used for tiny traces.
-* ``method="sorting"`` — a fully vectorized O(N log² N) pass: previous
-  occurrences via a stable argsort, then the left-neighbour dominance
-  count (``#{j<k : sprev[j] <= sprev[k]}``) by bottom-up merge counting,
-  where each doubling pass is a single ``np.searchsorted`` over all block
-  pairs at once (block-offset keys keep queries inside their pair). This
-  is what makes reuse profiling practical on million-lookup traces.
-
-Both return identical integer arrays; ``method="auto"`` (the default)
-picks by trace size.
+One vectorized O(N log² N) pass computes the distances at every trace
+length (a stable argsort, then bottom-up merge counting with one
+``np.searchsorted`` per doubling pass; see :func:`stack_distances`), which
+is what makes reuse profiling practical on million-lookup traces. Its
+executable spec, a per-lookup Fenwick-tree walk, is test-only
+(``tests/oracles/stack_distances.py``).
 """
 
 from __future__ import annotations
@@ -31,76 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class _Fenwick:
-    """Prefix-sum tree over trace positions."""
-
-    def __init__(self, size: int) -> None:
-        self._tree = np.zeros(size + 1, dtype=np.int64)
-        self._size = size
-
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        while i <= self._size:
-            self._tree[i] += delta
-            i += i & (-i)
-
-    def prefix_sum(self, index: int) -> int:
-        """Sum of entries at positions [0, index]."""
-        i = index + 1
-        total = 0
-        while i > 0:
-            total += int(self._tree[i])
-            i -= i & (-i)
-        return total
-
-
-#: Below this trace length ``method="auto"`` keeps the Fenwick walk —
-#: the vectorized path's argsort setup only pays off on longer traces.
-_SORTING_MIN_LOOKUPS = 256
-
-
-def stack_distances(ids: np.ndarray, method: str = "auto") -> np.ndarray:
+def stack_distances(ids: np.ndarray) -> np.ndarray:
     """Per-reference LRU stack distances; first touches get -1.
 
     ``distances[k]`` is the number of *distinct* IDs referenced strictly
     between reference ``k`` and the previous reference to the same ID.
-    ``method`` selects the implementation (``"auto"``, ``"sorting"``,
-    ``"fenwick"``); all produce identical arrays.
-    """
-    ids = np.asarray(ids).reshape(-1)
-    if ids.size == 0:
-        raise ValueError("trace must contain at least one lookup")
-    if method not in ("auto", "sorting", "fenwick"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "fenwick" or (
-        method == "auto" and ids.size < _SORTING_MIN_LOOKUPS
-    ):
-        return _stack_distances_fenwick(ids)
-    return _stack_distances_sorting(ids)
-
-
-def _stack_distances_fenwick(ids: np.ndarray) -> np.ndarray:
-    """Reference implementation: live-marker counting on a Fenwick tree."""
-    n = int(ids.size)
-    tree = _Fenwick(n)
-    last_pos: dict[int, int] = {}
-    out = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        key = int(ids[k])
-        prev = last_pos.get(key)
-        if prev is None:
-            out[k] = -1
-        else:
-            # Distinct IDs since prev = live markers in (prev, k).
-            out[k] = tree.prefix_sum(k - 1) - tree.prefix_sum(prev)
-            tree.add(prev, -1)
-        tree.add(k, +1)
-        last_pos[key] = k
-    return out
-
-
-def _stack_distances_sorting(ids: np.ndarray) -> np.ndarray:
-    """Vectorized implementation: argsort + bottom-up merge counting.
 
     With ``sprev[k]`` the previous occurrence of ``ids[k]`` (-1 for first
     touches), every j <= sprev[k] trivially has ``sprev[j] < j <= sprev[k]``,
@@ -115,6 +42,9 @@ def _stack_distances_sorting(ids: np.ndarray) -> np.ndarray:
     range) to the keys makes the concatenation of all sorted left halves
     globally sorted, so every pass is one ``np.searchsorted`` call.
     """
+    ids = np.asarray(ids).reshape(-1)
+    if ids.size == 0:
+        raise ValueError("trace must contain at least one lookup")
     n = int(ids.size)
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
@@ -190,9 +120,9 @@ class ReuseProfile:
         return int(indices[0]) + 1
 
 
-def reuse_profile(ids: np.ndarray, method: str = "auto") -> ReuseProfile:
+def reuse_profile(ids: np.ndarray) -> ReuseProfile:
     """Build the reuse profile of a trace in one pass."""
-    distances = stack_distances(ids, method=method)
+    distances = stack_distances(ids)
     compulsory = int((distances < 0).sum())
     finite = distances[distances >= 0]
     max_distance = int(finite.max()) if finite.size else 0

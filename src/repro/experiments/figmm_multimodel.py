@@ -180,7 +180,7 @@ def run(
         tracer=tracer,
         metrics=metrics,
     )
-    mixed = mixed_router.run(duration_s, load=load)
+    mixed = mixed_router.run(duration_s, queries=load.generate(duration_s))
 
     # Static arm: the same replicas, hard-partitioned per class, each
     # partition replaying its class's substream of the same trace.

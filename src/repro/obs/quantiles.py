@@ -18,7 +18,21 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["quantile", "quantiles"]
+__all__ = ["as_samples", "quantile", "quantiles"]
+
+
+def as_samples(samples) -> np.ndarray:
+    """``samples`` as a contiguous float64 array.
+
+    An array converts directly, with no round trip through a Python
+    list; any other iterable goes through ``list``. The result is
+    contiguous either way, so ``mean()`` sums an array and a list of the
+    same values in the same order. A 0-d array, like a scalar, raises
+    ``TypeError``.
+    """
+    if isinstance(samples, np.ndarray) and samples.ndim > 0:
+        return np.ascontiguousarray(samples, dtype=np.float64)
+    return np.asarray(list(samples), dtype=np.float64)
 
 
 def _as_array(samples) -> np.ndarray:

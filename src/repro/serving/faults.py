@@ -50,7 +50,7 @@ from ..hw.timing import TimingModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 from ._des_native import native_available, route_native
-from .loadgen import poisson_arrival_times
+from .loadgen import _require_finite, poisson_arrival_times
 from .metrics import SLA, ResilienceStats, goodput_qps
 from .ranking_quality import pipeline_quality
 from .router import POLICIES, SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
@@ -70,13 +70,6 @@ from .overload import (
 )
 
 # --------------------------------------------------------------- injectors
-
-
-def _require_finite(owner: str, **fields: float | None) -> None:
-    """Reject ``inf``/``nan`` in the named fields (``None`` passes)."""
-    for name, value in fields.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,24 @@ Three modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _require_finite(owner: str, **fields: float | None) -> None:
+    """Reject ``inf``/``nan`` in the named fields (``None`` passes)."""
+    for name, value in fields.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{owner}.{name} must be finite, got {value!r}")
+
+
+def _require_duration(owner: str, duration_s: float) -> None:
+    """Reject a non-finite or non-positive generation horizon."""
+    _require_finite(owner, duration_s=duration_s)
+    if duration_s <= 0:
+        raise ValueError("duration must be positive")
 
 
 @dataclass(frozen=True)
@@ -96,6 +111,7 @@ class PoissonLoadGenerator:
     """
 
     def __init__(self, rate_qps: float, num_items: int = 1, seed: int = 0) -> None:
+        _require_finite("PoissonLoadGenerator", rate_qps=rate_qps)
         if rate_qps <= 0:
             raise ValueError("rate must be positive")
         if num_items < 1:
@@ -106,8 +122,7 @@ class PoissonLoadGenerator:
 
     def generate(self, duration_s: float) -> list[Query]:
         """All queries arriving within ``duration_s``."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        _require_duration("PoissonLoadGenerator.generate", duration_s)
         times = poisson_arrival_times(self._rng, self.rate_qps, duration_s)
         return [
             Query(query_id=qid, arrival_s=t, num_items=self.num_items)
@@ -131,6 +146,12 @@ class LoadSpike:
     multiplier: float
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "LoadSpike",
+            start_s=self.start_s,
+            duration_s=self.duration_s,
+            multiplier=self.multiplier,
+        )
         if self.start_s < 0 or self.duration_s <= 0:
             raise ValueError("spike interval must be non-negative/positive")
         if self.multiplier < 0:
@@ -151,8 +172,9 @@ def _thinned_arrivals(
     every candidate, so the stream is fully determined by the generator's
     seed regardless of the rate profile.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    if not math.isfinite(envelope_qps):
+        # Finite fields whose product overflows (e.g. compounding spikes).
+        raise ValueError(f"peak rate must be finite, got {envelope_qps!r}")
     queries: list[Query] = []
     t = 0.0
     qid = 0
@@ -189,6 +211,7 @@ class SpikeLoadGenerator:
         num_items: int = 1,
         seed: int = 0,
     ) -> None:
+        _require_finite("SpikeLoadGenerator", base_qps=base_qps)
         if base_qps <= 0:
             raise ValueError("rate must be positive")
         if num_items < 1:
@@ -218,6 +241,7 @@ class SpikeLoadGenerator:
 
     def generate(self, duration_s: float) -> list[Query]:
         """All queries arriving within ``duration_s``."""
+        _require_duration("SpikeLoadGenerator.generate", duration_s)
         return _thinned_arrivals(
             self._rng, self.rate_at, self.max_rate_qps(), duration_s, self.num_items
         )
@@ -260,6 +284,13 @@ class DiurnalLoadGenerator:
         num_items: int = 1,
         seed: int = 0,
     ) -> None:
+        _require_finite(
+            "DiurnalLoadGenerator",
+            mean_qps=mean_qps,
+            amplitude=amplitude,
+            period_s=period_s,
+            phase_s=phase_s,
+        )
         if mean_qps <= 0:
             raise ValueError("rate must be positive")
         if not 0.0 <= amplitude <= 1.0:
@@ -298,6 +329,7 @@ class DiurnalLoadGenerator:
 
     def generate(self, duration_s: float) -> list[Query]:
         """All queries arriving within ``duration_s``."""
+        _require_duration("DiurnalLoadGenerator.generate", duration_s)
         return _thinned_arrivals(
             self._rng, self.rate_at, self.max_rate_qps(), duration_s, self.num_items
         )
@@ -369,6 +401,12 @@ class ModelClassRate:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("a model class needs a name")
+        _require_finite(
+            "ModelClassRate",
+            mean_qps=self.mean_qps,
+            amplitude=self.amplitude,
+            phase_s=self.phase_s,
+        )
         if self.mean_qps <= 0:
             raise ValueError("rate must be positive")
         if not 0.0 <= self.amplitude <= 1.0:
@@ -406,6 +444,7 @@ class MixedModelLoadGenerator:
         names = [cls.name for cls in classes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate model class names: {names}")
+        _require_finite("MixedModelLoadGenerator", period_s=period_s)
         if period_s <= 0:
             raise ValueError("period must be positive")
         if num_items < 1:
@@ -436,6 +475,7 @@ class MixedModelLoadGenerator:
         feeds each class's substream to its own partition, so both arms
         see byte-identical per-class traffic.
         """
+        _require_duration("MixedModelLoadGenerator.generate", duration_s)
         streams: dict[str, list[float]] = {}
         for index, cls in enumerate(self.classes):
             rng = np.random.default_rng([self.seed, index])

@@ -21,15 +21,17 @@ Three mechanisms, all deterministic on the DES clock:
   load into any free slot. A model swap costs its embedding-table bytes
   at the replica's DRAM bandwidth, stretched by any active bandwidth
   fault.
-* **Drain-before-swap guard** — :meth:`MultiModelPool.find_and_acquire`
-  is the single atomic entry point: it either hands back a slot already
-  resident with the requested model (acquired for service in the same
-  call) or starts a table load into an *idle* slot. A slot that is busy
-  serving another model is never reassigned; at most it is *claimed*
-  (:meth:`MultiModelPool.claim_drain`), which stops new dispatches and
-  swaps only after the in-flight request drains.
-  :meth:`MultiModelPool.begin_service` enforces the guard: dispatching a
-  model to a slot resident with a different one raises.
+* **Drain-before-swap guard** — the router takes slots through three
+  pool calls. A hit is :meth:`MultiModelPool.idle_resident_slot` then
+  :meth:`MultiModelPool.begin_service`; a load is
+  :meth:`MultiModelPool.acquire_for_load`, which starts a table load
+  into an empty or *idle* slot only; a drain is
+  :meth:`MultiModelPool.claim_drain` then
+  :meth:`MultiModelPool.start_pending_load`. A slot that is busy serving
+  another model is never reassigned; at most it is claimed, which stops
+  new dispatches and swaps only after the in-flight request drains.
+  ``begin_service`` is the guard's hard edge: dispatching a model to a
+  slot resident with a different one raises.
 * **Model-aware routing with head-of-line rotation** — arrivals go to
   the least-loaded replica among those with affinity for the model
   (resident, loading, or drain-pending), falling back to the least
@@ -347,31 +349,6 @@ class MultiModelPool:
 
     # -------------------------------------------------------- transitions
 
-    def find_and_acquire(
-        self, replica: int, model: int, now_s: float, allow_load: bool = True
-    ):
-        """Atomically find a slot for ``model`` and take it.
-
-        Returns ``("hit", slot, 0.0)`` with the slot acquired busy for
-        service, ``("load", slot, swap_base_s)`` with a table load
-        started into an empty or idle-evicted slot (the caller owns the
-        load-done callback via :meth:`finish_load`), or ``None`` — every
-        other slot is busy, loading, or draining, and the drain guard
-        refuses to touch in-flight work. With ``allow_load=False`` only
-        the hit path is attempted (used while scanning a queue for warm
-        work).
-        """
-        idx = self.idle_resident_slot(replica, model)
-        if idx >= 0:
-            self.begin_service(replica, idx, model, now_s)
-            return ("hit", idx, 0.0)
-        if not allow_load:
-            return None
-        start = self._acquire_for_load(replica, model, now_s)
-        if start is None:
-            return None
-        return ("load", start.slot, start.swap_base_s)
-
     def acquire_for_load(self, replica: int, model: int, now_s: float):
         """Start loading ``model`` into an empty or idle slot.
 
@@ -379,9 +356,6 @@ class MultiModelPool:
         model, thrash flag) or ``None`` when no idle slot exists — the
         drain-before-swap refusal.
         """
-        return self._acquire_for_load(replica, model, now_s)
-
-    def _acquire_for_load(self, replica: int, model: int, now_s: float):
         slots = self._slots[replica]
         target = -1
         for idx, s in enumerate(slots):
@@ -943,43 +917,13 @@ class _Core:
 # ---------------------------------------------------------------- router
 
 
-def _resolve_pool(
-    pool,
-    replicas,
-    models,
-    *,
-    dram_headroom,
-    slots_per_replica,
-    thrash_window_s,
-) -> MultiModelPool:
-    """Normalize the router's pool-or-specs constructor contract."""
-    if pool is not None:
-        if replicas is not None or models is not None:
-            raise ValueError("pass a pool or replicas+models, not both")
-        return pool
-    if replicas is None or models is None:
-        raise ValueError("need a pool, or replicas and models")
-    return MultiModelPool(
-        replicas,
-        models,
-        dram_headroom=dram_headroom,
-        slots_per_replica=slots_per_replica,
-        thrash_window_s=thrash_window_s,
-    )
-
-
 class MultiModelRouter:
     """Least-loaded, model-aware router over a :class:`MultiModelPool`.
 
     Args:
-        pool: an existing pool to route over, or ``None`` to build one
-            from ``replicas``/``models``.
-        replicas: replica specs (exclusive with ``pool``).
-        models: model classes (exclusive with ``pool``).
+        pool: the residency pool to route over; it fixes the replicas,
+            the models and the slot layout.
         batch_size: inference batch per request (prices service times).
-        dram_headroom: forwarded to the pool when one is built here.
-        slots_per_replica: forwarded to the pool when one is built here.
-        thrash_window_s: forwarded to the pool when one is built here.
         hol_skip_cap: how many times the queue head may be bypassed by
             warm-resident work before it locks the queue.
         hol_scan_window: how deep the rotation scans the queue.
@@ -998,14 +942,9 @@ class MultiModelRouter:
 
     def __init__(
         self,
-        pool: MultiModelPool | None = None,
+        pool: MultiModelPool,
         *,
-        replicas=None,
-        models=None,
         batch_size: int = 8,
-        dram_headroom: float = 0.8,
-        slots_per_replica: int | None = None,
-        thrash_window_s: float | None = None,
         hol_skip_cap: int = 4,
         hol_scan_window: int = 16,
         overload: OverloadConfig | None = None,
@@ -1013,14 +952,6 @@ class MultiModelRouter:
         tracer=None,
         metrics=None,
     ) -> None:
-        resolved = _resolve_pool(
-            pool,
-            replicas,
-            models,
-            dram_headroom=dram_headroom,
-            slots_per_replica=slots_per_replica,
-            thrash_window_s=thrash_window_s,
-        )
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if hol_skip_cap < 0:
@@ -1035,7 +966,7 @@ class MultiModelRouter:
                     "circuit breakers and brownout live in ResilientRouter"
                 )
             self.admission = overload.admission
-        self.pool = resolved
+        self.pool = pool
         self.batch_size = batch_size
         self.hol_skip_cap = hol_skip_cap
         self.hol_scan_window = hol_scan_window
@@ -1043,15 +974,15 @@ class MultiModelRouter:
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
         timings: dict[str, TimingModel] = {}
-        for spec in resolved.replicas:
+        for spec in pool.replicas:
             if spec.name not in timings:
                 timings[spec.name] = TimingModel(spec)
         self.service_s: list[list[float]] = []
         self.memory_fraction: list[list[float]] = []
-        for spec in resolved.replicas:
+        for spec in pool.replicas:
             row_s = []
             row_frac = []
-            for config in resolved.models:
+            for config in pool.models:
                 latency = timings[spec.name].model_latency(config, batch_size)
                 row_s.append(latency.total_seconds)
                 row_frac.append(
@@ -1116,30 +1047,21 @@ class MultiModelRouter:
         offered_qps: float | None = None,
         mix=None,
         queries=None,
-        load=None,
         faults=None,
     ) -> MultiModelResult:
         """Simulate mixed traffic for ``duration_s`` seconds.
 
         Exactly one arrival source: ``offered_qps`` (+ optional ``mix``
-        weights) for seeded Poisson synthesis, ``queries`` for an
-        explicit trace of
-        :class:`~repro.serving.loadgen.MixedQuery`, or ``load`` for any
-        generator with a ``generate(duration_s)`` method (e.g.
-        :class:`~repro.serving.loadgen.MixedModelLoadGenerator`).
+        weights) for seeded Poisson synthesis, or ``queries`` for an
+        explicit, time-ordered trace of
+        :class:`~repro.serving.loadgen.MixedQuery` (e.g. the output of
+        :meth:`~repro.serving.loadgen.MixedModelLoadGenerator.generate`).
         """
         if not 0 < duration_s < math.inf:
             raise ValueError("duration must be positive")
-        sources = sum(
-            x is not None for x in (offered_qps, queries, load)
-        )
-        if sources != 1:
-            raise ValueError(
-                "pass exactly one of offered_qps, queries, or load"
-            )
+        if (offered_qps is None) == (queries is None):
+            raise ValueError("pass exactly one of offered_qps or queries")
         rng = np.random.default_rng(self.seed)
-        if load is not None:
-            queries = load.generate(duration_s)
         if queries is not None:
             arrivals_s, model_ids = self._queries_to_arrays(
                 queries, duration_s

@@ -12,14 +12,16 @@ model replicas on one socket, each receiving Poisson arrivals (open loop)
 or re-issuing immediately (closed loop). Service times come from the
 :class:`~repro.hw.timing.TimingModel` evaluated at the dispatch-time active
 count, with multiplicative lognormal noise whose spread grows with
-contention (and faster on inclusive hierarchies).
+contention (and faster on inclusive hierarchies). A run returns the
+:class:`InferenceRecord` list its event loop builds, in completion order;
+:class:`SimulationResult` derives its latency, service-time and
+active-job arrays from that list.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,6 +35,7 @@ from ..hw.colocation import ColocationState
 from ..hw.server import ServerSpec
 from ..hw.timing import ModelLatency, TimingModel
 from ..obs.tracer import as_tracer
+from .loadgen import poisson_arrival_times
 from .overload import SHED_CODEL, SHED_DEADLINE, SHED_OLDEST, SHED_QUEUE_FULL
 
 if TYPE_CHECKING:
@@ -91,94 +94,6 @@ class InferenceRecord:
         return self.start_s - self.arrival_s
 
 
-class RecordBatch(Sequence):
-    """Struct-of-arrays store of completed inferences.
-
-    A sequence of :class:`InferenceRecord` — indexing materialises a real
-    record — with array accessors (:meth:`latencies_s`,
-    :meth:`service_times_s`, :meth:`active_job_counts`) for
-    :class:`SimulationResult`. Two runs compare with ``==``: equal when
-    every column holds the same values in the same order.
-    """
-
-    __slots__ = (
-        "instance_ids",
-        "arrivals_s",
-        "starts_s",
-        "ends_s",
-        "active_jobs",
-        "services_s",
-    )
-
-    def __init__(
-        self,
-        instance_ids: np.ndarray,
-        arrivals_s: np.ndarray,
-        starts_s: np.ndarray,
-        ends_s: np.ndarray,
-        active_jobs: np.ndarray,
-        services_s: np.ndarray,
-    ) -> None:
-        self.instance_ids = instance_ids.astype(np.int64)
-        self.arrivals_s = np.ascontiguousarray(arrivals_s, dtype=np.float64)
-        self.starts_s = np.ascontiguousarray(starts_s, dtype=np.float64)
-        self.ends_s = np.ascontiguousarray(ends_s, dtype=np.float64)
-        self.active_jobs = active_jobs.astype(np.int64)
-        self.services_s = np.ascontiguousarray(services_s, dtype=np.float64)
-
-    @classmethod
-    def from_records(cls, records: list[InferenceRecord]) -> "RecordBatch":
-        """The columns of a record list, in list order."""
-        return cls(
-            np.array([r.instance_id for r in records], dtype=np.int64),
-            np.array([r.arrival_s for r in records], dtype=np.float64),
-            np.array([r.start_s for r in records], dtype=np.float64),
-            np.array([r.end_s for r in records], dtype=np.float64),
-            np.array([r.active_jobs for r in records], dtype=np.int64),
-            np.array([r.service_s for r in records], dtype=np.float64),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RecordBatch):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, name), getattr(other, name))
-            for name in self.__slots__
-        )
-
-    def __len__(self) -> int:
-        return int(self.arrivals_s.size)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        n = len(self)
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("record index out of range")
-        return InferenceRecord(
-            instance_id=int(self.instance_ids[index]),
-            arrival_s=float(self.arrivals_s[index]),
-            start_s=float(self.starts_s[index]),
-            end_s=float(self.ends_s[index]),
-            active_jobs=int(self.active_jobs[index]),
-            service_s=float(self.services_s[index]),
-        )
-
-    def latencies_s(self) -> np.ndarray:
-        """End-to-end latency per record (bitwise ``end - arrival``)."""
-        return self.ends_s - self.arrivals_s
-
-    def service_times_s(self) -> np.ndarray:
-        """Service time per record."""
-        return self.services_s.copy()
-
-    def active_job_counts(self) -> np.ndarray:
-        """Dispatch-time active-job count per record."""
-        return self.active_jobs.copy()
-
-
 @dataclass
 class SimulationResult:
     """Outcome of one serving simulation.
@@ -202,7 +117,7 @@ class SimulationResult:
     num_instances: int
     duration_s: float
     #: Completed inferences, in completion order.
-    records: RecordBatch
+    records: list[InferenceRecord]
     offered: int = 0
     killed: int = 0
     downtime_s: float = 0.0
@@ -211,11 +126,11 @@ class SimulationResult:
 
     def latencies_s(self) -> np.ndarray:
         """End-to-end latency of every completed inference."""
-        return self.records.latencies_s()
+        return np.array([r.latency_s for r in self.records], dtype=np.float64)
 
     def service_times_s(self) -> np.ndarray:
         """Service time (excluding queueing) of every inference."""
-        return self.records.service_times_s()
+        return np.array([r.service_s for r in self.records], dtype=np.float64)
 
     def summary(self) -> LatencySummary:
         """Percentile summary of end-to-end latencies."""
@@ -229,7 +144,7 @@ class SimulationResult:
 
     def active_job_counts(self) -> np.ndarray:
         """Active co-located jobs observed at each dispatch."""
-        return self.records.active_job_counts()
+        return np.array([r.active_jobs for r in self.records], dtype=np.int64)
 
     def availability(self) -> float:
         """Fraction of offered arrivals that completed (1.0 when idle)."""
@@ -472,14 +387,11 @@ class ServingSimulator:
             if self.per_instance_qps is None:
                 arrivals.append([float(rng.uniform(0, 1e-4))])
             else:
-                times = []
-                t = 0.0
-                while True:
-                    t += float(rng.exponential(1.0 / self.per_instance_qps))
-                    if t >= duration_s:
-                        break
-                    times.append(t)
-                arrivals.append(times)
+                arrivals.append(
+                    poisson_arrival_times(
+                        rng, self.per_instance_qps, duration_s
+                    ).tolist()
+                )
 
         # Event queue holds (time, seq, kind, instance, epoch); kinds:
         # 0 arrival, 1 completion, 2 replica crash, 3 replica restart.
@@ -684,7 +596,7 @@ class ServingSimulator:
             batch_size=self.batch_size,
             num_instances=self.num_instances,
             duration_s=duration_s,
-            records=RecordBatch.from_records(records),
+            records=records,
             offered=offered,
             killed=killed,
             downtime_s=downtime_s,

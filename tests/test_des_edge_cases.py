@@ -67,16 +67,16 @@ def check_simulator(num_instances, **kwargs):
         shed=result.shed, killed=result.killed,
     )
     assert in_flight >= 0
-    records = result.records
     for instance in range(num_instances):
-        mine = records.instance_ids == instance
-        arrivals_s = records.arrivals_s[mine]
-        starts_s = records.starts_s[mine]
-        ends_s = records.ends_s[mine]
+        mine = [r for r in result.records if r.instance_id == instance]
+        arrivals_s = np.array([r.arrival_s for r in mine])
+        starts_s = np.array([r.start_s for r in mine])
+        ends_s = np.array([r.end_s for r in mine])
+        services_s = np.array([r.service_s for r in mine])
         assert np.all(np.diff(arrivals_s) >= 0.0)
         assert np.all(starts_s >= arrivals_s)
         assert np.all(starts_s[1:] >= ends_s[:-1])
-        assert np.array_equal(ends_s, starts_s + records.services_s[mine])
+        assert np.array_equal(ends_s, starts_s + services_s)
     return result
 
 

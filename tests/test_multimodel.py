@@ -122,49 +122,59 @@ class TestPoolConstruction:
 
 
 class TestPoolTransitions:
+    """The pool calls the router makes.
+
+    A hit is ``idle_resident_slot`` then ``begin_service``, a load is
+    ``acquire_for_load``, and a drain is ``claim_drain`` then
+    ``start_pending_load``.
+    """
+
     def test_load_then_hit_then_release(self):
         pool = make_pool()
-        kind, idx, swap_s = pool.find_and_acquire(0, 0, 0.0)
-        assert kind == "load"
-        assert swap_s == pool.swap_base_s[0][0]
-        pool.finish_load(0, idx, 0.001)
-        kind, idx2, _ = pool.find_and_acquire(0, 0, 0.002)
-        assert (kind, idx2) == ("hit", idx)
+        assert pool.idle_resident_slot(0, 0) == -1
+        start = pool.acquire_for_load(0, 0, 0.0)
+        assert start.swap_base_s == pool.swap_base_s[0][0]
+        pool.finish_load(0, start.slot, 0.001)
+        idx = pool.idle_resident_slot(0, 0)
+        assert idx == start.slot
+        pool.begin_service(0, idx, 0, 0.002)
         pool.release(0, idx, 0.003)
         pool.verify_occupancy()
 
     def test_acquire_refuses_when_all_slots_busy(self):
         pool = make_pool()
         for m in (0, 1):
-            _, idx, _ = pool.find_and_acquire(0, m, 0.0)
+            idx = pool.acquire_for_load(0, m, 0.0).slot
             pool.finish_load(0, idx, 0.001)
             pool.begin_service(0, idx, m, 0.002)
         # Both slots busy with models 0/1: model 2 gets nothing.
-        assert pool.find_and_acquire(0, 2, 0.003) is None
+        assert pool.idle_resident_slot(0, 2) == -1
+        assert pool.acquire_for_load(0, 2, 0.003) is None
 
     def test_lru_eviction_counts_swap_and_thrash(self):
         pool = make_pool(thrash_window_s=10.0)
         for m in (0, 1):
-            _, idx, _ = pool.find_and_acquire(0, m, 0.0)
+            idx = pool.acquire_for_load(0, m, 0.0).slot
             pool.finish_load(0, idx, 0.001 + m * 0.001)
         # Slots full but idle: loading model 2 evicts the LRU (model 0),
         # and well inside the thrash window.
-        kind, idx, swap_s = pool.find_and_acquire(0, 2, 0.01)
-        assert kind == "load"
-        assert swap_s == pool.swap_base_s[0][2]
+        assert pool.idle_resident_slot(0, 2) == -1
+        start = pool.acquire_for_load(0, 2, 0.01)
+        assert start.swap_base_s == pool.swap_base_s[0][2]
+        assert (start.evicted_model, start.thrash) == (0, True)
         assert (pool.swaps, pool.thrash) == (1, 1)
         assert pool.swaps_by_model[2] == 1
 
     def test_drain_guard_rejects_mismatched_dispatch(self):
         pool = make_pool()
-        _, idx, _ = pool.find_and_acquire(0, 0, 0.0)
+        idx = pool.acquire_for_load(0, 0, 0.0).slot
         pool.finish_load(0, idx, 0.001)
         with pytest.raises(RuntimeError, match="drain guard"):
             pool.begin_service(0, idx, 1, 0.002)
 
     def test_drain_guard_rejects_busy_and_draining_slots(self):
         pool = make_pool()
-        _, idx, _ = pool.find_and_acquire(0, 0, 0.0)
+        idx = pool.acquire_for_load(0, 0, 0.0).slot
         pool.finish_load(0, idx, 0.001)
         pool.begin_service(0, idx, 0, 0.002)
         with pytest.raises(RuntimeError, match="drain guard"):
@@ -182,7 +192,7 @@ class TestPoolTransitions:
     def test_claim_drain_needs_a_busy_mismatch(self):
         pool = make_pool()
         assert pool.claim_drain(0, 1, 0.0) == -1
-        _, idx, _ = pool.find_and_acquire(0, 1, 0.0)
+        idx = pool.acquire_for_load(0, 1, 0.0).slot
         pool.finish_load(0, idx, 0.001)
         pool.begin_service(0, idx, 1, 0.002)
         assert pool.claim_drain(0, 1, 0.003) == -1  # already the model
@@ -196,7 +206,7 @@ class TestPoolTransitions:
 
     def test_crash_clears_residency(self):
         pool = make_pool()
-        _, idx, _ = pool.find_and_acquire(0, 0, 0.0)
+        idx = pool.acquire_for_load(0, 0, 0.0).slot
         pool.finish_load(0, idx, 0.001)
         pool.begin_service(0, idx, 0, 0.002)
         pool.crash(0, 0.003)
@@ -205,7 +215,7 @@ class TestPoolTransitions:
 
     def test_occupancy_time_integral(self):
         pool = make_pool()
-        _, idx, _ = pool.find_and_acquire(0, 0, 0.0)
+        idx = pool.acquire_for_load(0, 0, 0.0).slot
         pool.finish_load(0, idx, 1.0)
         pool.finalize(3.0)
         assert pool.loading_slot_s == pytest.approx(1.0)
@@ -218,13 +228,6 @@ class TestPoolTransitions:
 
 
 class TestRouterValidation:
-    def test_pool_or_specs_not_both(self):
-        pool = make_pool()
-        with pytest.raises(ValueError, match="not both"):
-            MultiModelRouter(pool, replicas=REPLICAS, models=MODELS)
-        with pytest.raises(ValueError, match="need a pool"):
-            MultiModelRouter()
-
     def test_rejects_breaker_and_brownout(self):
         with pytest.raises(ValueError, match="admission control"):
             MultiModelRouter(
@@ -342,8 +345,9 @@ class TestRouterRuns:
         router = MultiModelRouter(
             make_pool(), seed=11, tracer=tracer, metrics=metrics
         )
-        result = router.run(0.1, load=load)
-        assert result.offered == len(load.generate(0.1))
+        queries = load.generate(0.1)
+        result = router.run(0.1, queries=queries)
+        assert result.offered == len(queries)
         names = {span.name for span in tracer.spans}
         assert "serving.multimodel.request" in names
         assert "serving.multimodel.swap" in names

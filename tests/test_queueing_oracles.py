@@ -67,8 +67,7 @@ class TestSimulatorMG1:
         for result in results:
             rate_qps = result.offered / duration_s
             expected_s = pk_wait_s(rate_qps, base_s, base_s**2 * math.exp(sigma**2))
-            records = result.records
-            wait_s = float(np.mean(records.starts_s - records.arrivals_s))
+            wait_s = float(np.mean([r.queue_s for r in result.records]))
             waits.append(wait_s / expected_s)
         assert float(np.mean(waits)) == pytest.approx(1.0, rel=0.025)
         assert waits == pytest.approx([1.0] * len(waits), rel=0.04)
@@ -76,7 +75,7 @@ class TestSimulatorMG1:
     def test_busy_fraction_is_load(self, runs):
         base_s, _, duration_s, results = runs
         for result in results:
-            busy = float(np.sum(result.records.services_s)) / duration_s
+            busy = float(np.sum(result.service_times_s())) / duration_s
             rho = result.offered / duration_s * base_s
             assert busy == pytest.approx(rho, rel=0.01)
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.data.reuse import reuse_profile, stack_distances
 from repro.memory import LruRowCache
 from repro.serving.ranking_quality import ndcg_at_k, pipeline_quality, recall_at_k
+from tests.oracles.stack_distances import stack_distances_fenwick
 
 
 class TestStackDistances:
@@ -32,19 +33,20 @@ class TestStackDistances:
         with pytest.raises(ValueError):
             stack_distances(np.array([], dtype=np.int64))
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
-            stack_distances(np.array([1]), method="magic")
-
     @settings(max_examples=60, deadline=None)
     @given(
-        ids=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=200)
+        ids=st.lists(
+            st.integers(min_value=0, max_value=30)
+            | st.sampled_from([-1, -(2**62), 2**62]),
+            min_size=1,
+            max_size=300,
+        )
     )
     def test_property_sorting_matches_fenwick(self, ids):
         """The vectorized merge-count path is exactly the Fenwick walk."""
         trace = np.asarray(ids, dtype=np.int64)
-        fenwick = stack_distances(trace, method="fenwick")
-        sorting = stack_distances(trace, method="sorting")
+        fenwick = stack_distances_fenwick(trace)
+        sorting = stack_distances(trace)
         assert fenwick.tolist() == sorting.tolist()
 
     @pytest.mark.parametrize("skew", [False, True])
@@ -54,8 +56,8 @@ class TestStackDistances:
             ids = (rng.zipf(1.3, size=5000) - 1) % 10_000
         else:
             ids = rng.integers(0, 400, size=5000)
-        fenwick = stack_distances(ids, method="fenwick")
-        sorting = stack_distances(ids, method="sorting")
+        fenwick = stack_distances_fenwick(ids)
+        sorting = stack_distances(ids)
         assert fenwick.tolist() == sorting.tolist()
 
 

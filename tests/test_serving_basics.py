@@ -1,14 +1,22 @@
 """Tests for SLA metrics, load generation and batching."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
 from repro.serving import (
     Batcher,
     ClosedLoopLoadGenerator,
+    DiurnalLoadGenerator,
+    LoadSpike,
+    MixedModelLoadGenerator,
+    ModelClassRate,
     PoissonLoadGenerator,
     Query,
     SLA,
+    SpikeLoadGenerator,
     ThroughputPoint,
     batch_stream,
     latency_bounded_throughput,
@@ -108,6 +116,107 @@ class TestPoissonArrivalTimes:
         assert got.tolist() == expected
         # The generator ends where the scalar loop leaves it.
         assert batched_rng.random() == scalar_rng.random()
+
+
+def poisson_trace(rate_qps=100.0, duration_s=1.0):
+    return PoissonLoadGenerator(rate_qps).generate(duration_s)
+
+
+def spike_trace(
+    base_qps=100.0, start_s=0.2, spike_s=0.3, multiplier=3.0, duration_s=1.0
+):
+    spike = LoadSpike(start_s, spike_s, multiplier)
+    return SpikeLoadGenerator(base_qps, spikes=(spike,)).generate(duration_s)
+
+
+def diurnal_trace(
+    mean_qps=100.0, amplitude=0.5, period_s=1.0, phase_s=0.0, duration_s=1.0
+):
+    return DiurnalLoadGenerator(
+        mean_qps, amplitude=amplitude, period_s=period_s, phase_s=phase_s
+    ).generate(duration_s)
+
+
+def mixed_trace(
+    mean_qps=100.0, amplitude=0.5, phase_s=0.0, period_s=1.0, duration_s=1.0
+):
+    cls = ModelClassRate("a", mean_qps, amplitude=amplitude, phase_s=phase_s)
+    return MixedModelLoadGenerator((cls,), period_s=period_s).generate(duration_s)
+
+
+NON_FINITE = pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+
+
+class TestNonFiniteLoadInputs:
+    """Non-finite load-generator inputs raise a ValueError naming the field.
+
+    That covers rates, horizons, periods, phases, amplitudes and spike
+    fields. Before the check, inf hung the Poisson and thinning loops,
+    and nan yielded no arrivals.
+    """
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "arg, field",
+        [
+            ("rate_qps", "PoissonLoadGenerator.rate_qps"),
+            ("duration_s", "PoissonLoadGenerator.generate.duration_s"),
+        ],
+    )
+    def test_poisson(self, arg, field, bad):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            poisson_trace(**{arg: bad})
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "arg, field",
+        [
+            ("base_qps", "SpikeLoadGenerator.base_qps"),
+            ("start_s", "LoadSpike.start_s"),
+            ("spike_s", "LoadSpike.duration_s"),
+            ("multiplier", "LoadSpike.multiplier"),
+            ("duration_s", "SpikeLoadGenerator.generate.duration_s"),
+        ],
+    )
+    def test_spike(self, arg, field, bad):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            spike_trace(**{arg: bad})
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "arg, field",
+        [
+            ("mean_qps", "DiurnalLoadGenerator.mean_qps"),
+            ("amplitude", "DiurnalLoadGenerator.amplitude"),
+            ("period_s", "DiurnalLoadGenerator.period_s"),
+            ("phase_s", "DiurnalLoadGenerator.phase_s"),
+            ("duration_s", "DiurnalLoadGenerator.generate.duration_s"),
+        ],
+    )
+    def test_diurnal(self, arg, field, bad):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            diurnal_trace(**{arg: bad})
+
+    @NON_FINITE
+    @pytest.mark.parametrize(
+        "arg, field",
+        [
+            ("mean_qps", "ModelClassRate.mean_qps"),
+            ("amplitude", "ModelClassRate.amplitude"),
+            ("phase_s", "ModelClassRate.phase_s"),
+            ("period_s", "MixedModelLoadGenerator.period_s"),
+            ("duration_s", "MixedModelLoadGenerator.generate.duration_s"),
+        ],
+    )
+    def test_mixed_model(self, arg, field, bad):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            mixed_trace(**{arg: bad})
+
+    def test_overflowing_peak_rate(self):
+        # Every field is finite, but compounding spikes overflow the
+        # thinning envelope to inf.
+        with pytest.raises(ValueError, match="peak rate"):
+            spike_trace(base_qps=1e200, multiplier=1e200)
 
 
 class TestClosedLoop:
