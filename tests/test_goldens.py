@@ -7,10 +7,12 @@ Refresh after intentional model changes with::
     PYTHONPATH=src python -m pytest tests/test_goldens.py --update-goldens
 """
 
+import hashlib
+
 import numpy as np
 
 from repro.analysis.distributions import summarize
-from repro.config import RMC1_SMALL
+from repro.config import RMC1_SMALL, RMC2_SMALL
 from repro.experiments import (
     fig09_colocation,
     fig10_latency_throughput,
@@ -23,8 +25,19 @@ from repro.experiments import (
     fignmp_near_memory,
     fleet_day,
 )
-from repro.hw import BROADWELL, TimingModel
+from repro.hw import BROADWELL, SKYLAKE, TimingModel
+from repro.obs import OpProfiler, Tracer, dumps_chrome
+from repro.serving import (
+    AdmissionPolicy,
+    BandwidthFault,
+    FaultSchedule,
+    OverloadConfig,
+    ReplicaCrash,
+    ServingSimulator,
+    Straggler,
+)
 from repro.serving.faults import ResiliencePolicy, ResilientRouter, fault_storm
+from repro.serving.overload import SHED_POLICIES
 from repro.serving.router import POLICIES, RequestRouter, compare_policies
 from tests.oracles.resilient_router import run_reference
 from tests.reference_loops import reference_loops
@@ -115,6 +128,134 @@ def test_fig11_tail_latency_golden(golden):
         seed=11,
     )
     golden("fig11_tail_latency", _fig11_payload(result))
+
+
+# --- Exact-bit simulator golden ----------------------------------------------
+#
+# The Figure 11 golden rounds to 6 significant digits, so it cannot show
+# that a change kept every bit. These two hash every ``InferenceRecord``
+# field as float64/int64 bytes, plus the run's books, across each branch
+# of ``ServingSimulator.run``, and every array of a short Figure 11 run.
+
+
+_RECORD_FIELDS = (
+    ("instance_id", np.int64),
+    ("arrival_s", np.float64),
+    ("start_s", np.float64),
+    ("end_s", np.float64),
+    ("active_jobs", np.int64),
+    ("service_s", np.float64),
+)
+
+
+def _simulation_bits(result):
+    digest = hashlib.sha256()
+    for field, dtype in _RECORD_FIELDS:
+        column = [getattr(r, field) for r in result.records]
+        digest.update(np.array(column, dtype=dtype).tobytes())
+    books = (result.offered, result.shed, result.killed, result.max_queue_depth)
+    digest.update(np.array(books, dtype=np.int64).tobytes())
+    digest.update(np.float64(result.downtime_s).tobytes())
+    return {"records": len(result.records), "sha256": digest.hexdigest()}
+
+
+def _simulator_bits_payload():
+    def sim(server=BROADWELL, instances=4, **kwargs):
+        return ServingSimulator(server, RMC2_SMALL, 32, instances, **kwargs)
+
+    storm = FaultSchedule(
+        crashes=[ReplicaCrash(1, at_s=0.02, downtime_s=0.03)],
+        stragglers=[Straggler(2, start_s=0.01, duration_s=0.05, slowdown=4.0)],
+        bandwidth_faults=[
+            BandwidthFault(start_s=0.03, duration_s=0.04, bandwidth_fraction=0.5)
+        ],
+    )
+    # Three times what two instances can serve, so every queue overflows.
+    overloaded_qps = 700.0
+    admissions = {
+        f"admission/{policy}": AdmissionPolicy(
+            queue_capacity=3,
+            shed_policy=policy,
+            deadline_s=0.02 if policy == "deadline_aware" else None,
+        )
+        for policy in SHED_POLICIES
+    }
+    # A queue deep enough that CoDel, not the capacity, does the shedding.
+    admissions["admission/codel"] = AdmissionPolicy(
+        queue_capacity=64, codel_target_s=0.005, codel_interval_s=0.02
+    )
+    runs = {
+        "closed_loop": sim(seed=1).run(0.05),
+        "closed_loop/hyperthreading": sim(
+            instances=6, hyperthreading=True, seed=2
+        ).run(0.03),
+        "open_loop": sim(SKYLAKE, per_instance_qps=90.0, seed=3).run(0.3),
+        "faults/closed_loop": sim(faults=storm, seed=4).run(0.1),
+        "faults/open_loop": sim(
+            per_instance_qps=90.0, faults=storm, seed=5
+        ).run(0.1),
+    }
+    for name, admission in admissions.items():
+        runs[name] = sim(
+            instances=2,
+            per_instance_qps=overloaded_qps,
+            overload=OverloadConfig(admission=admission),
+            seed=6,
+        ).run(0.1)
+    payload = {name: _simulation_bits(result) for name, result in runs.items()}
+
+    tracer, profiler = Tracer(), OpProfiler()
+    traced = sim(
+        per_instance_qps=90.0, faults=storm, tracer=tracer, profiler=profiler,
+        seed=7,
+    ).run(0.1)
+    observed = hashlib.sha256(dumps_chrome(tracer).encode())
+    for op_type, a in sorted(profiler.by_op_type.items()):
+        observed.update(op_type.encode())
+        observed.update(np.array([a.invocations], dtype=np.int64).tobytes())
+        observed.update(np.array([a.cycles, a.bytes_moved]).tobytes())
+    payload["traced_profiled"] = {
+        **_simulation_bits(traced),
+        "observed_sha256": observed.hexdigest(),
+    }
+    return payload
+
+
+def test_simulator_bits_golden(golden):
+    golden("simulator_bits", _simulator_bits_payload())
+
+
+def _fig11_bits(result):
+    digest = hashlib.sha256()
+    for name, server in sorted(result.servers.items()):
+        digest.update(name.encode())
+        digest.update(np.asarray(server.pooled_samples_us, np.float64).tobytes())
+        digest.update(np.array([server.modes], dtype=np.int64).tobytes())
+        for curve in (server.curve_small, server.curve_large):
+            for point in curve:
+                s = point.summary
+                digest.update(
+                    np.array([point.num_jobs, s.count], dtype=np.int64).tobytes()
+                )
+                digest.update(
+                    np.array(
+                        [s.mean, s.p5, s.p50, s.p95, s.p99, s.p999],
+                        dtype=np.float64,
+                    ).tobytes()
+                )
+    return digest.hexdigest()
+
+
+def test_fig11_bits_golden(golden):
+    golden(
+        "fig11_bits",
+        {
+            f"seed{seed}": _fig11_bits(
+                fig11_tail_latency.run(duration_s=0.05, seed=seed)
+            )
+            for seed in range(3)
+        },
+    )
 
 
 def _fig11x_payload(result):
