@@ -66,13 +66,6 @@ class Figure11Result:
     servers: dict[str, ServerTailResult]
 
 
-def _fc_samples(
-    sim: ServingSimulator, fc: tuple[int, int], num_jobs: int, duration_s: float
-) -> np.ndarray:
-    result = sim.run(duration_s)
-    return sim.fc_latency_samples(result, fc[0], fc[1])
-
-
 def run(
     workload: ModelConfig = RMC2_SMALL,
     servers: tuple[ServerSpec, ...] = (BROADWELL, SKYLAKE),
@@ -86,7 +79,8 @@ def run(
     The Figure-11a distribution pools FC samples from machines at each
     co-location regime (closed-loop co-runners, as in production where
     co-located jobs are kept busy); the 11b/11c curves sweep the
-    co-location degree directly.
+    co-location degree directly, probing both FC sizes in one simulation
+    per degree (each probe draws from its own noise stream).
     """
     out: dict[str, ServerTailResult] = {}
     for server in servers:
@@ -105,25 +99,27 @@ def run(
         pooled: list[np.ndarray] = []
         for i, n in enumerate(regimes):
             sim = simulator(n, seed + i)
-            pooled.append(_fc_samples(sim, SMALL_FC, n, duration_s) * 1e6)
+            result = sim.run(duration_s)
+            pooled.append(sim.fc_latency_samples(result, *SMALL_FC) * 1e6)
         samples = np.concatenate(pooled)
 
-        def curve(fc: tuple[int, int]) -> list[TailCurvePoint]:
-            points = []
-            for j, n in enumerate(curve_jobs):
-                sim = simulator(n, seed + 100 + j)
-                fc_samples = _fc_samples(sim, fc, n, duration_s) * 1e6
+        curve_small: list[TailCurvePoint] = []
+        curve_large: list[TailCurvePoint] = []
+        for j, n in enumerate(curve_jobs):
+            sim = simulator(n, seed + 100 + j)
+            result = sim.run(duration_s)
+            for fc, points in ((SMALL_FC, curve_small), (LARGE_FC, curve_large)):
+                fc_samples = sim.fc_latency_samples(result, *fc) * 1e6
                 points.append(
                     TailCurvePoint(num_jobs=n, summary=summarize(fc_samples))
                 )
-            return points
 
         out[server.name] = ServerTailResult(
             server_name=server.name,
             pooled_samples_us=samples,
             modes=count_modes(samples),
-            curve_small=curve(SMALL_FC),
-            curve_large=curve(LARGE_FC),
+            curve_small=curve_small,
+            curve_large=curve_large,
         )
     return Figure11Result(servers=out)
 

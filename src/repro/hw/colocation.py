@@ -34,6 +34,7 @@ shared memory system through four mechanisms, each modelled here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .server import MB, ServerSpec
@@ -66,6 +67,16 @@ class ColocationState:
     corunner_random_gbps: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("num_jobs", "resident_bytes_per_job", "corunner_random_gbps"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(
+                    f"ColocationState.{name} must be finite, got {value!r}"
+                )
+        if self.num_jobs != int(self.num_jobs):
+            raise ValueError(
+                f"ColocationState.num_jobs must be an integer, got {self.num_jobs!r}"
+            )
         if self.num_jobs < 1:
             raise ValueError("num_jobs must be >= 1")
         if self.resident_bytes_per_job < 0:

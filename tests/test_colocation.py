@@ -1,8 +1,19 @@
 """Unit tests for the contention model."""
 
+import math
+
+import numpy as np
 import pytest
 
-from repro.hw import BROADWELL, ColocationState, ContentionModel, HASWELL, SKYLAKE
+from repro.config import RMC2_SMALL
+from repro.hw import (
+    BROADWELL,
+    ColocationState,
+    ContentionModel,
+    HASWELL,
+    SKYLAKE,
+    TimingModel,
+)
 
 
 class TestColocationState:
@@ -22,6 +33,37 @@ class TestColocationState:
     def test_rejects_negative_resident(self):
         with pytest.raises(ValueError):
             ColocationState(resident_bytes_per_job=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("corunner_random_gbps", math.nan),
+            ("corunner_random_gbps", math.inf),
+            ("resident_bytes_per_job", math.nan),
+            ("resident_bytes_per_job", math.inf),
+            ("num_jobs", math.nan),
+            ("num_jobs", math.inf),
+            ("num_jobs", 2.5),
+        ],
+    )
+    def test_rejects_hostile_values_before_pricing(self, field, value):
+        """nan used to price silently, inf to inf or ZeroDivisionError."""
+        tm = TimingModel(BROADWELL)
+        state = tm.colocation_state(RMC2_SMALL, 32, 4)
+        kwargs = {
+            "num_jobs": state.num_jobs,
+            "resident_bytes_per_job": state.resident_bytes_per_job,
+            "corunner_random_gbps": state.corunner_random_gbps,
+            field: value,
+        }
+        with pytest.raises(ValueError, match=field):
+            ColocationState(**kwargs)
+
+    def test_accepts_numpy_integer_jobs(self):
+        state = ColocationState(num_jobs=np.int64(4))
+        assert ContentionModel(BROADWELL).llc_share_bytes(state) == (
+            BROADWELL.l3_bytes / 4
+        )
 
 
 class TestChurn:
