@@ -8,11 +8,14 @@ Refresh after intentional model changes with::
 """
 
 import hashlib
+import json
 
 import numpy as np
 
 from repro.analysis.distributions import summarize
 from repro.config import RMC1_SMALL, RMC2_SMALL
+from repro.data import TemporalReuseGenerator
+from repro.data.traces import random_trace, synthetic_production_traces
 from repro.experiments import (
     fig09_colocation,
     fig10_latency_throughput,
@@ -78,6 +81,79 @@ def test_fig14_trace_locality_golden(golden):
         ],
     }
     golden("fig14_trace_locality", payload)
+
+
+# --- Exact-bit trace golden --------------------------------------------------
+#
+# The Figure 14 golden rounds unique fractions and MPKI, so it cannot show
+# that a change kept every generated ID. This one hashes the IDs of every
+# synthetic production trace and random baseline at 10,000 lookups (so the
+# 4,096-entry reuse history wraps), and of temporal-reuse generators called
+# three times with a carried history, with the generator state after each
+# call.
+
+
+def _ids_sha256(ids) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(ids, dtype=np.int64).tobytes()
+    ).hexdigest()
+
+
+def _state_sha256(bit_generator) -> str:
+    state = json.dumps(
+        bit_generator.state, sort_keys=True, default=lambda a: a.tolist()
+    )
+    return hashlib.sha256(state.encode()).hexdigest()
+
+
+#: name: (bit generator, rows, reuse_probability, history, counts per call)
+_REUSE_CASES = {
+    "small_table": (np.random.PCG64(1), 97, 0.5, 16, (40, 0, 75)),
+    "one_row": (np.random.PCG64(2), 1, 0.3, 8, (20, 5, 20)),
+    "no_reuse": (np.random.PCG64(3), 10_000, 0.0, 4096, (3000, 3000, 3000)),
+    "rows_2**32": (np.random.PCG64(4), 2**32, 0.6, 4096, (5000, 1, 6000)),
+    "rows_2**40": (np.random.PCG64(5), 2**40, 0.8, 300, (2000, 2500, 700)),
+    "mt19937_rows_2**32+5": (
+        np.random.MT19937(6), 2**32 + 5, 0.45, 1000, (1500, 10, 2500)
+    ),
+}
+
+
+def _trace_bits_payload():
+    payload = {}
+    for rows in (8_192, 200_000):
+        for seed in range(3):
+            key = f"rows{rows}/seed{seed}"
+            payload[f"production/{key}"] = {
+                trace.name: _ids_sha256(trace.ids)
+                for trace in synthetic_production_traces(rows, 10_000, seed=seed)
+            }
+            trace = random_trace(rows, 10_000, np.random.default_rng(seed))
+            payload[f"random/{key}"] = _ids_sha256(trace.ids)
+    for name, (bit_generator, rows, reuse, history, counts) in _REUSE_CASES.items():
+        rng = np.random.Generator(type(bit_generator)())
+        rng.bit_generator.state = bit_generator.state
+        gen = TemporalReuseGenerator(rows, 1, reuse, history=history)
+        calls = [
+            {"ids": _ids_sha256(gen.ids(count, rng)),
+             "state": _state_sha256(rng.bit_generator)}
+            for count in counts
+        ]
+        payload[f"reuse/{name}"] = {
+            "calls": calls, "recent": _ids_sha256(gen._recent)
+        }
+    return payload
+
+
+def test_trace_bits_golden(golden):
+    golden("trace_bits", _trace_bits_payload())
+
+
+def test_trace_bits_golden_engine_invariant(golden):
+    # Temporal reuse's two loops are bit-identical by contract, so the
+    # reference loop must reproduce the golden byte for byte.
+    with reference_loops():
+        golden("trace_bits", _trace_bits_payload())
 
 
 def test_fig09_colocation_golden(golden):
