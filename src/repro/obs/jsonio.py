@@ -4,9 +4,11 @@ Every experiment returns a nest of frozen dataclasses, numpy arrays and
 plain containers; :func:`to_jsonable` flattens that into JSON-safe types
 (dataclasses become field dicts, arrays become lists, numpy scalars
 become Python scalars) so ``python -m repro <experiment> --json`` can dump
-any result without per-experiment serializers. Objects with no natural
-JSON form (e.g. a :class:`~repro.serving.faults.FaultSchedule`) fall back
-to ``repr`` — lossy but honest, and still deterministic for seeded runs.
+any result without per-experiment serializers. Other objects give their
+own form through a ``to_jsonable()`` method (a
+:class:`~repro.serving.faults.FaultSchedule`, a metrics registry), or
+fall back to ``repr``. A ``repr`` must not hold a memory address, or two
+runs of one seeded experiment dump different bytes.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -179,6 +179,14 @@ class FaultSchedule:
     def is_zero(self) -> bool:
         """True when the schedule injects nothing."""
         return not (self.crashes or self.stragglers or self.bandwidth_faults)
+
+    def to_jsonable(self) -> dict:
+        """The schedule's faults as field dicts, for ``--json`` dumps."""
+        return {
+            "crashes": [asdict(c) for c in self.crashes],
+            "stragglers": [asdict(s) for s in self.stragglers],
+            "bandwidth_faults": [asdict(b) for b in self.bandwidth_faults],
+        }
 
     # ------------------------------------------------------------- queries
 

@@ -11,6 +11,8 @@ The two load-bearing guarantees:
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -173,6 +175,26 @@ class TestCli:
         document = json.loads(out.read_text())
         assert document["experiment"] == "table1"
         assert "result" in document
+
+    def test_figure11x_json_is_byte_identical_across_processes(self, tmp_path):
+        # The fault storm used to dump its default repr, whose memory
+        # address differs from one process to the next.
+        dumps = []
+        for run in range(2):
+            out = tmp_path / f"figure11x-{run}.json"
+            subprocess.run(
+                [sys.executable, "-m", "repro", "figure11x", "--json", str(out)],
+                check=True,
+                capture_output=True,
+            )
+            dumps.append(out.read_bytes())
+        assert dumps[0] == dumps[1]
+        assert b"object at" not in dumps[0]
+        storm = json.loads(dumps[0])["result"]["storm"]
+        assert sorted(storm) == ["bandwidth_faults", "crashes", "stragglers"]
+        assert storm["crashes"] and set(storm["crashes"][0]) == {
+            "replica_id", "at_s", "downtime_s"
+        }
 
     def test_json_flag_defaults_to_stdout(self, capsys):
         assert main(["table1", "--json"]) == 0
