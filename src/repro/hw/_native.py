@@ -43,6 +43,7 @@ from typing import TypeVar
 import numpy as np
 
 __all__ = [
+    "NPYRANDOM_ARCHIVE",
     "compile_cached",
     "load_kernel",
     "load_native",
@@ -51,6 +52,13 @@ __all__ = [
 ]
 
 T = TypeVar("T")
+
+#: numpy's static distributions library, which the kernels that draw
+#: through a generator's ``bitgen_t`` link after their source. Some numpy
+#: builds do not ship it, and then those kernels cannot build.
+NPYRANDOM_ARCHIVE = (
+    Path(np.__file__).resolve().parent / "random" / "lib" / "libnpyrandom.a"
+)
 
 # Mirror of the reference loop in repro.hw.cache / repro.hw.hierarchy.
 # Each cache set keeps its resident lines contiguous from slot 0 in LRU
@@ -488,7 +496,7 @@ _CACHED: dict[str, object] = {}
 
 def load_native(
     stem: str,
-    source: str,
+    source: str | Path,
     bind: Callable[[ctypes.CDLL], T],
     extra_flags: tuple[str, ...] = (),
     link_inputs: tuple[str, ...] = (),
@@ -496,16 +504,20 @@ def load_native(
     """Build (once per process) and bind one kernel; None when unavailable.
 
     The one loader behind every kernel in the repo: cache replay here,
-    the router kernel in :mod:`repro.serving._des_native` and NMP replay in
-    :mod:`repro.memory.nmp_native`. The first call compiles ``source``
-    through :func:`compile_cached` and hands the loaded library to
-    ``bind``, which declares the ctypes signatures; every later call
-    returns the memoized result, so a probe costs one dict lookup.
+    the router kernel in :mod:`repro.serving._des_native`, NMP replay in
+    :mod:`repro.memory.nmp_native` and temporal reuse in
+    :mod:`repro.data.sparse`. ``source`` is the C text, or the path of a
+    ``.c`` file, read only then. The first call compiles it through
+    :func:`compile_cached` and hands the loaded library to ``bind``,
+    which declares the ctypes signatures; every later call returns the
+    memoized result, so a probe costs one dict lookup.
     """
     if stem in _CACHED:
         return _CACHED[stem]
     kernel = None
     try:
+        if isinstance(source, Path):
+            source = source.read_text()
         path = compile_cached(source, stem, extra_flags, link_inputs)
         if path is not None:
             kernel = bind(ctypes.CDLL(str(path)))

@@ -32,12 +32,11 @@ router runs its Python loop instead.
 from __future__ import annotations
 
 import ctypes
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..hw._native import load_native
+from ..hw._native import NPYRANDOM_ARCHIVE, load_native
 from .overload import (
     SHED_CODEL,
     SHED_DEADLINE,
@@ -1103,13 +1102,6 @@ class _RouterRun(ctypes.Structure):
     ]
 
 
-#: numpy's static distributions library; some numpy builds do not ship
-#: it, and then the kernel cannot build.
-_NPYRANDOM_ARCHIVE = (
-    Path(np.__file__).resolve().parent / "random" / "lib" / "libnpyrandom.a"
-)
-
-
 def _bind(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.repro_router.restype = _I64
     lib.repro_router.argtypes = [ctypes.POINTER(_RouterRun)]
@@ -1129,7 +1121,7 @@ def _load() -> ctypes.CDLL | None:
         _C_SOURCE,
         _bind,
         extra_flags=("-ffp-contract=off",),
-        link_inputs=(str(_NPYRANDOM_ARCHIVE), "-lm"),
+        link_inputs=(str(NPYRANDOM_ARCHIVE), "-lm"),
     )
 
 

@@ -1,11 +1,12 @@
 """The one test-only way into every engine's reference loop.
 
-Cache replay, NMP replay and ``ResilientRouter`` each run their C kernel
-when it loads (and, for the router, when no tracer observes the run),
-and their reference loop otherwise. Inside :func:`reference_loops` no
-kernel loads, so an object built there (cache and NMP replay pick their
-loop at construction) or run there (the router picks its loop per run)
-takes its reference loop. The equivalence suites and the engine benches
+Cache replay, NMP replay, ``ResilientRouter`` and
+``TemporalReuseGenerator`` each run their C kernel when it loads (and,
+for the router, when no tracer observes the run), and their reference
+loop otherwise. Inside :func:`reference_loops` no kernel loads, so an
+object built there (cache and NMP replay pick their loop at
+construction) or run there (the router picks its loop per run, the
+temporal-reuse generator per ``ids()`` call) takes its reference loop. The equivalence suites and the engine benches
 compare the two loops this way. ``ServingSimulator`` has one loop.
 """
 

@@ -77,6 +77,46 @@ class TestSparseGenerators:
         with pytest.raises(ValueError):
             TemporalReuseGenerator(100, 1, reuse_probability=1.0)
 
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            # Used to return float IDs such as 0.5.
+            (lambda: ZipfSparseGenerator(rows=1.5, lookups_per_sample=1), "rows"),
+            (lambda: UniformSparseGenerator(rows=True, lookups_per_sample=1), "rows"),
+            (lambda: UniformSparseGenerator(rows=0, lookups_per_sample=1), "rows"),
+            # rng.integers takes no exclusive bound above 2**63.
+            (lambda: UniformSparseGenerator(2**63 + 1, 1), "rows"),
+            (lambda: UniformSparseGenerator(10, lookups_per_sample=2.0), "lookups_per_sample"),
+            (lambda: UniformSparseGenerator(10, lookups_per_sample=True), "lookups_per_sample"),
+            # Used to return all-zero IDs.
+            (lambda: ZipfSparseGenerator(10, 1, alpha=float("nan")), "alpha"),
+            (lambda: ZipfSparseGenerator(10, 1, alpha=float("inf")), "alpha"),
+            (lambda: ZipfSparseGenerator(10, 1, alpha=-0.5), "alpha"),
+            # Used to raise TypeError from a slice.
+            (lambda: TemporalReuseGenerator(10, 1, 0.5, history=2.5), "history"),
+            (lambda: TemporalReuseGenerator(10, 1, 0.5, history=True), "history"),
+            (lambda: TemporalReuseGenerator(10, 1, 0.5, history=0), "history"),
+            (lambda: TemporalReuseGenerator(10, 1, float("nan")), "reuse_probability"),
+        ],
+    )
+    def test_bad_inputs_name_the_field(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
+    def test_largest_table_draws_in_range(self):
+        rng = np.random.default_rng(0)
+        for gen in (
+            UniformSparseGenerator(2**63, 1),
+            TemporalReuseGenerator(2**63, 1, reuse_probability=0.5),
+        ):
+            ids = gen.ids(100, rng)
+            assert ids.dtype == np.int64 and ids.min() >= 0
+
+    def test_numpy_integer_sizes_accepted(self):
+        gen = TemporalReuseGenerator(np.int64(50), np.int32(2), 0.5, history=np.int64(8))
+        assert (gen.rows, gen.lookups_per_sample, gen.history) == (50, 2, 8)
+        assert gen.batch(4, np.random.default_rng(0)).ids.max() < 50
+
     @settings(max_examples=20, deadline=None)
     @given(
         rows=st.integers(min_value=1, max_value=10_000),

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.config import RMC1_SMALL
 from repro.hw import BROADWELL
-from repro.hw._native import _compiler
+from repro.hw._native import NPYRANDOM_ARCHIVE, _compiler
 from repro.serving import (
     SLA,
     AdmissionPolicy,
@@ -44,7 +44,7 @@ from repro.serving import (
     domain_storm,
     fault_storm,
 )
-from repro.serving._des_native import _NPYRANDOM_ARCHIVE, native_available
+from repro.serving._des_native import native_available
 from tests.oracles.resilient_router import run_reference
 from tests.reference_loops import reference_loops
 
@@ -444,7 +444,7 @@ def test_des_kernel_loads_where_it_can():
     # fails to build or link would silently drop every kernel case above.
     if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
         pytest.skip("native kernels disabled")
-    if _compiler() is None or not _NPYRANDOM_ARCHIVE.is_file():
+    if _compiler() is None or not NPYRANDOM_ARCHIVE.is_file():
         pytest.skip("no C compiler or no libnpyrandom.a")
     assert native_available()
 
