@@ -47,6 +47,7 @@ import numpy as np
 from ..config.model_config import ModelConfig
 from ..core.graph import config_ops
 from ..core.operators.base import OP_SLS
+from ..data.sparse import _integer
 from ..hw.server import ServerSpec
 from ..hw.timing import OP_OVERHEAD_S, TimingModel
 from ..obs.metrics import MetricsRegistry
@@ -222,9 +223,9 @@ class NmpGeometry:
 
     def __post_init__(self) -> None:
         for name in ("channels", "dimms_per_channel", "ranks_per_dimm"):
-            if getattr(self, name) < 1:
+            if _integer(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.hot_rows_per_dimm < 0:
+        if _integer("hot_rows_per_dimm", self.hot_rows_per_dimm) < 0:
             raise ValueError("hot_rows_per_dimm must be non-negative")
         for name in ("rank_gather_ns", "hot_hit_ns", "pool_overhead_ns"):
             value = getattr(self, name)

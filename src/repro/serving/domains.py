@@ -40,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..data.sparse import _integer
 from .faults import FaultSchedule, ReplicaCrash, Straggler
 
 #: Domain kinds, innermost to outermost. ``host`` is the blast radius of
@@ -82,10 +83,10 @@ class FleetTopology:
     racks_per_zone: int = 2
 
     def __post_init__(self) -> None:
-        if self.num_replicas < 1:
+        if _integer("num_replicas", self.num_replicas) < 1:
             raise ValueError("need at least one replica")
         for name in ("replicas_per_host", "hosts_per_rack", "racks_per_zone"):
-            if getattr(self, name) < 1:
+            if _integer(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive")
 
     # ------------------------------------------------------------- sizes

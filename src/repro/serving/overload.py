@@ -55,6 +55,8 @@ import math
 from dataclasses import dataclass, field
 
 from ..config.model_config import ModelConfig
+from ..data.sparse import _integer
+from .loadgen import _require_finite
 
 __all__ = [
     "SHED_POLICIES",
@@ -124,7 +126,7 @@ class AdmissionPolicy:
     codel_interval_s: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.queue_capacity < 1:
+        if _integer("queue_capacity", self.queue_capacity) < 1:
             raise ValueError("queue_capacity must be positive")
         if self.shed_policy not in SHED_POLICIES:
             raise ValueError(
@@ -133,12 +135,18 @@ class AdmissionPolicy:
             )
         if self.shed_policy == "deadline_aware" and self.deadline_s is None:
             raise ValueError("deadline_aware shedding needs deadline_s")
+        _require_finite(
+            "AdmissionPolicy",
+            deadline_s=self.deadline_s,
+            codel_target_s=self.codel_target_s,
+            codel_interval_s=self.codel_interval_s,
+        )
         if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline must be positive")
+            raise ValueError("deadline_s must be positive")
         if self.codel_target_s is not None and self.codel_target_s <= 0:
-            raise ValueError("codel target must be positive")
+            raise ValueError("codel_target_s must be positive")
         if self.codel_interval_s <= 0:
-            raise ValueError("codel interval must be positive")
+            raise ValueError("codel_interval_s must be positive")
 
     def make_codel(self) -> "CoDelController | None":
         """A fresh CoDel controller, or ``None`` when CoDel is disabled."""

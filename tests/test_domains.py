@@ -11,6 +11,7 @@ is not.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,22 @@ class TestFleetTopology:
             topology.num_domains("pod")
         with pytest.raises(ValueError, match="at least one replica"):
             FleetTopology(num_replicas=0)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("num_replicas", 2.5),
+            ("replicas_per_host", 1.5),
+            ("hosts_per_rack", True),
+            ("racks_per_zone", 2.5),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, bad):
+        # Accepted at construction, a fractional count used to fail later
+        # with a TypeError in num_hosts.
+        FleetTopology(**{"num_replicas": 4, field: np.int64(2)})
+        with pytest.raises(ValueError, match=field):
+            FleetTopology(**{"num_replicas": 4, field: bad})
 
     def test_best_spread_prefers_widest_kind(self):
         topology = FleetTopology(

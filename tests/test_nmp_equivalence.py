@@ -277,6 +277,24 @@ def test_geometry_validation():
         NmpGeometry(hot_hit_ns=-1)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("channels", 2.5),
+        ("dimms_per_channel", 1.5),
+        ("ranks_per_dimm", True),
+        ("hot_rows_per_dimm", 8.5),
+        ("hot_rows_per_dimm", True),
+    ],
+)
+def test_geometry_counts_must_be_integers(field, bad):
+    # Accepted at construction, a fractional count used to fail later
+    # with a TypeError inside replay().
+    NmpGeometry(**{field: np.int64(2)})
+    with pytest.raises(ValueError, match=field):
+        NmpGeometry(**{field: bad})
+
+
 def test_placement_helpers_follow_low_order_interleave():
     geometry = NmpGeometry(channels=3, dimms_per_channel=2, ranks_per_dimm=2)
     assert geometry.num_dimms == 6

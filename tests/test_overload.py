@@ -1,5 +1,7 @@
 """Overload-protection layer: units, wiring, and the Figure 11y ladder."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,27 @@ class TestAdmissionPolicy:
             AdmissionPolicy(deadline_s=-1.0)
         with pytest.raises(ValueError):
             AdmissionPolicy(codel_target_s=0.0)
+
+    @pytest.mark.parametrize(
+        "field, bad, good",
+        [
+            ("queue_capacity", 2.5, np.int64(4)),
+            ("queue_capacity", True, np.int32(1)),
+            ("deadline_s", math.nan, np.float64(0.01)),
+            ("deadline_s", math.inf, 0.01),
+            ("codel_target_s", math.nan, 0.01),
+            ("codel_target_s", math.inf, 0.01),
+            ("codel_interval_s", math.nan, 0.1),
+            ("codel_interval_s", math.inf, 0.1),
+        ],
+        ids=str,
+    )
+    def test_rejects_non_integral_or_non_finite(self, field, bad, good):
+        # A fractional capacity ran on the Python loop and raised a
+        # TypeError in the kernel; nan and inf never shed.
+        AdmissionPolicy(**{field: good})
+        with pytest.raises(ValueError, match=field):
+            AdmissionPolicy(**{field: bad})
 
     def test_make_codel(self):
         assert AdmissionPolicy().make_codel() is None
