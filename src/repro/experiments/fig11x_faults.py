@@ -177,8 +177,7 @@ def run(
             bandwidth_dip_count=1,
         )
     sla = SLA(deadline_s=sla_deadline_factor * base_service_s, percentile=0.99)
-    probe = ResilientRouter(server, config, batch_size, num_machines, seed=seed)
-    offered_qps = utilization * probe.max_stable_qps()
+    offered_qps = utilization * (num_machines / base_service_s)
 
     outcomes: dict[str, PolicyOutcome] = {}
     for name, (policy, degradation) in _policies(

@@ -281,8 +281,7 @@ def run(
         max_retries=2,
         backoff_base_s=base_service_s,
     )
-    probe = ResilientRouter(server, config, batch_size, num_machines, seed=seed)
-    offered_qps = utilization * probe.max_stable_qps()
+    offered_qps = utilization * (num_machines / base_service_s)
     scenarios = _scenarios(topology, duration_s, seed)
 
     cells: dict[str, LadderCell] = {}
