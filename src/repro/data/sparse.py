@@ -14,9 +14,9 @@ unique IDs, cache-friendly). Three generators cover that axis:
   is the quantity Figure 14 reports.
 
 Temporal reuse draws one ID at a time, so its loop runs in a small C
-kernel (``temporal_reuse.c`` beside this file), built on the first
+kernel (``repro/native/temporal_reuse.c``), built on the first
 :meth:`TemporalReuseGenerator.ids` call and loaded through
-:func:`repro.hw._native.load_native`. It draws from the caller's
+:func:`repro.native.load`. It draws from the caller's
 generator through its ``bitgen_t`` with numpy's own functions from
 ``libnpyrandom.a``, so its IDs and the generator state it leaves are
 those of the reference loop bit for bit. Without a C compiler or
@@ -30,14 +30,11 @@ import abc
 import ctypes
 import math
 import numbers
-from pathlib import Path
 
 import numpy as np
 
+from .. import native
 from ..core.operators.sls import SparseBatch
-from ..hw._native import NPYRANDOM_ARCHIVE, load_native
-
-_KERNEL_SOURCE = Path(__file__).with_name("temporal_reuse.c")
 
 
 def _integer(name: str, value) -> int:
@@ -64,12 +61,7 @@ def _bind(lib: ctypes.CDLL):
 
 def _reuse_kernel():
     """The temporal-reuse kernel, built on first use; None when unavailable."""
-    return load_native(
-        "repro_temporal_reuse",
-        _KERNEL_SOURCE,
-        _bind,
-        link_inputs=(str(NPYRANDOM_ARCHIVE),),
-    )
+    return native.load("repro_temporal_reuse", _bind)
 
 
 class SparseGenerator(abc.ABC):

@@ -7,7 +7,7 @@ kernel at import time.
 
 import ctypes
 
-from repro.hw._native import compile_cached
+from repro.native import compile_cached
 
 PROBE_SOURCE = "int repro_probe(void) { return 42; }\n"
 

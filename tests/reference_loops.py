@@ -16,7 +16,7 @@ import contextlib
 import os
 from collections.abc import Iterator
 
-from repro.hw import _native
+from repro import native
 
 
 @contextlib.contextmanager
@@ -24,18 +24,18 @@ def reference_loops() -> Iterator[None]:
     """Hold every engine object to its reference loop inside the block.
 
     Sets ``REPRO_DISABLE_NATIVE=1`` and empties the kernel memo of
-    :func:`repro.hw._native.load_native`; on exit, restores both, so the
+    :func:`repro.native.load`; on exit, restores both, so the
     kernels loaded before the block serve again without a rebuild.
     """
     saved_env = os.environ.get("REPRO_DISABLE_NATIVE")
-    saved_memo = dict(_native._CACHED)
+    saved_memo = dict(native._CACHED)
     os.environ["REPRO_DISABLE_NATIVE"] = "1"
-    _native._CACHED.clear()
+    native._CACHED.clear()
     try:
         yield
     finally:
-        _native._CACHED.clear()
-        _native._CACHED.update(saved_memo)
+        native._CACHED.clear()
+        native._CACHED.update(saved_memo)
         if saved_env is None:
             del os.environ["REPRO_DISABLE_NATIVE"]
         else:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.config import RMC1_SMALL
 from repro.hw import BROADWELL
-from repro.hw._native import NPYRANDOM_ARCHIVE, _compiler
+from repro.native import NPYRANDOM_ARCHIVE, _compiler
 from repro.serving import (
     SLA,
     AdmissionPolicy,

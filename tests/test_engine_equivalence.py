@@ -239,7 +239,7 @@ def test_reference_loops_restores_environment_and_kernels():
 
 
 def test_build_key_includes_the_compiler(monkeypatch, tmp_path):
-    import repro.hw._native as native
+    import repro.native as native
 
     real_cc = native._compiler()
     if real_cc is None:
@@ -277,7 +277,7 @@ def test_build_key_includes_the_compiler(monkeypatch, tmp_path):
 
 
 def test_compile_cached_creates_missing_cache_dir(monkeypatch, tmp_path):
-    import repro.hw._native as native
+    import repro.native as native
 
     if native._compiler() is None:
         pytest.skip("no C compiler")
@@ -294,7 +294,7 @@ def test_compile_cached_creates_missing_cache_dir(monkeypatch, tmp_path):
 
 
 def test_compile_cached_missing_link_input_builds_nothing(monkeypatch, tmp_path):
-    import repro.hw._native as native
+    import repro.native as native
 
     cache = tmp_path / "cache"
     monkeypatch.setenv("REPRO_NATIVE_CACHE", str(cache))
@@ -307,7 +307,7 @@ def test_compile_cached_missing_link_input_builds_nothing(monkeypatch, tmp_path)
 
 
 def test_compile_cached_concurrent_builds_share_one_object(monkeypatch, tmp_path):
-    import repro.hw._native as native
+    import repro.native as native
 
     if native._compiler() is None:
         pytest.skip("no C compiler")

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.data import TemporalReuseGenerator
 from repro.data.sparse import _reuse_kernel
-from repro.hw._native import NPYRANDOM_ARCHIVE, _compiler
+from repro.native import NPYRANDOM_ARCHIVE, _compiler
 from tests.reference_loops import reference_loops
 
 needs_kernel = pytest.mark.skipif(
@@ -135,10 +135,10 @@ def test_kernel_loads_on_first_ids_call_not_at_import():
     code = (
         "import numpy as np\n"
         "from repro.data import TemporalReuseGenerator\n"
-        "from repro.hw import _native\n"
-        "assert 'repro_temporal_reuse' not in _native._CACHED\n"
+        "from repro import native\n"
+        "assert 'repro_temporal_reuse' not in native._CACHED\n"
         "TemporalReuseGenerator(10, 1, 0.5).ids(3, np.random.default_rng(0))\n"
-        "assert 'repro_temporal_reuse' in _native._CACHED\n"
+        "assert 'repro_temporal_reuse' in native._CACHED\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True)
 
