@@ -13,7 +13,14 @@ import json
 import numpy as np
 
 from repro.analysis.distributions import summarize
-from repro.config import RMC1_SMALL, RMC2_SMALL
+from repro.config import PRODUCTION_PRESETS, RMC1_SMALL, RMC2_SMALL
+from repro.core.graph import config_ops
+from repro.core.operators.base import (
+    OP_ACTIVATION,
+    OP_BATCH_MATMUL,
+    OP_CONCAT,
+    OP_FC,
+)
 from repro.data import TemporalReuseGenerator
 from repro.data.traces import random_trace, synthetic_production_traces
 from repro.experiments import (
@@ -28,7 +35,8 @@ from repro.experiments import (
     fignmp_near_memory,
     fleet_day,
 )
-from repro.hw import BROADWELL, SKYLAKE, TimingModel
+from repro.hw import ALL_SERVERS, BROADWELL, MB, SKYLAKE, TimingModel
+from repro.memory import NmpGeometry
 from repro.obs import OpProfiler, Tracer, dumps_chrome
 from repro.serving import (
     AdmissionPolicy,
@@ -44,6 +52,7 @@ from repro.serving.overload import SHED_POLICIES
 from repro.serving.router import POLICIES, RequestRouter, compare_policies
 from tests.oracles.resilient_router import run_reference
 from tests.reference_loops import reference_loops
+from tests.test_pricing import MIXED_TABLES, _states
 
 
 def test_fig10_latency_throughput_golden(golden):
@@ -332,6 +341,104 @@ def test_fig11_bits_golden(golden):
             for seed in range(3)
         },
     )
+
+
+# --- Exact-bit pricing golden ------------------------------------------------
+#
+# Every other golden sees the timing model only through an experiment, and
+# rounds. This one hashes every ``OperatorTime`` field (names as UTF-8,
+# floats as float64 bytes) and ``total_seconds``, both from
+# ``model_latency`` and from ``op_time`` over ``config_ops``, for every
+# production preset and a mixed-table config on every server, with and
+# without near-memory SLS, across contention states, batches and hit
+# ratios; plus direct points of the per-operator methods and each config's
+# estimated co-runner traffic.
+
+_PRICING_BATCHES = (1, 4, 32, 100, 512)
+_PRICING_HITS = (None, 0.3)
+
+
+def _ops_digest(digest, ops, total_s):
+    for op in ops:
+        digest.update(op.name.encode() + b"\0" + op.op_type.encode() + b"\0")
+        digest.update(
+            np.array(
+                [op.seconds, op.compute_seconds, op.memory_seconds],
+                dtype=np.float64,
+            ).tobytes()
+        )
+    digest.update(np.float64(total_s).tobytes())
+
+
+def _priced_bits(tm, config, state):
+    by_model, by_op = hashlib.sha256(), hashlib.sha256()
+    for batch in _PRICING_BATCHES:
+        for hit in _PRICING_HITS:
+            latency = tm.model_latency(config, batch, state, sls_hit_ratio=hit)
+            _ops_digest(by_model, latency.per_op, latency.total_seconds)
+            if hit is None:
+                hit = (
+                    0.0
+                    if tm.nmp is not None
+                    else tm.table_hit_ratio(config.embedding_storage_bytes())
+                )
+            ops = [tm.op_time(spec, batch, state, hit) for spec in config_ops(config)]
+            _ops_digest(by_op, ops, sum(op.seconds for op in ops))
+    return {"model_latency": by_model.hexdigest(), "op_time": by_op.hexdigest()}
+
+
+def _direct_bits(tm, state):
+    ops, values = [], []
+    for batch in _PRICING_BATCHES:
+        for weight_bytes in (64 * 1024, 1024 * 1024 + 2048, 9 * MB, 64 * MB):
+            for op_type in (OP_FC, OP_BATCH_MATMUL):
+                ops.append(tm.fc_time(
+                    "fc", 2 * batch * weight_bytes // 4, weight_bytes,
+                    batch * 4096, batch, state, op_type,
+                ))
+        for dim, dtype_bytes in ((8, 4), (32, 4), (64, 2), (128, 4)):
+            values.append(tm.sls_hit_ns(dim, batch, state, dtype_bytes))
+            values.append(tm.sls_miss_ns(dim, batch, state, dtype_bytes))
+            for hit in (0.0, 0.3, 1.0):
+                values.append(
+                    tm.sls_lookup_ns(dim, batch, state, hit, dtype_bytes)
+                )
+        for op_type in (OP_CONCAT, OP_ACTIVATION):
+            ops.append(tm.movement_time(
+                "move", op_type, batch * 4096, batch * 1024, state
+            ))
+    digest = hashlib.sha256()
+    _ops_digest(digest, ops, 0.0)
+    digest.update(np.array(values, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _pricing_bits_payload():
+    configs = [*PRODUCTION_PRESETS.values(), MIXED_TABLES]
+    payload = {}
+    for server in ALL_SERVERS:
+        plain = TimingModel(server)
+        traffic = [
+            plain.estimate_random_traffic_gbps(config, batch)
+            for config in configs
+            for batch in _PRICING_BATCHES
+        ]
+        payload[f"traffic/{server.name}"] = hashlib.sha256(
+            np.array(traffic, dtype=np.float64).tobytes()
+        ).hexdigest()
+        for name, state in _states(plain, RMC2_SMALL).items():
+            payload[f"direct/{server.name}/{name}"] = _direct_bits(plain, state)
+        for backend, geometry in (("host", None), ("nmp", NmpGeometry())):
+            tm = TimingModel(server, nmp=geometry)
+            for config in configs:
+                for name, state in _states(tm, config).items():
+                    key = f"{config.name}/{server.name}/{backend}/{name}"
+                    payload[key] = _priced_bits(tm, config, state)
+    return payload
+
+
+def test_pricing_bits_golden(golden):
+    golden("pricing_bits", _pricing_bits_payload())
 
 
 def _fig11x_payload(result):
