@@ -1,16 +1,20 @@
 """Pricing each operator shape once, and running each Figure 11 point once.
 
 ``TimingModel.model_latency`` prices each distinct operator shape once
-per call and gives every copy its own name; these tests hold it to the
-per-operator algorithm (``op_time`` over ``config_ops``), exactly, across
-every production preset, server, contention level, backend and hit
-ratio. The Figure 11 tests check that each run simulates every curve
-point once and that no pricing cache outlives its run.
+per call and gives every copy its own name, and ``model_seconds`` returns
+its ``total_seconds`` without building the records. Both share their
+formulas with the per-operator methods, so these tests compare two views
+of the same arithmetic, exactly, across every production preset, server,
+contention level, backend and hit ratio, and on random states; the
+``pricing_bits`` golden holds that arithmetic to its pinned bits. The
+Figure 11 tests check that each run simulates every curve point once and
+that no pricing cache outlives its run.
 """
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     PRODUCTION_PRESETS,
@@ -18,7 +22,8 @@ from repro.config import (
     RMC2_SMALL,
     EmbeddingTableConfig,
 )
-from repro.core.graph import config_ops
+from repro.core.graph import OpSpec, config_ops
+from repro.core.operators.base import OP_SLS
 from repro.experiments import fig11_tail_latency
 from repro.hw import (
     ALL_SERVERS,
@@ -94,6 +99,8 @@ def test_per_op_equals_pricing_every_operator(config, server, nmp):
             expected = _per_op_reference(tm, config, state, hit)
             assert latency.per_op == expected, (name, hit)
             assert latency.total_seconds == sum(op.seconds for op in expected)
+            seconds = tm.model_seconds(config, BATCH, state, sls_hit_ratio=hit)
+            assert seconds == latency.total_seconds, (name, hit)
 
 
 class _Recorder(OpProfiler):
@@ -120,10 +127,66 @@ def test_profiler_hears_every_operator_in_order(nmp):
             latency = tm.model_latency(config, BATCH, state)
             _per_op_reference(per_op_tm, config, state, None)
             assert latency == plain.model_latency(config, BATCH, state)
+            seconds = tm.model_seconds(config, BATCH, state)
+            _per_op_reference(per_op_tm, config, state, None)
+            assert seconds == plain.model_seconds(config, BATCH, state)
+            assert seconds == latency.total_seconds
     assert profiled.calls == reference.calls
     assert profiled.by_op_type == reference.by_op_type
     ops = len(config_ops(RMC2_SMALL)) + len(config_ops(RMC1_SMALL))
-    assert len(profiled.calls) == 4 * ops
+    assert len(profiled.calls) == 2 * 4 * ops
+
+
+@st.composite
+def _colocation_states(draw):
+    return ColocationState(
+        num_jobs=draw(st.integers(1, 64)),
+        hyperthreading=draw(st.booleans()),
+        resident_bytes_per_job=draw(st.integers(0, 64 * MB)),
+        corunner_random_gbps=draw(
+            st.one_of(st.none(), st.floats(0.0, 20.0, allow_nan=False))
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    config=st.sampled_from([*PRODUCTION_PRESETS.values(), MIXED_TABLES]),
+    server=st.sampled_from(ALL_SERVERS),
+    nmp=st.booleans(),
+    state=_colocation_states(),
+    batch=st.integers(1, 1024),
+    hit=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_one_pass_equals_per_operator_pricing(config, server, nmp, state, batch, hit):
+    tm = TimingModel(server, nmp=NmpGeometry() if nmp else None)
+    latency = tm.model_latency(config, batch, state, sls_hit_ratio=hit)
+    if hit is None:
+        hit = 0.0 if nmp else tm.table_hit_ratio(config.embedding_storage_bytes())
+    for op, spec in zip(latency.per_op, config_ops(config), strict=True):
+        assert op == tm.op_time(spec, batch, state, hit)
+    assert tm.model_seconds(config, batch, state, hit) == latency.total_seconds
+
+
+@pytest.mark.parametrize("method", ["model_latency", "model_seconds"])
+def test_whole_model_pricing_keeps_its_errors(method, monkeypatch):
+    price = getattr(TimingModel(BROADWELL), method)
+    with pytest.raises(ValueError, match="batch must be >= 1"):
+        price(RMC2_SMALL, 0)
+    for bad in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="hit_ratio"):
+            price(RMC2_SMALL, BATCH, sls_hit_ratio=bad)
+    # Without an SLS operator, the hit ratio is never read.
+    real_config_ops = config_ops
+    monkeypatch.setattr(
+        "repro.hw.timing.config_ops",
+        lambda config: [s for s in real_config_ops(config) if s.op_type != OP_SLS],
+    )
+    getattr(TimingModel(BROADWELL), method)(RMC2_SMALL, BATCH, sls_hit_ratio=1.5)
+    unknown = OpSpec("odd", "Softmax", 1, 0, 4)
+    monkeypatch.setattr("repro.hw.timing.config_ops", lambda config: [unknown])
+    with pytest.raises(ValueError, match="no timing model for op type 'Softmax'"):
+        getattr(TimingModel(BROADWELL), method)(RMC2_SMALL, BATCH)
 
 
 def _fig11_small(workload=RMC2_SMALL):
@@ -155,8 +218,17 @@ def test_fig11_runs_each_curve_point_once(monkeypatch):
 
 
 def test_second_fig11_run_prices_as_much_as_the_first(monkeypatch):
-    """No pricing cache outlives the run that filled it."""
-    calls = {"model_latency": 0, "op_time": 0}
+    """No pricing cache outlives the run that filled it.
+
+    Counts the public entry points and the per-shape formulas every
+    price passes through (``_price`` for whole-model calls, ``_fc`` for
+    those and ``fc_time``), so a memo inside an entry point shows as a
+    second run that calls it as often but prices less.
+    """
+    calls = dict.fromkeys(
+        ("model_latency", "model_seconds", "op_time", "fc_time", "_price", "_fc"),
+        0,
+    )
     for method in calls:
         original = getattr(TimingModel, method)
 
@@ -171,7 +243,8 @@ def test_second_fig11_run_prices_as_much_as_the_first(monkeypatch):
     first = _fig11_small(workload)
     first_calls = dict(calls)
     second = _fig11_small(workload)
-    assert first_calls["model_latency"] > 0
+    for method in ("model_latency", "model_seconds", "fc_time", "_price", "_fc"):
+        assert first_calls[method] > 0, method
     assert calls == {k: 2 * v for k, v in first_calls.items()}
     for name, server in first.servers.items():
         again = second.servers[name]
