@@ -73,7 +73,7 @@ def run(
                         model_name=config.name,
                         server_name=server.name,
                         batch_size=batch,
-                        latency_s=timing.model_latency(config, batch).total_seconds,
+                        latency_s=timing.model_seconds(config, batch),
                     )
                 )
     return Figure8Result(cells=cells)

@@ -163,9 +163,7 @@ def run(
     """
     if not 0.0 < utilization < 1.0:
         raise ValueError("utilization must be in (0, 1)")
-    base_service_s = (
-        TimingModel(server).model_latency(config, batch_size).total_seconds
-    )
+    base_service_s = TimingModel(server).model_seconds(config, batch_size)
     if storm is None:
         storm = fault_storm(
             num_machines,

@@ -205,9 +205,7 @@ def run(
         raise ValueError("base_utilization must be in (0, 1)")
     if crowd_multiplier <= 1.0:
         raise ValueError("crowd_multiplier must exceed 1")
-    base_service_s = (
-        TimingModel(server).model_latency(config, batch_size).total_seconds
-    )
+    base_service_s = TimingModel(server).model_seconds(config, batch_size)
     capacity_qps = num_machines / base_service_s
     sla = SLA(deadline_s=sla_deadline_factor * base_service_s, percentile=0.99)
 

@@ -269,9 +269,7 @@ def run(
     )
     num_machines = topology.num_replicas
     plan = shard_tables(config, num_shards)
-    base_service_s = (
-        TimingModel(server).model_latency(config, batch_size).total_seconds
-    )
+    base_service_s = TimingModel(server).model_seconds(config, batch_size)
     sla = SLA(deadline_s=sla_deadline_factor * base_service_s, percentile=0.99)
     # Retries with instantaneous health knowledge: correlated crashes kill
     # whole domains at once, so passive per-request discovery would turn

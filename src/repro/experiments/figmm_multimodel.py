@@ -96,7 +96,7 @@ def _partition_sizes(
     demand = []
     for config, qps in zip(models, mean_qps):
         service_s = [
-            timings[spec.name].model_latency(config, batch_size).total_seconds
+            timings[spec.name].model_seconds(config, batch_size)
             for spec in replicas
         ]
         demand.append(qps * sum(service_s) / len(service_s))

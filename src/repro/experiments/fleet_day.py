@@ -199,9 +199,7 @@ def run(
         raise ValueError("need at least one window")
     if window_sim_s <= 0:
         raise ValueError("window_sim_s must be positive")
-    base_service_s = (
-        TimingModel(server).model_latency(config, batch_size).total_seconds
-    )
+    base_service_s = TimingModel(server).model_seconds(config, batch_size)
     sla = SLA(deadline_s=sla_deadline_factor * base_service_s, percentile=0.99)
     policy, overload = _full_stack(
         base_service_s, config, sla.deadline_s, queue_capacity

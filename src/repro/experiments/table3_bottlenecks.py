@@ -70,9 +70,9 @@ def run(
     )
     rows = []
     for config in configs:
-        base = TimingModel(server).model_latency(config, batch_size).total_seconds
-        clock = TimingModel(faster_clock).model_latency(config, batch_size).total_seconds
-        dram = TimingModel(faster_dram).model_latency(config, batch_size).total_seconds
+        base = TimingModel(server).model_seconds(config, batch_size)
+        clock = TimingModel(faster_clock).model_seconds(config, batch_size)
+        dram = TimingModel(faster_dram).model_seconds(config, batch_size)
         breakdown = (
             TimingModel(server).model_latency(config, batch_size).seconds_by_op_type()
         )

@@ -70,14 +70,14 @@ def plan_cache_size(
     profile = profile or reuse_profile(trace_ids)
     timing = TimingModel(server)
     row_bytes = max(t.dim for t in config.embedding_tables) * 4
-    baseline = timing.model_latency(config, batch_size).total_seconds
+    baseline = timing.model_seconds(config, batch_size)
 
     points = []
     for capacity in capacities:
         hit = profile.hit_ratio(capacity)
-        latency_s = timing.model_latency(
+        latency_s = timing.model_seconds(
             config, batch_size, locality_hit_ratio=hit
-        ).total_seconds
+        )
         points.append(
             SizingPoint(
                 capacity_rows=capacity,

@@ -109,8 +109,9 @@ class Autoscaler:
             raise ValueError("need 0 < target < sla_utilization <= 1")
         if min_replicas < 1:
             raise ValueError("min_replicas must be positive")
-        latency = TimingModel(server).model_latency(config, batch_size)
-        self.replica_capacity = batch_size / latency.total_seconds
+        self.replica_capacity = batch_size / TimingModel(server).model_seconds(
+            config, batch_size
+        )
         self.target_utilization = target_utilization
         self.sla_utilization = sla_utilization
         self.provision_delay_hours = provision_delay_hours

@@ -106,9 +106,9 @@ class BatchedServer:
 
     def _service_s(self, items: int) -> float:
         if items not in self._latency_cache:
-            self._latency_cache[items] = self.timing.model_latency(
+            self._latency_cache[items] = self.timing.model_seconds(
                 self.config, items
-            ).total_seconds
+            )
         return self._latency_cache[items]
 
     def simulate(

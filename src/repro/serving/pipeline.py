@@ -165,9 +165,9 @@ def estimate_pipeline_latency(
 
     def stage_seconds(config: ModelConfig, items: int) -> float:
         full, rem = divmod(items, batch_size)
-        seconds = full * timing.model_latency(config, batch_size).total_seconds
+        seconds = full * timing.model_seconds(config, batch_size)
         if rem:
-            seconds += timing.model_latency(config, rem).total_seconds
+            seconds += timing.model_seconds(config, rem)
         return seconds
 
     return PipelineLatencyEstimate(

@@ -250,9 +250,7 @@ class RequestRouter:
         self.num_machines = num_machines
         self.policy = policy
         self._rng = np.random.default_rng(seed)
-        self._base_service = TimingModel(server).model_latency(
-            config, batch_size
-        ).total_seconds
+        self._base_service = TimingModel(server).model_seconds(config, batch_size)
 
     def mean_service_s(self) -> float:
         """Mean per-query service time."""

@@ -36,7 +36,7 @@ def colocation_sweep(
     points = []
     for n in range(1, max_jobs + 1):
         state = timing.colocation_state(config, batch_size, n)
-        latency_s = timing.model_latency(config, batch_size, state).total_seconds
+        latency_s = timing.model_seconds(config, batch_size, state)
         points.append(
             ThroughputPoint(
                 num_jobs=n,

@@ -48,8 +48,8 @@ class Check:
 def _latency_ms(server, config, batch, state=None):
     tm = TimingModel(server)
     if state is None:
-        return tm.model_latency(config, batch).total_seconds * 1e3
-    return tm.model_latency(config, batch, state).total_seconds * 1e3
+        return tm.model_seconds(config, batch) * 1e3
+    return tm.model_seconds(config, batch, state) * 1e3
 
 
 def validate() -> list[Check]:
