@@ -229,13 +229,18 @@ class BreakerPolicy:
     half_open_probes: int = 1
 
     def __post_init__(self) -> None:
-        if self.failure_threshold < 1:
+        if _integer("failure_threshold", self.failure_threshold) < 1:
             raise ValueError("failure_threshold must be positive")
+        _require_finite(
+            "BreakerPolicy",
+            window_s=self.window_s,
+            open_duration_s=self.open_duration_s,
+        )
         if self.window_s <= 0:
-            raise ValueError("window must be positive")
+            raise ValueError("window_s must be positive")
         if self.open_duration_s <= 0:
-            raise ValueError("open duration must be positive")
-        if self.half_open_probes < 1:
+            raise ValueError("open_duration_s must be positive")
+        if _integer("half_open_probes", self.half_open_probes) < 1:
             raise ValueError("half_open_probes must be positive")
 
 

@@ -278,6 +278,15 @@ class TestRouterInvariants:
         assert a.failed == 0
         assert a.stats().retries == 0
 
+    @pytest.mark.parametrize("bad", [2.5, True], ids=str)
+    def test_rejects_a_non_integral_replica_count(self, bad):
+        # A fractional count constructed, then raised ctypes' TypeError
+        # in run(); True ran as one replica.
+        router = ResilientRouter(BROADWELL, RMC1_SMALL, 8, np.int64(2), seed=3)
+        assert router.run(5000.0, DURATION_S).completed > 0
+        with pytest.raises(ValueError, match="num_machines"):
+            ResilientRouter(BROADWELL, RMC1_SMALL, 8, bad)
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("field", ["offered_qps", "duration_s"])
     def test_rejects_non_finite_rate_and_duration(self, field, bad):

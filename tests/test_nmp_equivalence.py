@@ -295,6 +295,20 @@ def test_geometry_counts_must_be_integers(field, bad):
         NmpGeometry(**{field: bad})
 
 
+@pytest.mark.parametrize("field", ["rank_gather_ns", "hot_hit_ns", "pool_overhead_ns"])
+def test_geometry_service_times_must_be_integers(field):
+    # An isinstance(int) check took True and refused a numpy integer: the
+    # opposite of the counts above.
+    default = getattr(NmpGeometry(), field)
+    geometry = NmpGeometry(**{field: np.int64(default)})
+    priced = TimingModel(BROADWELL, nmp=geometry).model_latency(RMC2_SMALL, 8)
+    assert priced == TimingModel(BROADWELL, nmp=NmpGeometry()).model_latency(
+        RMC2_SMALL, 8
+    )
+    with pytest.raises(ValueError, match=field):
+        NmpGeometry(**{field: True})
+
+
 def test_placement_helpers_follow_low_order_interleave():
     geometry = NmpGeometry(channels=3, dimms_per_channel=2, ranks_per_dimm=2)
     assert geometry.num_dimms == 6

@@ -143,6 +143,27 @@ class TestCircuitBreaker:
         with pytest.raises(ValueError):
             BreakerPolicy(window_s=0.0)
 
+    @pytest.mark.parametrize(
+        "field, bad, good",
+        [
+            ("failure_threshold", 2.5, np.int64(3)),
+            ("failure_threshold", True, np.int32(2)),
+            ("half_open_probes", 1.5, np.int64(2)),
+            ("half_open_probes", True, np.int64(1)),
+            ("window_s", math.nan, np.float64(0.5)),
+            ("window_s", math.inf, 0.5),
+            ("open_duration_s", math.nan, 1.0),
+            ("open_duration_s", math.inf, 1.0),
+        ],
+        ids=str,
+    )
+    def test_rejects_non_integral_or_non_finite(self, field, bad, good):
+        # A fractional threshold ran on the Python loop and raised a
+        # TypeError in the kernel; a nan window or open time never expires.
+        BreakerPolicy(**{field: good})
+        with pytest.raises(ValueError, match=field):
+            BreakerPolicy(**{field: bad})
+
     def test_trips_at_threshold_within_window(self):
         breaker = CircuitBreaker(self.policy())
         breaker.record_failure(0.0)

@@ -145,6 +145,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             ServingSimulator(BROADWELL, RMC1_SMALL, 1, num_instances=0)
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("num_instances", 2.5),
+            ("num_instances", True),
+            ("batch_size", 2.5),
+            ("batch_size", True),
+        ],
+        ids=str,
+    )
+    def test_rejects_non_integral_counts(self, field, bad):
+        # A fractional instance count constructed, then raised a TypeError
+        # in run(); a fractional batch was priced without a word.
+        kwargs = {"batch_size": 4, "num_instances": 2}
+        sim = ServingSimulator(
+            BROADWELL, RMC1_SMALL, **{**kwargs, field: np.int64(2)}
+        )
+        assert sim.run(0.01).records
+        with pytest.raises(ValueError, match=field):
+            ServingSimulator(BROADWELL, RMC1_SMALL, **{**kwargs, field: bad})
+
     def test_rejects_bad_qps(self):
         with pytest.raises(ValueError):
             ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1, per_instance_qps=0)
