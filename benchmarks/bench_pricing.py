@@ -1,12 +1,15 @@
 """Perf-trajectory bench: pricing a model once per operator shape.
 
 ``TimingModel.model_latency`` prices each distinct operator shape once per
-call. This bench times it, per production preset on Broadwell at batch 32,
-alone and at 8 co-located jobs, against pricing every operator through
-``op_time`` over ``config_ops`` (the per-operator algorithm it replaced,
-still public), and asserts that both give the same ``per_op`` bit for bit.
-It also times the default-scale Figure 11 (median of several runs) and
-counts its ``model_latency`` calls. Writes ``BENCH_pricing.json``.
+call, and ``model_seconds`` returns its ``total_seconds`` without building
+per-operator records. This bench times both, per production preset on
+Broadwell at batch 32, alone and at 8 co-located jobs, against pricing
+every operator through ``op_time`` over ``config_ops`` (the per-operator
+algorithm, still public), and asserts that all three give the same
+``per_op`` and total bit for bit. It also times the default-scale
+Figure 11 (median of several runs) and counts its whole-model pricing
+calls (``model_latency`` plus ``model_seconds``). Writes
+``BENCH_pricing.json``.
 
 Run directly (CI uploads the JSON as an artifact)::
 
@@ -67,28 +70,37 @@ def _us_per_call(call) -> float:
     return (time.perf_counter() - start_s) / CALLS * 1e6
 
 
-def _paired_us(first, second) -> tuple[float, float, float]:
-    """Median us per call of each, and the median of their paired ratios.
+def _interleaved_us(*calls) -> list[list[float]]:
+    """Microseconds per call of each of ``calls``, one list per call.
 
-    The host's speed drifts within minutes, so the two are timed in
-    alternating batches and compared batch by batch.
+    The host's speed drifts within minutes, so the calls are timed in
+    interleaved batches (in turn, alternating direction) and compared
+    batch by batch.
     """
-    first()
-    second()
-    a_us, b_us = [], []
+    for call in calls:
+        call()
+    samples: list[list[float]] = [[] for _ in calls]
     for i in range(REPEATS):
-        if i % 2:
-            b_us.append(_us_per_call(second))
-            a_us.append(_us_per_call(first))
-        else:
-            a_us.append(_us_per_call(first))
-            b_us.append(_us_per_call(second))
-    ratio = statistics.median(a / b for a, b in zip(a_us, b_us))
-    return statistics.median(a_us), statistics.median(b_us), ratio
+        order = range(len(calls)) if i % 2 == 0 else reversed(range(len(calls)))
+        for j in order:
+            samples[j].append(_us_per_call(calls[j]))
+    return samples
+
+
+def _paired_ratio(slow_us: list[float], fast_us: list[float]) -> float:
+    """Median of the batch-by-batch ratios ``slow / fast``."""
+    return statistics.median(a / b for a, b in zip(slow_us, fast_us))
+
+
+#: Whole-model pricing entry points; the parent checkout may predate
+#: ``model_seconds``.
+PRICING_METHODS = tuple(
+    name for name in ("model_latency", "model_seconds") if hasattr(TimingModel, name)
+)
 
 
 def bench_models() -> list[dict]:
-    """``model_latency`` vs per-operator pricing, per preset and state."""
+    """Per-operator pricing vs ``model_latency`` vs ``model_seconds``."""
     rows = []
     for config in PRODUCTION_PRESETS.values():
         tm = TimingModel(BROADWELL)
@@ -101,36 +113,51 @@ def bench_models() -> list[dict]:
             assert latency.per_op == _price_every_operator(tm, config, state), (
                 f"per_op diverged from per-operator pricing: {config.name}"
             )
-            per_op_us, model_us, speedup = _paired_us(
+            calls = [
                 lambda: _price_every_operator(tm, config, state),
                 lambda: tm.model_latency(config, BATCH, state),
-            )
-            rows.append({
+            ]
+            if "model_seconds" in PRICING_METHODS:
+                seconds = tm.model_seconds(config, BATCH, state)
+                assert seconds == latency.total_seconds, (
+                    f"model_seconds diverged from total_seconds: {config.name}"
+                )
+                calls.append(lambda: tm.model_seconds(config, BATCH, state))
+            per_op_us, model_us, *seconds_us = _interleaved_us(*calls)
+            row = {
                 "model": config.name,
                 "state": label,
                 "operators": len(latency.per_op),
-                "per_op_us": per_op_us,
-                "model_latency_us": model_us,
-                "speedup": speedup,
-            })
+                "per_op_us": statistics.median(per_op_us),
+                "model_latency_us": statistics.median(model_us),
+                "speedup": _paired_ratio(per_op_us, model_us),
+            }
+            if seconds_us:
+                row["model_seconds_us"] = statistics.median(seconds_us[0])
+                row["seconds_speedup"] = _paired_ratio(model_us, seconds_us[0])
+            rows.append(row)
     return rows
 
 
-def _figure11_calls() -> int:
-    """``model_latency`` calls one default-scale Figure 11 makes."""
-    calls = 0
-    original = TimingModel.model_latency
+def _figure11_calls() -> dict[str, int]:
+    """Whole-model pricing calls one default-scale Figure 11 makes."""
+    calls = dict.fromkeys(PRICING_METHODS, 0)
+    originals = {name: getattr(TimingModel, name) for name in calls}
 
-    def counted(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(self, *args, **kwargs)
+    def counting(name):
+        def counted(self, *args, **kwargs):
+            calls[name] += 1
+            return originals[name](self, *args, **kwargs)
 
-    TimingModel.model_latency = counted
+        return counted
+
+    for name in calls:
+        setattr(TimingModel, name, counting(name))
     try:
         fig11_tail_latency.run()
     finally:
-        TimingModel.model_latency = original
+        for name, original in originals.items():
+            setattr(TimingModel, name, original)
     return calls
 
 
@@ -141,10 +168,12 @@ def bench_figure11() -> dict:
         start_s = time.perf_counter()
         fig11_tail_latency.run()
         runs_s.append(time.perf_counter() - start_s)
+    calls = _figure11_calls()
     return {
         "runs_s": runs_s,
         "median_s": statistics.median(runs_s),
-        "model_latency_calls": _figure11_calls(),
+        "pricing_calls": sum(calls.values()),
+        "calls_by_method": calls,
     }
 
 
@@ -199,12 +228,22 @@ def check_floors(report: dict) -> None:
             )
 
 
+def _calls_text(fig11: dict) -> str:
+    by_method = " + ".join(
+        f"{n} {name}" for name, n in fig11["calls_by_method"].items()
+    )
+    return f"{fig11['pricing_calls']} pricing calls ({by_method})"
+
+
 def render(report: dict) -> str:
     """Text tables of one bench report."""
     has_parent = "parent_figure11" in report
-    headers = ["model", "state", "ops", "per-op us", "model_latency us", "speedup"]
+    headers = [
+        "model", "state", "ops", "per-op us", "model_latency us", "speedup",
+        "model_seconds us", "vs model_latency",
+    ]
     if has_parent:
-        headers.append("parent us")
+        headers.append("parent model_latency us")
     rows = []
     for r in report["models"]:
         row = [
@@ -214,6 +253,8 @@ def render(report: dict) -> str:
             f"{r['per_op_us']:.1f}",
             f"{r['model_latency_us']:.1f}",
             f"{r['speedup']:.1f}x",
+            f"{r['model_seconds_us']:.1f}",
+            f"{r['seconds_speedup']:.1f}x",
         ]
         if has_parent:
             row.append(f"{r['parent_model_latency_us']:.1f}")
@@ -223,23 +264,19 @@ def render(report: dict) -> str:
             headers,
             rows,
             title=(
-                f"model_latency vs per-operator pricing, {BROADWELL.name}, "
-                f"batch {BATCH} (equal per_op)"
+                f"model_latency and model_seconds vs per-operator pricing, "
+                f"{BROADWELL.name}, batch {BATCH} (equal per_op and totals)"
             ),
         )
     ]
     fig11 = report["figure11"]
     line = (
         f"default-scale Figure 11: median {fig11['median_s']:.3f} s over "
-        f"{len(fig11['runs_s'])} runs, {fig11['model_latency_calls']} "
-        "model_latency calls"
+        f"{len(fig11['runs_s'])} runs, {_calls_text(fig11)}"
     )
     if has_parent:
         parent = report["parent_figure11"]
-        line += (
-            f" (parent {parent['median_s']:.3f} s, "
-            f"{parent['model_latency_calls']} calls)"
-        )
+        line += f" (parent {parent['median_s']:.3f} s, {_calls_text(parent)})"
     parts.append(line)
     return "\n".join(parts)
 
@@ -250,7 +287,7 @@ def test_pricing_perf():
     from conftest import emit
 
     report = measure()
-    emit("Pricing: model_latency vs per-operator", render(report))
+    emit("Pricing: model_latency and model_seconds vs per-operator", render(report))
     check_floors(report)
 
 
