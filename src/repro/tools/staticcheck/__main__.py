@@ -19,14 +19,10 @@ from .baseline import (
     load_baseline,
     save_baseline,
 )
-from .dataflow import SummaryCache
 from .engine import load_project, run_checks
 from .graphs import validate_presets
 from .reporters import CheckReport, RunStats, render_json, render_text
 from .rules import ALL_RULES, select_rules
-
-#: Persistent dataflow-summary cache, relative to ``--root`` (gitignored).
-CACHE_RELPATH = ".staticcheck-cache/summaries.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,12 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="report per-phase timing, cache hit rate and per-rule counts",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent dataflow summary cache",
+        help="report per-phase timing and per-rule counts",
     )
     parser.add_argument(
         "--baseline",
@@ -130,10 +121,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     project = load_project(args.paths, root=args.root)
     parse_seconds = time.perf_counter() - t0
 
-    cache = None
-    if not args.no_cache:
-        cache = SummaryCache((args.root or Path.cwd()) / CACHE_RELPATH)
-        project.analysis_cache = cache
     # Force the whole-program analysis up front so its phase timings are
     # attributable (rules would otherwise trigger it lazily mid-check).
     analysis = project.analysis()
@@ -148,9 +135,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         run_graphs = False
     graph_problems = validate_presets() if run_graphs else []
     rules_seconds = time.perf_counter() - t0
-
-    if cache is not None:
-        cache.save()
 
     baseline_path = args.baseline
     if baseline_path is None and not args.no_baseline:
@@ -195,8 +179,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             index_seconds=analysis.index_seconds,
             dataflow_seconds=analysis.dataflow_seconds,
             rules_seconds=rules_seconds,
-            cache_hits=analysis.cache_hits,
-            cache_misses=analysis.cache_misses,
             rule_counts=rule_counts,
         )
 

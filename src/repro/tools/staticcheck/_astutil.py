@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-from typing import Iterator
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -56,12 +55,6 @@ def decorator_names(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)
         if dotted:
             names.add(dotted.split(".")[-1])
     return names
-
-
-def walk_functions(tree: ast.AST) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 def is_constant_none(node: ast.AST) -> bool:

@@ -1,4 +1,4 @@
-"""Intraprocedural dataflow: per-function summaries + content-hash cache.
+"""Intraprocedural dataflow: per-function summaries.
 
 One forward pass per function computes everything the SC9xx rules need,
 conservatively and without fixpoints:
@@ -21,29 +21,22 @@ conservatively and without fixpoints:
 * **wall-clock calls** (``time.time``/``perf_counter``/``datetime.now``/
   ``sleep``), import-alias aware, for SC904.
 
-Summaries are plain data (:meth:`FunctionSummary.to_jsonable`) so a
-full-tree run can cache them per file keyed by content hash
-(:class:`SummaryCache`); re-analysis only happens for files whose bytes
-changed, keeping warm runs fast. The analysis never executes checked
-code and is written to *never raise* on any parseable input — anything
-it does not understand simply widens to "unknown".
+Every run analyzes every file, so a verdict never depends on what an
+earlier run left on disk. The analysis never executes checked code and
+is written to *never raise* on any parseable input — anything it does
+not understand simply widens to "unknown".
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator, Sequence
 
 from ._astutil import dotted_name, unit_of_name
 from .engine import ModuleInfo, Project
 from .index import ProjectIndex, build_index
-
-SUMMARY_CACHE_VERSION = 1
 
 #: Wall-clock entry points (canonical dotted names) banned by SC904.
 WALL_CLOCK_CALLS = {
@@ -82,29 +75,6 @@ class CallSite:
     kw_lines: dict[str, tuple[int, int]] = field(default_factory=dict)
     has_starargs: bool = False
 
-    def to_jsonable(self) -> dict:
-        return {
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "arg_units": self.arg_units,
-            "kw_units": self.kw_units,
-            "kw_lines": {k: list(v) for k, v in self.kw_lines.items()},
-            "has_starargs": self.has_starargs,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "CallSite":
-        return cls(
-            callee=data["callee"],
-            line=data["line"],
-            col=data["col"],
-            arg_units=list(data["arg_units"]),
-            kw_units=dict(data["kw_units"]),
-            kw_lines={k: tuple(v) for k, v in data["kw_lines"].items()},
-            has_starargs=data["has_starargs"],
-        )
-
 
 @dataclass
 class MaybeNoneUse:
@@ -115,19 +85,6 @@ class MaybeNoneUse:
     line: int
     col: int
     guarded: bool
-
-    def to_jsonable(self) -> dict:
-        return {
-            "target": self.target,
-            "detail": self.detail,
-            "line": self.line,
-            "col": self.col,
-            "guarded": self.guarded,
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "MaybeNoneUse":
-        return cls(**data)
 
 
 @dataclass
@@ -141,26 +98,12 @@ class RngConstruction:
     #: "unseeded" — no/None seed (SC301's domain); "expr" — anything else.
     seed_kind: str
 
-    def to_jsonable(self) -> dict:
-        return {"line": self.line, "col": self.col, "seed_kind": self.seed_kind}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "RngConstruction":
-        return cls(**data)
-
 
 @dataclass
 class WallClockCall:
     line: int
     col: int
     func: str  # canonical dotted name, e.g. "time.perf_counter"
-
-    def to_jsonable(self) -> dict:
-        return {"line": self.line, "col": self.col, "func": self.func}
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "WallClockCall":
-        return cls(**data)
 
 
 @dataclass
@@ -186,45 +129,6 @@ class FunctionSummary:
     def name_unit(self) -> str | None:
         return unit_of_name(self.name)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "qualname": self.qualname,
-            "name": self.name,
-            "lineno": self.lineno,
-            "col": self.col,
-            "class_name": self.class_name,
-            "param_units": self.param_units,
-            "none_default_params": self.none_default_params,
-            "return_units": [list(r) for r in self.return_units],
-            "maybe_none_uses": [u.to_jsonable() for u in self.maybe_none_uses],
-            "rng_constructions": [r.to_jsonable() for r in self.rng_constructions],
-            "has_rng_param": self.has_rng_param,
-            "holds_rng": self.holds_rng,
-            "calls": [c.to_jsonable() for c in self.calls],
-            "wall_clock": [w.to_jsonable() for w in self.wall_clock],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "FunctionSummary":
-        return cls(
-            qualname=data["qualname"],
-            name=data["name"],
-            lineno=data["lineno"],
-            col=data["col"],
-            class_name=data["class_name"],
-            param_units=dict(data["param_units"]),
-            none_default_params=list(data["none_default_params"]),
-            return_units=[tuple(r) for r in data["return_units"]],
-            maybe_none_uses=[MaybeNoneUse.from_jsonable(u) for u in data["maybe_none_uses"]],
-            rng_constructions=[
-                RngConstruction.from_jsonable(r) for r in data["rng_constructions"]
-            ],
-            has_rng_param=data["has_rng_param"],
-            holds_rng=data["holds_rng"],
-            calls=[CallSite.from_jsonable(c) for c in data["calls"]],
-            wall_clock=[WallClockCall.from_jsonable(w) for w in data["wall_clock"]],
-        )
-
 
 @dataclass
 class ModuleSummary:
@@ -232,19 +136,6 @@ class ModuleSummary:
 
     relpath: str
     functions: list[FunctionSummary] = field(default_factory=list)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "relpath": self.relpath,
-            "functions": [f.to_jsonable() for f in self.functions],
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "ModuleSummary":
-        return cls(
-            relpath=data["relpath"],
-            functions=[FunctionSummary.from_jsonable(f) for f in data["functions"]],
-        )
 
 
 # --------------------------------------------------------- helper predicates
@@ -782,73 +673,6 @@ def _analyze_function(
     return summary
 
 
-# -------------------------------------------------------------------- cache
-
-
-class SummaryCache:
-    """Per-file summary cache keyed by content hash.
-
-    The on-disk format is one JSON document mapping relpath → {sha256,
-    summary}. Any load/save failure degrades to an empty cache — the
-    cache can make runs faster, never wrong, and never fatal.
-    """
-
-    def __init__(self, path: Path | None = None) -> None:
-        self.path = path
-        self.entries: dict[str, dict] = {}
-        self.hits = 0
-        self.misses = 0
-        if path is not None:
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-                if (
-                    isinstance(payload, dict)
-                    and payload.get("version") == SUMMARY_CACHE_VERSION
-                ):
-                    self.entries = dict(payload.get("modules", {}))
-            except (OSError, ValueError):
-                self.entries = {}
-
-    @staticmethod
-    def content_hash(module: ModuleInfo) -> str:
-        text = "\n".join(module.source_lines)
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def lookup(self, module: ModuleInfo) -> ModuleSummary | None:
-        entry = self.entries.get(module.relpath)
-        if entry is None or entry.get("sha256") != self.content_hash(module):
-            self.misses += 1
-            return None
-        try:
-            summary = ModuleSummary.from_jsonable(entry["summary"])
-        except (KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return summary
-
-    def store(self, module: ModuleInfo, summary: ModuleSummary) -> None:
-        self.entries[module.relpath] = {
-            "sha256": self.content_hash(module),
-            "summary": summary.to_jsonable(),
-        }
-
-    def save(self) -> None:
-        if self.path is None:
-            return
-        payload = {"version": SUMMARY_CACHE_VERSION, "modules": self.entries}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text(json.dumps(payload) + "\n", encoding="utf-8")
-        except OSError:
-            pass
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
 # ------------------------------------------------------------ whole program
 
 
@@ -860,8 +684,6 @@ class WholeProgramAnalysis:
     summaries: dict[str, ModuleSummary]
     index_seconds: float = 0.0
     dataflow_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     _callers: dict[tuple[str, str], list[tuple[str, FunctionSummary]]] | None = None
 
     def iter_summaries(self) -> Iterator[tuple[str, FunctionSummary]]:
@@ -889,29 +711,18 @@ class WholeProgramAnalysis:
         return self._callers.get((relpath, qualname), [])
 
 
-def analyze_project(
-    project: Project, cache: SummaryCache | None = None
-) -> WholeProgramAnalysis:
+def analyze_project(project: Project) -> WholeProgramAnalysis:
     """Build the whole-program analysis every SC9xx rule shares."""
     t0 = time.perf_counter()
     index = build_index(project)
     t1 = time.perf_counter()
-    summaries: dict[str, ModuleSummary] = {}
-    for module in project.modules:
-        cached = cache.lookup(module) if cache is not None else None
-        if cached is not None:
-            summaries[module.relpath] = cached
-            continue
-        summary = analyze_module(module, index)
-        summaries[module.relpath] = summary
-        if cache is not None:
-            cache.store(module, summary)
+    summaries = {
+        module.relpath: analyze_module(module, index) for module in project.modules
+    }
     t2 = time.perf_counter()
     return WholeProgramAnalysis(
         index=index,
         summaries=summaries,
         index_seconds=t1 - t0,
         dataflow_seconds=t2 - t1,
-        cache_hits=cache.hits if cache is not None else 0,
-        cache_misses=cache.misses if cache is not None else 0,
     )

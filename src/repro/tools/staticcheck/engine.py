@@ -88,10 +88,6 @@ class ModuleInfo:
         """Files holding the numpy operator kernels (dtype rule scope)."""
         return "core/operators" in self.relpath.replace("\\", "/")
 
-    @property
-    def is_experiment(self) -> bool:
-        return "experiments/" in self.relpath.replace("\\", "/")
-
     def line_text(self, line: int) -> str:
         if 1 <= line <= len(self.source_lines):
             return self.source_lines[line - 1]
@@ -105,9 +101,6 @@ class Project:
     root: Path
     modules: list[ModuleInfo] = field(default_factory=list)
     parse_errors: list[Violation] = field(default_factory=list)
-    #: Optional persistent summary cache (set by the CLI before running
-    #: rules); ``analysis()`` records hits/misses on it.
-    analysis_cache: "object | None" = None
     _analysis: "object | None" = None
 
     def analysis(self):
@@ -116,7 +109,7 @@ class Project:
         if self._analysis is None:
             from .dataflow import analyze_project  # local: keep engine light
 
-            self._analysis = analyze_project(self, cache=self.analysis_cache)
+            self._analysis = analyze_project(self)
         return self._analysis
 
     def src_modules(self) -> list[ModuleInfo]:

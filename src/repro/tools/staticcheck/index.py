@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from ._astutil import dotted_name, unit_of_name
 from .engine import ModuleInfo, Project
@@ -77,12 +76,6 @@ class FunctionInfo:
         if skip_self and self.is_method and pos and pos[0].name in ("self", "cls"):
             pos = pos[1:]
         return pos
-
-    def param_named(self, name: str) -> ParamInfo | None:
-        for param in self.params:
-            if param.name == name:
-                return param
-        return None
 
     @property
     def none_default_params(self) -> list[str]:
@@ -417,9 +410,6 @@ class ProjectIndex:
             return set()
         klass = self.class_in_module(relpath, class_name)
         return set(klass.none_fields) if klass is not None else set()
-
-    def iter_functions(self) -> Iterator[FunctionInfo]:
-        yield from self.functions.values()
 
 
 def build_index(project: Project) -> ProjectIndex:

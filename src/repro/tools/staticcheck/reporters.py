@@ -14,10 +14,10 @@ REPORT_SCHEMA_VERSION = 1
 
 @dataclass
 class RunStats:
-    """Per-phase timing and cache observability for one invocation.
+    """Per-phase timing and per-rule counts for one invocation.
 
     Collected by the CLI under ``--stats`` so analyzer-runtime regressions
-    and cache effectiveness are visible in CI logs.
+    are visible in CI logs.
     """
 
     files: int = 0
@@ -25,8 +25,6 @@ class RunStats:
     index_seconds: float = 0.0
     dataflow_seconds: float = 0.0
     rules_seconds: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Violation count per rule id for every rule that ran (zeros kept).
     rule_counts: dict = field(default_factory=dict)
 
@@ -39,11 +37,6 @@ class RunStats:
             + self.rules_seconds
         )
 
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def to_jsonable(self) -> dict:
         return {
             "files": self.files,
@@ -52,9 +45,6 @@ class RunStats:
             "dataflow_seconds": round(self.dataflow_seconds, 4),
             "rules_seconds": round(self.rules_seconds, 4),
             "total_seconds": round(self.total_seconds, 4),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": round(self.cache_hit_rate, 4),
             "rule_counts": dict(sorted(self.rule_counts.items())),
         }
 
@@ -70,9 +60,6 @@ def render_stats(stats: RunStats) -> str:
             f"dataflow: {stats.dataflow_seconds:.2f}s  "
             f"rules: {stats.rules_seconds:.2f}s  "
             f"total: {stats.total_seconds:.2f}s",
-            f"  summary cache: {stats.cache_hits} hits / "
-            f"{stats.cache_misses} misses "
-            f"({100.0 * stats.cache_hit_rate:.1f}% hit rate)",
             f"  violations by rule: {counts or '(no rules ran)'}",
         ]
     )

@@ -1,5 +1,5 @@
 """Tier-2 tests for the whole-program staticcheck layer: the project index,
-the dataflow summaries and their cache, the SC9xx interprocedural rules
+the dataflow summaries, the SC9xx interprocedural rules
 (both directions each), the SC002 docs-drift meta rule, the --stats/--json
 CLI surface, and a hypothesis suite proving the analyzer never raises on
 parseable python."""
@@ -12,12 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.tools.staticcheck import load_project, run_checks
+from repro.tools.staticcheck import dataflow, load_project, run_checks
 from repro.tools.staticcheck.__main__ import main
-from repro.tools.staticcheck.dataflow import (
-    SummaryCache,
-    analyze_project,
-)
+from repro.tools.staticcheck.dataflow import analyze_project
 from repro.tools.staticcheck.index import ProjectIndex, module_dotted_name
 from repro.tools.staticcheck.rules import ALL_RULES, select_rules
 
@@ -167,50 +164,6 @@ class TestDataflowSummaries:
         )
         fn = next(s for s in summaries if s.qualname == "f")
         assert [u.guarded for u in fn.maybe_none_uses] == [False]
-
-
-class TestSummaryCache:
-    def test_warm_run_hits_for_unchanged_files(self, tmp_path):
-        write_tree(tmp_path, {"src/pkg/mod.py": "def f(x_s):\n    return x_s\n"})
-        cache_path = tmp_path / "cache" / "summaries.json"
-
-        project = load_project([tmp_path / "src"], root=tmp_path)
-        cache = SummaryCache(cache_path)
-        analysis = analyze_project(project, cache=cache)
-        assert analysis.cache_misses == 1 and analysis.cache_hits == 0
-        cache.save()
-        assert cache_path.exists()
-
-        project = load_project([tmp_path / "src"], root=tmp_path)
-        warm = SummaryCache(cache_path)
-        analysis = analyze_project(project, cache=warm)
-        assert analysis.cache_hits == 1 and analysis.cache_misses == 0
-
-    def test_edited_file_misses(self, tmp_path):
-        write_tree(tmp_path, {"src/pkg/mod.py": "def f(x_s):\n    return x_s\n"})
-        cache_path = tmp_path / "cache" / "summaries.json"
-        project = load_project([tmp_path / "src"], root=tmp_path)
-        cache = SummaryCache(cache_path)
-        analyze_project(project, cache=cache)
-        cache.save()
-
-        (tmp_path / "src/pkg/mod.py").write_text("def f(x_ms):\n    return x_ms\n")
-        project = load_project([tmp_path / "src"], root=tmp_path)
-        warm = SummaryCache(cache_path)
-        analysis = analyze_project(project, cache=warm)
-        assert analysis.cache_misses == 1 and analysis.cache_hits == 0
-        # And the summary reflects the edit, not the stale cache entry.
-        fn = next(s for _, s in analysis.iter_summaries() if s.qualname == "f")
-        assert fn.param_units == {"x_ms": "ms"}
-
-    def test_corrupt_cache_file_is_ignored(self, tmp_path):
-        write_tree(tmp_path, {"src/pkg/mod.py": "def f():\n    return 1\n"})
-        cache_path = tmp_path / "cache" / "summaries.json"
-        cache_path.parent.mkdir(parents=True)
-        cache_path.write_text("{not json")
-        project = load_project([tmp_path / "src"], root=tmp_path)
-        analysis = analyze_project(project, cache=SummaryCache(cache_path))
-        assert analysis.cache_misses == 1
 
 
 # --------------------------------------------------------------------- SC901
@@ -744,7 +697,6 @@ class TestCliStats:
         out = capsys.readouterr().out
         assert code == 0
         assert "staticcheck stats:" in out
-        assert "summary cache:" in out
         assert "violations by rule:" in out
 
     def test_stats_in_json_report(self, tmp_path, capsys):
@@ -756,7 +708,6 @@ class TestCliStats:
         payload = json.loads(capsys.readouterr().out)
         stats = payload["stats"]
         assert stats["files"] == 1
-        assert stats["cache_hits"] + stats["cache_misses"] == 1
         for key in ("parse_seconds", "index_seconds", "dataflow_seconds", "rules_seconds"):
             assert stats[key] >= 0.0
         assert set(stats["rule_counts"]) >= {rule.id for rule in ALL_RULES}
@@ -793,24 +744,37 @@ class TestCliStats:
         payload = json.loads(report_path.read_text())
         assert payload["exit_code"] == 0
 
-    def test_warm_cache_hits_via_cli(self, tmp_path, capsys):
-        (tmp_path / "ok.py").write_text("x_ns = 1\n")
-        argv = [str(tmp_path), "--root", str(tmp_path), "--no-graphs", "--stats", "--json"]
-        main(argv)
-        cold = json.loads(capsys.readouterr().out)["stats"]
-        assert cold["cache_misses"] == 1
-        main(argv)
-        warm = json.loads(capsys.readouterr().out)["stats"]
-        assert warm["cache_hits"] == 1 and warm["cache_misses"] == 0
-        assert (tmp_path / ".staticcheck-cache" / "summaries.json").exists()
-
     def test_no_cache_skips_persistence(self, tmp_path, capsys):
+        # Nothing persists between runs: a run leaves behind only the
+        # report it was asked to write.
         (tmp_path / "ok.py").write_text("x_ns = 1\n")
-        code = main(
-            [str(tmp_path), "--root", str(tmp_path), "--no-graphs", "--no-cache"]
+        report_path = tmp_path / "report.json"
+        argv = [
+            str(tmp_path), "--root", str(tmp_path),
+            "--no-graphs", "--json", str(report_path),
+        ]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["ok.py", "report.json"]
+
+    def test_analyzer_edit_takes_effect_on_next_run(self, tmp_path, capsys, monkeypatch):
+        # A verdict comes from the analyzer that runs, never from
+        # summaries an earlier run (under an older analyzer) left on disk.
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "clock.py").write_text(
+            "import time\n\ndef f():\n    return time.time()\n"
         )
-        assert code == 0
-        assert not (tmp_path / ".staticcheck-cache").exists()
+        argv = [
+            str(tmp_path / "src"), "--root", str(tmp_path),
+            "--no-graphs", "--no-baseline",
+        ]
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                dataflow, "WALL_CLOCK_CALLS", dataflow.WALL_CLOCK_CALLS - {"time.time"}
+            )
+            assert main(argv) == 0
+        assert main(argv) == 1
+        assert "SC904" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------- robustness
