@@ -184,6 +184,10 @@ class _Terms:
     __slots__ = ("timing", "batch", "state", "_fc", "_core", "_hit", "_miss")
 
     def __init__(self, timing: TimingModel, batch: int, state: ColocationState) -> None:
+        # Every price goes through here, the near-memory backend's too,
+        # which reads none of the batch-interpolated terms.
+        if batch < 1:
+            raise ValueError("batch must be >= 1")
         self.timing = timing
         self.batch = batch
         self.state = state
@@ -611,8 +615,6 @@ class TimingModel:
         sls_hit_ratio: float = 0.0,
     ) -> OperatorTime:
         """Latency of one abstract operator at ``batch``."""
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
         parts = self._price(_Terms(self, batch, state), spec, sls_hit_ratio)
         return self._timed(spec.name, spec.op_type, *parts)
 
@@ -638,8 +640,6 @@ class TimingModel:
                 sls_hit_ratio = self.table_hit_ratio(
                     plan.table_bytes, locality_hit_ratio
                 )
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
         return plan, _Terms(self, batch, state), sls_hit_ratio
 
     def model_latency(

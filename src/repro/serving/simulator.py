@@ -245,16 +245,11 @@ class ServingSimulator:
         # Per active-job count, uncontended to saturated: the contention
         # state, the dispatch path's (base seconds, lognormal mean, sigma),
         # and the per-operator model for whatever reads one (the memory
-        # fraction below, the profiler, the tracer). These caches live and
-        # die with this simulator.
+        # fraction of a run with faults, the profiler, the tracer). These
+        # caches live and die with this simulator.
         self._states: dict[int, ColocationState] = {}
         self._levels: dict[int, tuple[float, float, float]] = {}
         self._latencies: dict[int, ModelLatency] = {}
-        #: Memory-bound share of an uncontended inference: the part a
-        #: DRAM-bandwidth fault stretches (SLS dominates DRAM traffic).
-        self._memory_fraction = (
-            self._base_latency(1).fraction_by_op_type().get(OP_SLS, 0.0)
-        )
         #: Per-request bytes touched per operator class, mirroring the
         #: TimingModel's byte accounting (filled lazily for the profiler).
         self._bytes_by_op_cache: dict[str, float] | None = None
@@ -402,6 +397,13 @@ class ServingSimulator:
         rng = self._rng
         faults = self.faults
         fault_active = faults is not None and not faults.is_zero
+        # Memory-bound share of an uncontended inference: the part a
+        # DRAM-bandwidth fault stretches (SLS dominates DRAM traffic).
+        memory_fraction = (
+            self._base_latency(1).fraction_by_op_type().get(OP_SLS, 0.0)
+            if fault_active
+            else 0.0
+        )
         # Per-instance FIFO: next arrival stream.
         arrivals: list[list[float]] = []
         for i in range(self.num_instances):
@@ -518,9 +520,7 @@ class ServingSimulator:
             service = self.sample_service_s(active, rng)
             if fault_active:
                 assert faults is not None
-                service *= faults.service_multiplier(
-                    instance, now, self._memory_fraction
-                )
+                service *= faults.service_multiplier(instance, now, memory_fraction)
             busy[instance] = True
             current[instance] = InferenceRecord(
                 instance_id=instance,

@@ -36,7 +36,7 @@ from repro.hw import (
 )
 from repro.memory import NmpGeometry
 from repro.obs import OpProfiler
-from repro.serving import ServingSimulator
+from repro.serving import BandwidthFault, FaultSchedule, ServingSimulator
 
 BATCH = 32
 
@@ -189,6 +189,43 @@ def test_whole_model_pricing_keeps_its_errors(method, monkeypatch):
         getattr(TimingModel(BROADWELL), method)(RMC2_SMALL, BATCH)
 
 
+@pytest.mark.parametrize("batch", [0, -3])
+@pytest.mark.parametrize("nmp", [False, True], ids=["host", "nmp"])
+def test_every_entry_point_rejects_a_batch_below_one(nmp, batch):
+    # The near-memory SLS price reads no batch-interpolated term, so it
+    # priced a negative batch as negative seconds.
+    tm = TimingModel(BROADWELL, nmp=NmpGeometry() if nmp else None)
+    sls = next(spec for spec in config_ops(RMC2_SMALL) if spec.op_type == OP_SLS)
+    for price in (
+        lambda: tm.sls_time("x", 10, 32, batch),
+        lambda: tm.op_time(sls, batch),
+        lambda: tm.model_latency(RMC2_SMALL, batch),
+        lambda: tm.model_seconds(RMC2_SMALL, batch),
+    ):
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            price()
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["fault-free", "faulted"])
+def test_only_a_faulted_run_prices_the_memory_fraction(faulted, monkeypatch):
+    # The memory fraction is the share a DRAM-bandwidth fault stretches;
+    # only a run with a fault schedule reads it.
+    calls = []
+    original = TimingModel.model_latency
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimingModel, "model_latency", counted)
+    faults = FaultSchedule(bandwidth_faults=(BandwidthFault(0.0, 0.005, 0.5),))
+    sim = ServingSimulator(
+        BROADWELL, RMC2_SMALL, BATCH, 4, faults=faults if faulted else None
+    )
+    sim.run(0.01)
+    assert len(calls) == (1 if faulted else 0)
+
+
 def _fig11_small(workload=RMC2_SMALL):
     return fig11_tail_latency.run(
         workload=workload,
@@ -243,7 +280,7 @@ def test_second_fig11_run_prices_as_much_as_the_first(monkeypatch):
     first = _fig11_small(workload)
     first_calls = dict(calls)
     second = _fig11_small(workload)
-    for method in ("model_latency", "model_seconds", "fc_time", "_price", "_fc"):
+    for method in ("model_seconds", "fc_time", "_price", "_fc"):
         assert first_calls[method] > 0, method
     assert calls == {k: 2 * v for k, v in first_calls.items()}
     for name, server in first.servers.items():
