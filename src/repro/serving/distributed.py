@@ -469,7 +469,7 @@ def partial_fanout_config(
     Each lost table's sparse lookups collapse to a single pooled
     fallback vector (the cached default embedding every production stack
     keeps warm), mirroring how
-    :func:`~repro.serving.faults.truncate_lookups` models degraded mode
+    :func:`~repro.serving.overload.truncate_lookups` models degraded mode
     — so the quality price flows through the same
     :func:`~repro.serving.faults.degraded_quality` machinery.
     """

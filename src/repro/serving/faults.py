@@ -56,8 +56,7 @@ from .metrics import SLA, ResilienceStats, goodput_qps
 from .ranking_quality import pipeline_quality
 from .router import POLICIES, SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
 
-# ``overload`` never imports this module at import time (its one faults
-# dependency is deferred into a method body), so this edge is acyclic.
+# ``overload`` never imports this module, so this edge is acyclic.
 from .overload import (
     BREAKER_CLOSED,
     SHED_CODEL,
@@ -68,6 +67,8 @@ from .overload import (
     CircuitBreaker,
     OverloadConfig,
     OverloadStats,
+    _DegradedModel,
+    truncate_lookups,  # re-exported: the degraded mode's transform
 )
 
 # --------------------------------------------------------------- injectors
@@ -450,7 +451,7 @@ class ResiliencePolicy:
 
 
 @dataclass(frozen=True)
-class DegradationPolicy:
+class DegradationPolicy(_DegradedModel):
     """Graceful degradation under overload or partial failure.
 
     When fewer than ``min_healthy_fraction`` of replicas are admitted, or
@@ -476,48 +477,11 @@ class DegradationPolicy:
     min_healthy_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.fallback_config is None and self.max_lookups_per_table is None:
-            raise ValueError(
-                "degradation needs a fallback_config or max_lookups_per_table"
-            )
-        if self.max_lookups_per_table is not None and self.max_lookups_per_table < 1:
-            raise ValueError("max_lookups_per_table must be positive")
+        self._check_degraded_model()
         if self.queue_depth_trigger <= 0:
             raise ValueError("queue_depth_trigger must be positive")
         if not 0.0 < self.min_healthy_fraction <= 1.0:
             raise ValueError("min_healthy_fraction must be in (0, 1]")
-
-    def degraded_config(self, primary: ModelConfig) -> ModelConfig:
-        """The model actually served in degraded mode."""
-        if self.fallback_config is not None:
-            return self.fallback_config
-        assert self.max_lookups_per_table is not None
-        return truncate_lookups(primary, self.max_lookups_per_table)
-
-
-def truncate_lookups(config: ModelConfig, max_lookups_per_table: int) -> ModelConfig:
-    """A copy of ``config`` with per-table sparse lookups capped.
-
-    Pooling fewer sparse IDs cuts SLS time (the memory-bound share)
-    roughly linearly at a bounded quality cost — the classic
-    recommendation degraded mode.
-    """
-    if max_lookups_per_table < 1:
-        raise ValueError("max_lookups_per_table must be positive")
-    tables = tuple(
-        replace(t, lookups_per_sample=min(t.lookups_per_sample, max_lookups_per_table))
-        for t in config.embedding_tables
-    )
-    return ModelConfig(
-        name=f"{config.name}-trunc{max_lookups_per_table}",
-        model_class=config.model_class,
-        dense_features=config.dense_features,
-        bottom_mlp=config.bottom_mlp,
-        embedding_tables=tables,
-        top_mlp=config.top_mlp,
-        dtype=config.dtype,
-        interaction=config.interaction,
-    )
 
 
 def degraded_quality(

@@ -59,12 +59,13 @@ import numpy as np
 
 from ..config.model_config import ModelConfig
 from ..core.operators.base import OP_SLS
+from ..data.sparse import _integer
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.quantiles import quantile
 from ..obs.tracer import as_tracer
 from .distributed import min_shards_for_capacity
-from .loadgen import poisson_arrival_times
+from .loadgen import _require_finite, poisson_arrival_times
 from .overload import (
     SHED_CODEL,
     SHED_DEADLINE,
@@ -205,6 +206,7 @@ class MultiModelPool:
         ]
         if thrash_window_s is None:
             thrash_window_s = 8.0 * max(max(row) for row in self.swap_base_s)
+        _require_finite("MultiModelPool", thrash_window_s=thrash_window_s)
         if thrash_window_s <= 0:
             raise ValueError("thrash window must be positive")
         self.thrash_window_s = thrash_window_s
@@ -215,7 +217,7 @@ class MultiModelPool:
         capacity = budget_bytes // self.slot_bytes
         if requested is None:
             return max(1, int(capacity))
-        if requested < 1:
+        if _integer("slots_per_replica", requested) < 1:
             raise ValueError("slots_per_replica must be positive")
         if requested > capacity:
             raise ValueError(
@@ -952,11 +954,11 @@ class MultiModelRouter:
         tracer=None,
         metrics=None,
     ) -> None:
-        if batch_size < 1:
+        if _integer("batch_size", batch_size) < 1:
             raise ValueError("batch_size must be positive")
-        if hol_skip_cap < 0:
+        if _integer("hol_skip_cap", hol_skip_cap) < 0:
             raise ValueError("hol_skip_cap must be non-negative")
-        if hol_scan_window < 1:
+        if _integer("hol_scan_window", hol_scan_window) < 1:
             raise ValueError("hol_scan_window must be positive")
         self.admission = None
         if overload is not None:

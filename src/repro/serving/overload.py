@@ -52,7 +52,7 @@ every protected run must satisfy is checked by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..config.model_config import ModelConfig
 from ..data.sparse import _integer
@@ -76,6 +76,7 @@ __all__ = [
     "OverloadConfig",
     "OverloadStats",
     "default_brownout_tiers",
+    "truncate_lookups",
 ]
 
 #: Admission shed policies: what a full queue does with the overflow.
@@ -314,18 +315,78 @@ class CircuitBreaker:
             self._trip(now_s)
 
 
+# ----------------------------------------------------- degraded models
+
+
+def _check_lookup_cap(max_lookups_per_table) -> None:
+    if _integer("max_lookups_per_table", max_lookups_per_table) < 1:
+        raise ValueError("max_lookups_per_table must be positive")
+
+
+def truncate_lookups(config: ModelConfig, max_lookups_per_table: int) -> ModelConfig:
+    """A copy of ``config`` with per-table sparse lookups capped.
+
+    Pooling fewer sparse IDs cuts SLS time (the memory-bound share)
+    roughly linearly at a bounded quality cost — the classic
+    recommendation degraded mode.
+    """
+    _check_lookup_cap(max_lookups_per_table)
+    tables = tuple(
+        replace(t, lookups_per_sample=min(t.lookups_per_sample, max_lookups_per_table))
+        for t in config.embedding_tables
+    )
+    return ModelConfig(
+        name=f"{config.name}-trunc{max_lookups_per_table}",
+        model_class=config.model_class,
+        dense_features=config.dense_features,
+        bottom_mlp=config.bottom_mlp,
+        embedding_tables=tables,
+        top_mlp=config.top_mlp,
+        dtype=config.dtype,
+        interaction=config.interaction,
+    )
+
+
+class _DegradedModel:
+    """The model a degraded mode serves: ``fallback_config`` if given,
+    else the primary config with sparse lookups truncated to
+    ``max_lookups_per_table``.
+
+    Mixed into :class:`BrownoutTier` and
+    :class:`~repro.serving.faults.DegradationPolicy`, which declare both
+    fields and call :meth:`_check_degraded_model` after construction.
+    """
+
+    fallback_config: ModelConfig | None
+    max_lookups_per_table: int | None
+
+    def _check_degraded_model(self) -> None:
+        if self.fallback_config is None and self.max_lookups_per_table is None:
+            raise ValueError(
+                f"{type(self).__name__} needs a fallback_config or "
+                "max_lookups_per_table"
+            )
+        if self.max_lookups_per_table is not None:
+            _check_lookup_cap(self.max_lookups_per_table)
+
+    def degraded_config(self, primary: ModelConfig) -> ModelConfig:
+        """The model served in degraded mode."""
+        if self.fallback_config is not None:
+            return self.fallback_config
+        assert self.max_lookups_per_table is not None
+        return truncate_lookups(primary, self.max_lookups_per_table)
+
+
 # -------------------------------------------------------------- brownout
 
 
 @dataclass(frozen=True)
-class BrownoutTier:
+class BrownoutTier(_DegradedModel):
     """One rung of the brownout quality ladder.
 
-    Exactly like :class:`~repro.serving.faults.DegradationPolicy`'s model
-    transform, minus the trigger logic (the
-    :class:`BrownoutController` owns when to engage): serve
-    ``fallback_config`` if given, else the primary config with sparse
-    lookups truncated to ``max_lookups_per_table``.
+    The same model transform as
+    :class:`~repro.serving.faults.DegradationPolicy`, minus the trigger
+    logic (the :class:`BrownoutController` owns when to engage).
     """
 
     name: str
@@ -333,23 +394,7 @@ class BrownoutTier:
     max_lookups_per_table: int | None = None
 
     def __post_init__(self) -> None:
-        if self.fallback_config is None and self.max_lookups_per_table is None:
-            raise ValueError(
-                "a tier needs a fallback_config or max_lookups_per_table"
-            )
-        if self.max_lookups_per_table is not None and self.max_lookups_per_table < 1:
-            raise ValueError("max_lookups_per_table must be positive")
-
-    def degraded_config(self, primary: ModelConfig) -> ModelConfig:
-        """The model served at this tier."""
-        if self.fallback_config is not None:
-            return self.fallback_config
-        assert self.max_lookups_per_table is not None
-        # Imported here, not at module scope: faults.py consumes this
-        # module's policies, so a top-level import would be circular.
-        from .faults import truncate_lookups
-
-        return truncate_lookups(primary, self.max_lookups_per_table)
+        self._check_degraded_model()
 
 
 def default_brownout_tiers(
@@ -404,8 +449,12 @@ class BrownoutPolicy:
             raise ValueError(
                 "step_down_depth must be in [0, step_up_depth) for hysteresis"
             )
-        if self.dwell_s < 0:
-            raise ValueError("dwell must be non-negative")
+        # Not _require_finite: an infinite dwell (one switch, then hold)
+        # is a usable setting; a nan one is never enforced.
+        if not self.dwell_s >= 0:
+            raise ValueError(
+                f"BrownoutPolicy.dwell_s must be non-negative, got {self.dwell_s!r}"
+            )
 
     @property
     def num_tiers(self) -> int:

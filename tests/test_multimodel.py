@@ -11,6 +11,7 @@ dispatched a model other than the one resident in it.
 import math
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -102,6 +103,22 @@ class TestPoolConstruction:
     def test_rejects_bad_thrash_window(self):
         with pytest.raises(ValueError, match="thrash"):
             make_pool(thrash_window_s=0.0)
+
+    @pytest.mark.parametrize(
+        "field, bad, good",
+        [
+            ("slots_per_replica", 2.5, np.int64(2)),
+            ("slots_per_replica", True, np.int32(1)),
+            ("thrash_window_s", math.nan, np.float64(0.05)),
+        ],
+        ids=str,
+    )
+    def test_rejects_non_integral_or_non_finite(self, field, bad, good):
+        # 2.5 slots raised a TypeError, True built one slot, and a nan
+        # window never counted a thrash.
+        make_pool(**{field: good})
+        with pytest.raises(ValueError, match=field):
+            make_pool(**{field: bad})
 
     def test_slots_derived_from_capacity(self):
         pool = MultiModelPool(REPLICAS, MODELS)
@@ -249,6 +266,27 @@ class TestRouterValidation:
             MultiModelRouter(pool, hol_skip_cap=-1)
         with pytest.raises(ValueError, match="hol_scan_window"):
             MultiModelRouter(pool, hol_scan_window=0)
+
+    @pytest.mark.parametrize(
+        "field, bad, good",
+        [
+            ("batch_size", 2.5, np.int64(8)),
+            ("batch_size", True, np.int32(4)),
+            ("hol_skip_cap", 1.5, np.int64(0)),
+            ("hol_skip_cap", True, np.int64(2)),
+            ("hol_scan_window", 2.5, np.int64(4)),
+            ("hol_scan_window", True, np.int64(1)),
+        ],
+        ids=str,
+    )
+    def test_rejects_non_integral_parameters(self, field, bad, good):
+        # A fractional batch priced a fractional inference, and a
+        # fractional scan window constructed, then raised a TypeError in
+        # run().
+        pool = make_pool()
+        MultiModelRouter(pool, **{field: good}).run(0.01, offered_qps=1000.0)
+        with pytest.raises(ValueError, match=field):
+            MultiModelRouter(pool, **{field: bad})
 
     def test_run_needs_exactly_one_source(self):
         router = MultiModelRouter(make_pool())

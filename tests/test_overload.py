@@ -14,8 +14,10 @@ from repro.serving import (
     BatchedServer,
     BreakerPolicy,
     BrownoutPolicy,
+    BrownoutTier,
     CircuitBreaker,
     CoDelController,
+    DegradationPolicy,
     DiurnalLoadGenerator,
     FaultSchedule,
     LoadSpike,
@@ -28,6 +30,7 @@ from repro.serving import (
     Straggler,
     check_conservation,
     default_brownout_tiers,
+    truncate_lookups,
 )
 from repro.serving.overload import (
     BREAKER_CLOSED,
@@ -222,6 +225,32 @@ class TestBrownout:
             BrownoutPolicy(
                 tiers=self.tiers(), step_up_depth=1.0, step_down_depth=2.0
             )
+
+    @pytest.mark.parametrize(
+        "field, bad, good", [("dwell_s", math.nan, math.inf)], ids=str
+    )
+    def test_policy_rejects_nan(self, field, bad, good):
+        # A nan dwell was never enforced; an infinite one holds the first
+        # switch for the rest of the run.
+        BrownoutPolicy(tiers=self.tiers(), **{field: good})
+        with pytest.raises(ValueError, match=field):
+            BrownoutPolicy(tiers=self.tiers(), **{field: bad})
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda cap: BrownoutTier("t", max_lookups_per_table=cap),
+            lambda cap: DegradationPolicy(max_lookups_per_table=cap),
+            lambda cap: truncate_lookups(RMC1_SMALL, cap),
+        ],
+        ids=["BrownoutTier", "DegradationPolicy", "truncate_lookups"],
+    )
+    @pytest.mark.parametrize("cap", [2.5, True], ids=str)
+    def test_lookup_cap_must_be_an_integer(self, make, cap):
+        # A 2.5 cap built a config with 2.5 lookups per sample.
+        make(np.int64(2))
+        with pytest.raises(ValueError, match="max_lookups_per_table"):
+            make(cap)
 
     def test_steps_up_under_pressure_and_back_down(self):
         policy = BrownoutPolicy(
