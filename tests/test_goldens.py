@@ -41,8 +41,13 @@ from repro.obs import OpProfiler, Tracer, dumps_chrome
 from repro.serving import (
     AdmissionPolicy,
     BandwidthFault,
+    DiurnalLoadGenerator,
     FaultSchedule,
+    LoadSpike,
+    MixedModelLoadGenerator,
+    ModelClassRate,
     OverloadConfig,
+    PoissonLoadGenerator,
     ReplicaCrash,
     ServingSimulator,
     Straggler,
@@ -163,6 +168,75 @@ def test_trace_bits_golden_engine_invariant(golden):
     # reference loop must reproduce the golden byte for byte.
     with reference_loops():
         golden("trace_bits", _trace_bits_payload())
+
+
+# --- Exact-bit arrival golden ------------------------------------------------
+#
+# Pins every arrival time the load generators draw, bit for bit, with the
+# generator state each leaves behind: the homogeneous Poisson source, the
+# diurnal thinning source with and without two overlapping spikes (one
+# multiplier 3, one 0), the flat spiked source over two successive calls,
+# and the mixed-model trace over three classes (its per-class generators
+# are internal, so its times and model tags are pinned instead).
+
+_ARRIVAL_SPIKES = (
+    LoadSpike(start_s=0.1, duration_s=0.2, multiplier=3.0),
+    LoadSpike(start_s=0.25, duration_s=0.1, multiplier=0.0),
+)
+
+_ARRIVAL_CLASSES = (
+    ModelClassRate("rmc1", 2400.0, amplitude=0.6),
+    ModelClassRate("rmc2", 1400.0, amplitude=0.3, phase_s=0.4 / 3),
+    ModelClassRate("rmc3", 900.0, amplitude=0.0, phase_s=0.8 / 3),
+)
+
+
+def _arrival_bits(queries, rng=None):
+    times = np.array([q.arrival_s for q in queries], dtype=np.float64)
+    bits = {
+        "count": len(times),
+        "times": hashlib.sha256(times.tobytes()).hexdigest(),
+    }
+    if rng is not None:
+        bits["state"] = _state_sha256(rng.bit_generator)
+    return bits
+
+
+def _arrival_bits_payload():
+    payload = {}
+    for seed in range(3):
+        poisson = PoissonLoadGenerator(2000.0, seed=seed)
+        payload[f"poisson/seed{seed}"] = _arrival_bits(
+            poisson.generate(0.5), poisson._rng
+        )
+        for name, spikes in (("diurnal", ()), ("diurnal_spiked", _ARRIVAL_SPIKES)):
+            gen = DiurnalLoadGenerator(
+                2000.0, amplitude=0.5, period_s=0.4, phase_s=0.05,
+                spikes=spikes, seed=seed,
+            )
+            payload[f"{name}/seed{seed}"] = _arrival_bits(
+                gen.generate(0.5), gen._rng
+            )
+        flat = DiurnalLoadGenerator(
+            2000.0, amplitude=0.0, spikes=_ARRIVAL_SPIKES, seed=seed
+        )
+        payload[f"flat_spiked/seed{seed}"] = [
+            _arrival_bits(flat.generate(duration_s), flat._rng)
+            for duration_s in (0.4, 0.3)
+        ]
+        mixed = MixedModelLoadGenerator(
+            _ARRIVAL_CLASSES, period_s=0.4, seed=seed
+        ).generate(0.4)
+        models = "\n".join(q.model for q in mixed)
+        payload[f"mixed/seed{seed}"] = {
+            **_arrival_bits(mixed),
+            "models": hashlib.sha256(models.encode()).hexdigest(),
+        }
+    return payload
+
+
+def test_arrival_bits_golden(golden):
+    golden("arrival_bits", _arrival_bits_payload())
 
 
 def test_fig09_colocation_golden(golden):
