@@ -44,6 +44,7 @@ from repro.serving import (
     replicate_shards,
     shard_tables,
 )
+from tests.test_multimodel import flat_trace
 
 NUM_MACHINES = 3
 DURATION_S = 0.05
@@ -447,12 +448,14 @@ class TestMultiModelChaos:
             None if admission is None else OverloadConfig(admission=admission)
         )
         router = MultiModelRouter(pool, overload=overload, seed=seed)
-        result = router.run(
+        trace = flat_trace(
             DURATION_S,
-            offered_qps=load_factor * len(MM_REPLICAS) / SERVICE_S,
+            load_factor * len(MM_REPLICAS) / SERVICE_S,
             mix=(weight, 1.0 - weight, weight / 2),
-            faults=faults,
+            models=MM_MODELS,
+            seed=seed,
         )
+        result = router.run(DURATION_S, trace, faults=faults)
         # Per-model books: every request reaches a terminal state.
         for i in range(len(MM_MODELS)):
             assert result.offered_by_model[i] == (

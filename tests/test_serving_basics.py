@@ -8,7 +8,6 @@ import pytest
 
 from repro.serving import (
     Batcher,
-    ClosedLoopLoadGenerator,
     DiurnalLoadGenerator,
     LoadSpike,
     MixedModelLoadGenerator,
@@ -16,7 +15,6 @@ from repro.serving import (
     PoissonLoadGenerator,
     Query,
     SLA,
-    SpikeLoadGenerator,
     ThroughputPoint,
     batch_stream,
     latency_bounded_throughput,
@@ -126,7 +124,9 @@ def spike_trace(
     base_qps=100.0, start_s=0.2, spike_s=0.3, multiplier=3.0, duration_s=1.0
 ):
     spike = LoadSpike(start_s, spike_s, multiplier)
-    return SpikeLoadGenerator(base_qps, spikes=(spike,)).generate(duration_s)
+    return DiurnalLoadGenerator(
+        base_qps, amplitude=0.0, spikes=(spike,)
+    ).generate(duration_s)
 
 
 def diurnal_trace(
@@ -171,11 +171,10 @@ class TestNonFiniteLoadInputs:
     @pytest.mark.parametrize(
         "arg, field",
         [
-            ("base_qps", "SpikeLoadGenerator.base_qps"),
             ("start_s", "LoadSpike.start_s"),
             ("spike_s", "LoadSpike.duration_s"),
             ("multiplier", "LoadSpike.multiplier"),
-            ("duration_s", "SpikeLoadGenerator.generate.duration_s"),
+            ("duration_s", "DiurnalLoadGenerator.generate.duration_s"),
         ],
     )
     def test_spike(self, arg, field, bad):
@@ -217,17 +216,6 @@ class TestNonFiniteLoadInputs:
         # thinning envelope to inf.
         with pytest.raises(ValueError, match="peak rate"):
             spike_trace(base_qps=1e200, multiplier=1e200)
-
-
-class TestClosedLoop:
-    def test_one_query_per_client(self):
-        gen = ClosedLoopLoadGenerator(num_clients=5)
-        queries = gen.initial_queries()
-        assert len(queries) == 5
-
-    def test_rejects_zero_clients(self):
-        with pytest.raises(ValueError):
-            ClosedLoopLoadGenerator(num_clients=0)
 
 
 class TestQuery:
