@@ -22,7 +22,7 @@ from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 from .batcher import Batch, Batcher, batch_stream
-from .loadgen import PoissonLoadGenerator
+from .loadgen import PoissonLoadGenerator, _require_seed
 from .metrics import SLA
 
 
@@ -117,6 +117,7 @@ class BatchedServer:
         """Run an open-loop Poisson stream through batcher + model."""
         if offered_qps <= 0 or duration_s <= 0:
             raise ValueError("rate and duration must be positive")
+        _require_seed("BatchedServer.simulate", seed)
         queries = PoissonLoadGenerator(
             offered_qps, num_items=self.items_per_query, seed=seed
         ).generate(duration_s)

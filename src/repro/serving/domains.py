@@ -42,7 +42,7 @@ import numpy as np
 
 from ..data.sparse import _integer
 from .faults import FaultSchedule, ReplicaCrash, Straggler
-from .loadgen import _require_finite
+from .loadgen import _require_finite, _require_seed
 
 #: Domain kinds, innermost to outermost. ``host`` is the blast radius of
 #: an independent machine failure; ``rack`` shares power and a top-of-rack
@@ -435,6 +435,7 @@ def domain_storm(
         raise ValueError("need at least one domain kind")
     for kind in kinds:
         _check_kind(kind)
+    _require_seed("domain_storm", seed)
     rng = np.random.default_rng(seed)
 
     def interval_s(frac_range: tuple[float, float]) -> float:

@@ -30,7 +30,7 @@ from ..analysis.distributions import LatencySummary, summarize
 from ..config.model_config import ModelConfig
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
-from .loadgen import poisson_arrival_times
+from .loadgen import _require_seed, poisson_arrival_times
 
 POLICIES = ("round_robin", "random", "jsq2")
 
@@ -243,6 +243,7 @@ class RequestRouter:
             raise ValueError(f"unknown policy {policy!r}; valid: {POLICIES}")
         if queue_capacity is not None and queue_capacity < 1:
             raise ValueError("queue_capacity must be positive")
+        _require_seed("RequestRouter", seed)
         self.queue_capacity = queue_capacity
         self.server = server
         self.config = config

@@ -36,7 +36,7 @@ from ..hw.colocation import ColocationState
 from ..hw.server import ServerSpec
 from ..hw.timing import ModelLatency, TimingModel
 from ..obs.tracer import as_tracer
-from .loadgen import poisson_arrival_times
+from .loadgen import _require_seed, poisson_arrival_times
 from .overload import SHED_CODEL, SHED_DEADLINE, SHED_OLDEST, SHED_QUEUE_FULL
 
 if TYPE_CHECKING:
@@ -220,6 +220,7 @@ class ServingSimulator:
             raise ValueError("batch_size must be positive")
         if per_instance_qps is not None and not 0 < per_instance_qps < math.inf:
             raise ValueError("per_instance_qps must be positive and finite")
+        _require_seed("ServingSimulator", seed)
         if overload is not None and (
             overload.breaker is not None or overload.brownout is not None
         ):
