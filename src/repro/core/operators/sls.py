@@ -88,10 +88,6 @@ class EmbeddingTable:
         """Capacity of the table in bytes."""
         return self.rows * self.dim * _FP32
 
-    def row_address(self, row: int) -> int:
-        """Byte offset of ``row`` within the table."""
-        return row * self.dim * _FP32
-
 
 def sls_reference(
     table: np.ndarray, lengths: Sequence[int], ids: Sequence[int]

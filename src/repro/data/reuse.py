@@ -102,10 +102,6 @@ class ReuseProfile:
         hits = int(self.distance_histogram[: capacity_rows].sum())
         return hits / self.lookups
 
-    def hit_ratio_curve(self, capacities: list[int]) -> dict[int, float]:
-        """Hit ratios at several capacities from the single profile."""
-        return {c: self.hit_ratio(c) for c in capacities}
-
     def working_set_size(self, target_hit_ratio: float) -> int | None:
         """Smallest capacity achieving ``target_hit_ratio`` (None if never).
 

@@ -457,14 +457,6 @@ class TimingModel:
             hit_ratio,
         )
 
-    def sls_demand_bytes_per_s(
-        self, embedding_dim: int, batch: int = 1, dtype_bytes: int = 4
-    ) -> float:
-        """Uncontended per-job random-access bandwidth demand of SLS misses."""
-        return self._sls_demand(
-            _Terms(self, batch, RUN_ALONE), _row_bytes(embedding_dim, dtype_bytes)
-        )
-
     def table_hit_ratio(
         self, total_table_bytes: int, locality_hit_ratio: float = 0.0
     ) -> float:

@@ -39,13 +39,6 @@ class SizingPlan:
     points: list[SizingPoint]
     recommended: SizingPoint | None
 
-    def point_at(self, capacity_rows: int) -> SizingPoint:
-        """The sweep point for one capacity."""
-        for p in self.points:
-            if p.capacity_rows == capacity_rows:
-                return p
-        raise KeyError(capacity_rows)
-
 
 def plan_cache_size(
     server: ServerSpec,

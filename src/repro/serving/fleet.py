@@ -100,26 +100,6 @@ class Fleet:
         return out
 
 
-def fleet_availability(fleet: Fleet, class_availability: dict[str, float]) -> float:
-    """Cycle-weighted availability of the AI fleet.
-
-    Given per-model-class availability (from
-    :class:`repro.serving.metrics.ResilienceStats` of each service's
-    serving run), returns the fraction of demanded AI-inference cycles
-    actually served. Classes missing from the map are assumed fully
-    available.
-    """
-    served = 0.0
-    for service in fleet.services:
-        avail = class_availability.get(service.model_class, 1.0)
-        if not 0.0 <= avail <= 1.0:
-            raise ValueError(
-                f"availability for {service.model_class!r} must be in [0, 1]"
-            )
-        served += service.cycles_share * avail
-    return served
-
-
 #: Fraction of a production recommendation service's cycles spent outside
 #: model operators (feature transforms, embedding-ID preprocessing, memory
 #: copies, RPC (de)serialization) — the "Other" bar of Figure 4.
