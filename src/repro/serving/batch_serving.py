@@ -11,29 +11,24 @@ the SLA-optimal operating point per server generation.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..analysis.distributions import LatencySummary, summarize
 from ..config.model_config import ModelConfig
+from ..data.sparse import _integer
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.tracer import NullTracer, Tracer, as_tracer
-from .batcher import Batch, Batcher, batch_stream
-from .loadgen import PoissonLoadGenerator, _require_seed
+from .batcher import batch_stream
+from .loadgen import PoissonLoadGenerator, _require_finite, _require_seed
 from .metrics import SLA
 
 
 @dataclass(frozen=True)
 class BatchedServingResult:
-    """Outcome of one batched-serving simulation.
-
-    ``shed`` counts queries refused by backpressure (the model's batch
-    backlog was at ``queue_capacity`` when they arrived); 0 when
-    unbounded.
-    """
+    """Outcome of one batched-serving simulation."""
 
     server_name: str
     model_name: str
@@ -43,7 +38,6 @@ class BatchedServingResult:
     items_served: int
     duration_s: float
     mean_batch_size: float
-    shed: int = 0
 
     def summary(self) -> LatencySummary:
         """Per-query latency percentiles (wait + inference)."""
@@ -72,12 +66,6 @@ class BatchedServer:
             to completion) with ``collect``/``wait``/``service`` children
             on the batcher and model tracks. The default nil tracer
             records nothing and never perturbs the simulation.
-        queue_capacity: backpressure bound on formed-but-unfinished
-            batches. When the model instance already has this many
-            batches in flight, the batcher stops accepting and new
-            queries are shed at arrival (propagated upstream) instead of
-            queueing without bound. ``None`` (the default) reproduces the
-            historical unbounded run bit for bit.
     """
 
     def __init__(
@@ -88,13 +76,14 @@ class BatchedServer:
         max_wait_s: float = 0.001,
         items_per_query: int = 1,
         tracer: Tracer | NullTracer | None = None,
-        queue_capacity: int | None = None,
     ) -> None:
-        if max_batch < 1:
+        if _integer("max_batch", max_batch) < 1:
             raise ValueError("max_batch must be positive")
-        if queue_capacity is not None and queue_capacity < 1:
-            raise ValueError("queue_capacity must be positive")
-        self.queue_capacity = queue_capacity
+        if _integer("items_per_query", items_per_query) < 1:
+            raise ValueError("items_per_query must be positive")
+        _require_finite("BatchedServer", max_wait_s=max_wait_s)
+        if max_wait_s < 0:
+            raise ValueError("max_wait_s must be non-negative")
         self.server = server
         self.config = config
         self.max_batch = max_batch
@@ -133,11 +122,8 @@ class BatchedServer:
         latencies: list[float] = []
         items = 0
         batch_sizes: list[int] = []
-        shed = 0
 
-        def serve(batch: Batch) -> float:
-            """Run one batch on the model; returns its completion time."""
-            nonlocal free_at, items
+        for batch in batch_stream(queries, self.max_batch, self.max_wait_s):
             start = max(batch.formed_at_s, free_at)
             service = self._service_s(batch.num_items)
             done = start + service
@@ -178,42 +164,6 @@ class BatchedServer:
                     num_items=batch.num_items,
                 )
                 tracer.end(batch_id, done)
-            return done
-
-        if self.queue_capacity is None:
-            for batch in batch_stream(queries, self.max_batch, self.max_wait_s):
-                serve(batch)
-        else:
-            # Backpressure path: the batcher only dispatches into a
-            # bounded backlog of formed batches; while the model has
-            # ``queue_capacity`` batches in flight, arriving queries are
-            # refused at admission (shed upstream) rather than absorbed.
-            batcher = Batcher(max_items=self.max_batch, max_wait_s=self.max_wait_s)
-            # Completion-time min-heap. The monotonic sequence number makes
-            # ties at equal completion times pop in push order explicitly,
-            # so the heap's order never depends on heapq internals.
-            in_flight: list[tuple[float, int]] = []
-            seq = 0
-            for query in sorted(queries, key=lambda q: q.arrival_s):
-                now = query.arrival_s
-                while in_flight and in_flight[0][0] <= now:
-                    heapq.heappop(in_flight)
-                timed_out = batcher.poll(now)
-                if timed_out is not None:
-                    heapq.heappush(in_flight, (serve(timed_out), seq))
-                    seq += 1
-                    while in_flight and in_flight[0][0] <= now:
-                        heapq.heappop(in_flight)
-                if len(in_flight) >= self.queue_capacity:
-                    shed += 1
-                    continue
-                formed = batcher.offer(query)
-                if formed is not None:
-                    heapq.heappush(in_flight, (serve(formed), seq))
-                    seq += 1
-            tail = batcher.flush(queries[-1].arrival_s + self.max_wait_s)
-            if tail is not None:
-                serve(tail)
 
         return BatchedServingResult(
             server_name=self.server.name,
@@ -224,7 +174,6 @@ class BatchedServer:
             items_served=items,
             duration_s=duration_s,
             mean_batch_size=float(np.mean(batch_sizes)) if batch_sizes else 0.0,
-            shed=shed,
         )
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .loadgen import Query
+from ..data.sparse import _integer
+from .loadgen import Query, _require_finite
 
 
 @dataclass(frozen=True)
@@ -46,51 +47,26 @@ class Batcher:
     Attributes:
         max_items: dispatch threshold on accumulated items.
         max_wait_s: dispatch threshold on the oldest query's wait.
-        max_pending_items: backpressure bound — ``offer`` refuses queries
-            while ``pending_items`` is at this level, so upstream (the
-            router or load source) must shed or retry instead of the
-            batcher absorbing unbounded work. ``None`` (the default)
-            keeps the historical unbounded behaviour. Check
-            :attr:`at_capacity` before offering.
     """
 
     max_items: int = 32
     max_wait_s: float = 0.001
-    max_pending_items: int | None = None
     _pending: list[Query] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
-        if self.max_items < 1:
+        if _integer("max_items", self.max_items) < 1:
             raise ValueError("max_items must be positive")
+        _require_finite("Batcher", max_wait_s=self.max_wait_s)
         if self.max_wait_s < 0:
             raise ValueError("max_wait_s must be non-negative")
-        if self.max_pending_items is not None and self.max_pending_items < 1:
-            raise ValueError("max_pending_items must be positive")
 
     @property
     def pending_items(self) -> int:
         """Items currently queued."""
         return sum(q.num_items for q in self._pending)
 
-    @property
-    def at_capacity(self) -> bool:
-        """True when the backpressure bound refuses further queries."""
-        return (
-            self.max_pending_items is not None
-            and self.pending_items >= self.max_pending_items
-        )
-
     def offer(self, query: Query) -> Batch | None:
-        """Queue a query; returns a batch if the size threshold is reached.
-
-        Raises ``ValueError`` when offered past the ``max_pending_items``
-        bound — callers must consult :attr:`at_capacity` first and
-        propagate the refusal upstream.
-        """
-        if self.at_capacity:
-            raise ValueError(
-                "batcher at capacity; check at_capacity before offering"
-            )
+        """Queue a query; returns a batch if the size threshold is reached."""
         self._pending.append(query)
         if self.pending_items >= self.max_items:
             return self._dispatch(query.arrival_s)

@@ -42,7 +42,7 @@ import numpy as np
 
 from ..data.sparse import _integer
 from .faults import FaultSchedule, ReplicaCrash, Straggler
-from .loadgen import _require_finite, _require_seed
+from .loadgen import _require_duration, _require_finite, _require_seed
 
 #: Domain kinds, innermost to outermost. ``host`` is the blast radius of
 #: an independent machine failure; ``rack`` shares power and a top-of-rack
@@ -401,13 +401,6 @@ class DomainSchedule:
         return FaultSchedule(crashes=tuple(crashes), stragglers=tuple(stragglers))
 
 
-def expand_to_schedule(
-    schedule: DomainSchedule, topology: FleetTopology
-) -> FaultSchedule:
-    """Module-level alias of :meth:`DomainSchedule.expand_to_schedule`."""
-    return schedule.expand_to_schedule(topology)
-
-
 def domain_storm(
     topology: FleetTopology,
     duration_s: float,
@@ -429,8 +422,7 @@ def domain_storm(
     a single draw can take out a whole rack. Interval lengths scale with
     ``duration_s`` exactly as in the independent storm.
     """
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    _require_duration("domain_storm", duration_s)
     if not kinds:
         raise ValueError("need at least one domain kind")
     for kind in kinds:

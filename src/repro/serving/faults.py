@@ -16,10 +16,10 @@ that absorb them — as by micro-architecture. This module adds both sides:
   requests (duplicate to a second replica after a fixed delay, first
   response wins — "The Tail at Scale" tail-cutting), and
   health-check-driven ejection/readmission of replicas.
-* **Graceful degradation** — :class:`DegradationPolicy` falls back to a
-  cheaper preset or truncates sparse lookups per table when the fleet is
-  overloaded or partially down; the quality cost of serving the fallback
-  is surfaced via :func:`degraded_quality`
+* **Graceful degradation** — :class:`DegradationPolicy` truncates sparse
+  lookups per table when the fleet is overloaded or partially down; the
+  quality cost of serving the degraded model is surfaced via
+  :func:`degraded_quality`
   (:mod:`repro.serving.ranking_quality`).
 * **Accounting** — :class:`~repro.serving.metrics.ResilienceStats`
   (availability, goodput, retry/hedge counts, time in degraded mode) via
@@ -37,7 +37,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +51,12 @@ from ..hw.timing import TimingModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 from ._des_native import native_available, route_native
-from .loadgen import _require_finite, _require_seed, poisson_arrival_times
+from .loadgen import (
+    _require_duration,
+    _require_finite,
+    _require_seed,
+    poisson_arrival_times,
+)
 from .metrics import SLA, ResilienceStats, goodput_qps
 from .ranking_quality import pipeline_quality
 from .router import POLICIES, SERVICE_NOISE_SIGMA, RoutingDraws, pick_machine
@@ -67,7 +72,7 @@ from .overload import (
     CircuitBreaker,
     OverloadConfig,
     OverloadStats,
-    _DegradedModel,
+    _check_lookup_cap,
     truncate_lookups,  # re-exported: the degraded mode's transform
 )
 
@@ -292,35 +297,18 @@ def fault_storm(
     bandwidth_dip_count: int = 1,
     bandwidth_fraction: tuple[float, float] = (0.3, 0.6),
     bandwidth_duration_frac: tuple[float, float] = (0.1, 0.3),
-    topology=None,
-    correlation: float = 0.0,
-    correlation_kind: str = "rack",
 ) -> FaultSchedule:
     """Draw a random fault storm from a dedicated seeded stream.
 
     Interval lengths are drawn as *fractions* of ``duration_s`` (the
     ``*_frac`` ranges) so the same storm shape scales with the simulated
-    horizon; counts are exact.
-
-    With a :class:`~repro.serving.domains.FleetTopology` and a positive
-    ``correlation``, each drawn crash/straggler *escalates* with that
-    probability to every replica sharing the victim's ``correlation_kind``
-    domain (rack power events instead of lone machine deaths). The base
-    draws happen first and are untouched, so ``correlation=0.0`` output is
-    byte-identical to the independent storm regardless of ``topology``.
+    horizon; counts are exact. Every fault is independent; correlated
+    storms come from :func:`~repro.serving.domains.domain_storm`.
     """
-    if num_replicas < 1:
+    if _integer("num_replicas", num_replicas) < 1:
         raise ValueError("need at least one replica")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
-    if not 0.0 <= correlation <= 1.0:
-        raise ValueError("correlation must be in [0, 1]")
+    _require_duration("fault_storm", duration_s)
     _require_seed("fault_storm", seed)
-    if topology is not None and topology.num_replicas != num_replicas:
-        raise ValueError(
-            f"topology covers {topology.num_replicas} replicas, "
-            f"storm covers {num_replicas}"
-        )
     rng = np.random.default_rng(seed)
 
     def interval_s(frac_range: tuple[float, float]) -> float:
@@ -352,34 +340,6 @@ def fault_storm(
         )
         for _ in range(bandwidth_dip_count)
     )
-    if topology is not None and correlation > 0.0:
-        # Escalation draws come after every base draw, preserving the
-        # base stream; each escalated event clones its interval onto the
-        # whole domain (bandwidth dips are already fleet-wide).
-        escalated_crashes: list[ReplicaCrash] = []
-        for crash in crashes:
-            if float(rng.uniform()) < correlation:
-                domain_id = topology.domain_of(crash.replica_id, correlation_kind)
-                escalated_crashes.extend(
-                    replace(crash, replica_id=r)
-                    for r in topology.replicas_in(correlation_kind, domain_id)
-                )
-            else:
-                escalated_crashes.append(crash)
-        escalated_stragglers: list[Straggler] = []
-        for straggler in stragglers:
-            if float(rng.uniform()) < correlation:
-                domain_id = topology.domain_of(
-                    straggler.replica_id, correlation_kind
-                )
-                escalated_stragglers.extend(
-                    replace(straggler, replica_id=r)
-                    for r in topology.replicas_in(correlation_kind, domain_id)
-                )
-            else:
-                escalated_stragglers.append(straggler)
-        crashes = tuple(escalated_crashes)
-        stragglers = tuple(escalated_stragglers)
     return FaultSchedule(crashes, stragglers, bandwidth_faults)
 
 
@@ -452,37 +412,40 @@ class ResiliencePolicy:
 
 
 @dataclass(frozen=True)
-class DegradationPolicy(_DegradedModel):
+class DegradationPolicy:
     """Graceful degradation under overload or partial failure.
 
     When fewer than ``min_healthy_fraction`` of replicas are admitted, or
     the mean queue depth across admitted replicas reaches
     ``queue_depth_trigger``, new requests are served in degraded mode:
-    with ``fallback_config`` if given, else with the primary config's
-    sparse lookups truncated to ``max_lookups_per_table``.
+    with the primary config's sparse lookups truncated to
+    ``max_lookups_per_table``.
 
     Attributes:
-        fallback_config: cheaper preset served under pressure (e.g. RMC1
-            instead of RMC3); ``None`` uses lookup truncation instead.
         max_lookups_per_table: cap on per-table sparse lookups in degraded
-            mode (ignored when ``fallback_config`` is set).
+            mode.
         queue_depth_trigger: mean admitted-replica queue depth that flips
             degraded mode on.
         min_healthy_fraction: admitted-replica fraction below which
             degraded mode engages regardless of queues.
     """
 
-    fallback_config: ModelConfig | None = None
-    max_lookups_per_table: int | None = None
+    max_lookups_per_table: int
     queue_depth_trigger: float = 4.0
     min_healthy_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        self._check_degraded_model()
-        if self.queue_depth_trigger <= 0:
+        _check_lookup_cap(self.max_lookups_per_table)
+        # A nan trigger never fires; an infinite one (degrade on health
+        # alone) stays valid.
+        if not self.queue_depth_trigger > 0:
             raise ValueError("queue_depth_trigger must be positive")
         if not 0.0 < self.min_healthy_fraction <= 1.0:
             raise ValueError("min_healthy_fraction must be in (0, 1]")
+
+    def degraded_config(self, primary: ModelConfig) -> ModelConfig:
+        """The model served in degraded mode."""
+        return truncate_lookups(primary, self.max_lookups_per_table)
 
 
 def degraded_quality(

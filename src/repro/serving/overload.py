@@ -32,17 +32,14 @@ record for record):
 * **Brownout** (:class:`BrownoutPolicy` / :class:`BrownoutController`) —
   an SLO-aware feedback controller that, under sustained queue pressure,
   steps the service down a ladder of quality tiers (truncated sparse
-  lookups or a cheaper preset, built on the same machinery as
+  lookups, the same transform as
   :class:`~repro.serving.faults.DegradationPolicy`) and steps back up on
   recovery. Each tier's recall/NDCG cost is priced by
   :func:`~repro.serving.faults.degraded_quality`, exporting the
   quality/goodput tradeoff instead of hiding it.
-* **Backpressure** — bounded queues turn "absorb unbounded work" into an
-  explicit queue-full signal. :class:`~repro.serving.batcher.Batcher`
-  raises :class:`~repro.serving.batcher.QueueFull` past its bound,
-  :class:`~repro.serving.batch_serving.BatchedServer` sheds instead of
-  queueing, and the router's shed events reach the client as fail-fasts
-  its retry policy can back off on.
+* **Backpressure** — a bounded queue turns "absorb unbounded work" into
+  an explicit refusal: the router's admission sheds reach the client as
+  failed attempts its retry policy can back off on.
 
 Accounting lives in :class:`OverloadStats`; the conservation invariant
 every protected run must satisfy is checked by
@@ -347,42 +344,13 @@ def truncate_lookups(config: ModelConfig, max_lookups_per_table: int) -> ModelCo
     )
 
 
-class _DegradedModel:
-    """The model a degraded mode serves: ``fallback_config`` if given,
-    else the primary config with sparse lookups truncated to
-    ``max_lookups_per_table``.
-
-    Mixed into :class:`BrownoutTier` and
-    :class:`~repro.serving.faults.DegradationPolicy`, which declare both
-    fields and call :meth:`_check_degraded_model` after construction.
-    """
-
-    fallback_config: ModelConfig | None
-    max_lookups_per_table: int | None
-
-    def _check_degraded_model(self) -> None:
-        if self.fallback_config is None and self.max_lookups_per_table is None:
-            raise ValueError(
-                f"{type(self).__name__} needs a fallback_config or "
-                "max_lookups_per_table"
-            )
-        if self.max_lookups_per_table is not None:
-            _check_lookup_cap(self.max_lookups_per_table)
-
-    def degraded_config(self, primary: ModelConfig) -> ModelConfig:
-        """The model served in degraded mode."""
-        if self.fallback_config is not None:
-            return self.fallback_config
-        assert self.max_lookups_per_table is not None
-        return truncate_lookups(primary, self.max_lookups_per_table)
-
-
 # -------------------------------------------------------------- brownout
 
 
 @dataclass(frozen=True)
-class BrownoutTier(_DegradedModel):
-    """One rung of the brownout quality ladder.
+class BrownoutTier:
+    """One rung of the brownout quality ladder: the primary config with
+    sparse lookups truncated to ``max_lookups_per_table``.
 
     The same model transform as
     :class:`~repro.serving.faults.DegradationPolicy`, minus the trigger
@@ -390,11 +358,14 @@ class BrownoutTier(_DegradedModel):
     """
 
     name: str
-    fallback_config: ModelConfig | None = None
-    max_lookups_per_table: int | None = None
+    max_lookups_per_table: int
 
     def __post_init__(self) -> None:
-        self._check_degraded_model()
+        _check_lookup_cap(self.max_lookups_per_table)
+
+    def degraded_config(self, primary: ModelConfig) -> ModelConfig:
+        """The model served on this rung."""
+        return truncate_lookups(primary, self.max_lookups_per_table)
 
 
 def default_brownout_tiers(

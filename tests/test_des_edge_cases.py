@@ -14,8 +14,6 @@ inf — plus the event-ordering regression tests for the explicit
 fault schedule must replay identically).
 """
 
-import heapq
-
 import numpy as np
 import pytest
 
@@ -24,7 +22,6 @@ from repro.hw import BROADWELL
 from repro.serving import (
     SLA,
     AdmissionPolicy,
-    BatchedServer,
     BreakerPolicy,
     FaultSchedule,
     OverloadConfig,
@@ -376,25 +373,3 @@ class TestEventOrderingDeterminism:
                     )
                 )
             assert runs[0] == runs[1], run.__name__
-
-    def test_batched_server_inflight_heap_orders_ties_by_push(self):
-        # The backpressure path's completion heap carries (time, seq):
-        # pushes with tied completion times must pop in push order, not
-        # in heapq's internal layout order.
-        entries = [(0.5, 0), (0.5, 1), (0.25, 2), (0.5, 3), (0.25, 4)]
-        for rotation in range(len(entries)):
-            heap: list[tuple[float, int]] = []
-            for entry in entries[rotation:] + entries[:rotation]:
-                heapq.heappush(heap, entry)
-            popped = [heapq.heappop(heap) for _ in range(len(heap))]
-            assert popped == sorted(entries)
-        # End-to-end: the bounded-queue server still runs and sheds
-        # deterministically with the tuple-keyed heap.
-        server = BatchedServer(
-            BROADWELL, RMC1_SMALL, max_batch=4, max_wait_s=0.001,
-            queue_capacity=1,
-        )
-        a = server.simulate(offered_qps=5000.0, duration_s=0.05, seed=3)
-        b = server.simulate(offered_qps=5000.0, duration_s=0.05, seed=3)
-        assert a.shed == b.shed
-        assert np.array_equal(a.query_latencies_s, b.query_latencies_s)

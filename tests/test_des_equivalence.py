@@ -498,19 +498,20 @@ class TestCorrelatedScheduleEquivalence:
     @EQUIV
     @given(
         storm_seed=st.integers(0, 2**16),
-        correlation=st.floats(0.0, 1.0),
         load_factor=st.floats(0.3, 6.0),
         seed=st.integers(0, 2**16),
     )
     def test_correlated_fault_storms_bit_identical(
-        self, storm_seed, correlation, load_factor, seed
+        self, storm_seed, load_factor, seed
     ):
-        faults = fault_storm(
-            NUM_MACHINES,
-            DURATION_S,
-            seed=storm_seed,
-            topology=self.TOPOLOGY,
-            correlation=correlation,
+        # Correlated crashes and stragglers under the fleet-wide bandwidth
+        # dips of an independent storm drawn at the same seed.
+        expanded = domain_storm(
+            self.TOPOLOGY, DURATION_S, seed=storm_seed
+        ).expand_to_schedule(self.TOPOLOGY)
+        dips = fault_storm(NUM_MACHINES, DURATION_S, seed=storm_seed)
+        faults = FaultSchedule(
+            expanded.crashes, expanded.stragglers, dips.bandwidth_faults
         )
         keys = [
             run_router(

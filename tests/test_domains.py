@@ -38,8 +38,6 @@ from repro.serving import (
     domain_failures,
     domain_storm,
     domain_survivable_capacity,
-    expand_to_schedule,
-    fault_storm,
     partial_fanout_config,
     recovery_timeline,
     replicate_shards,
@@ -329,7 +327,7 @@ class TestExpandToSchedule:
     def test_deterministic_and_permutation_invariant(self, case, data):
         topology, schedule = case
         first = schedule.expand_to_schedule(topology)
-        again = expand_to_schedule(schedule, topology)
+        again = schedule.expand_to_schedule(topology)
         shuffled = DomainSchedule(
             crashes=data.draw(st.permutations(schedule.crashes)),
             partitions=data.draw(st.permutations(schedule.partitions)),
@@ -383,46 +381,6 @@ class TestDomainStorm:
             domain_storm(topology, 0.0, seed=1)
         with pytest.raises(ValueError, match="domain kind"):
             domain_storm(topology, 1.0, seed=1, kinds=())
-
-
-class TestCorrelatedFaultStorm:
-    def test_zero_correlation_is_byte_identical(self):
-        """The escalation knob must not perturb the base storm draws."""
-        topology = FleetTopology(
-            num_replicas=6, replicas_per_host=1, hosts_per_rack=3
-        )
-        for seed in range(5):
-            base = fault_storm(6, 1.0, seed=seed)
-            gated = fault_storm(
-                6, 1.0, seed=seed, topology=topology, correlation=0.0
-            )
-            assert base.crashes == gated.crashes
-            assert base.stragglers == gated.stragglers
-            assert base.bandwidth_faults == gated.bandwidth_faults
-
-    def test_full_correlation_escalates_to_whole_domains(self):
-        topology = FleetTopology(
-            num_replicas=6, replicas_per_host=1, hosts_per_rack=3
-        )
-        base = fault_storm(6, 1.0, seed=2)
-        storm = fault_storm(
-            6, 1.0, seed=2, topology=topology, correlation=1.0,
-            correlation_kind=DOMAIN_RACK,
-        )
-        for crash in base.crashes:
-            rack = topology.rack_of(crash.replica_id)
-            victims = {
-                c.replica_id for c in storm.crashes if c.at_s == crash.at_s
-            }
-            assert victims >= set(topology.replicas_in(DOMAIN_RACK, rack))
-        assert len(storm.crashes) >= len(base.crashes)
-
-    def test_rejects_bad_correlation_arguments(self):
-        topology = FleetTopology(num_replicas=4)
-        with pytest.raises(ValueError, match="correlation"):
-            fault_storm(4, 1.0, seed=0, topology=topology, correlation=1.5)
-        with pytest.raises(ValueError, match="topology covers"):
-            fault_storm(8, 1.0, seed=0, topology=topology, correlation=0.5)
 
 
 # ------------------------------------------------------------- replication

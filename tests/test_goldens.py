@@ -784,16 +784,6 @@ def _request_router_payload():
             payload[f"reused/{policy}/run{i}"] = _latency_digest(
                 router.run(qps, duration_s=0.05).latencies_s
             )
-    bounded = RequestRouter(
-        BROADWELL, RMC1_SMALL, policy="jsq2", seed=9, queue_capacity=2,
-        **kwargs,
-    )
-    result = bounded.run(1.2 * bounded.max_stable_qps(), duration_s=0.05)
-    payload["bounded/jsq2"] = {
-        **_latency_digest(result.latencies_s),
-        "shed": result.shed,
-        "max_queue_depth": result.max_queue_depth,
-    }
     return payload
 
 

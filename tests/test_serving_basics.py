@@ -1,4 +1,5 @@
-"""Tests for SLA metrics, load generation and batching."""
+"""Tests for SLA metrics, load generation and batching, and the input
+checks of the serving constructors that take counts and times."""
 
 import math
 import re
@@ -6,17 +7,27 @@ import re
 import numpy as np
 import pytest
 
+from repro.config import RMC1_SMALL, scaled_for_execution
+from repro.core import RecommendationModel
+from repro.hw import BROADWELL
 from repro.serving import (
+    BatchedServer,
     Batcher,
+    DegradationPolicy,
     DiurnalLoadGenerator,
+    FilterRankPipeline,
+    FleetTopology,
     LoadSpike,
     MixedModelLoadGenerator,
     ModelClassRate,
     PoissonLoadGenerator,
     Query,
+    RequestRouter,
     SLA,
     ThroughputPoint,
     batch_stream,
+    domain_storm,
+    fault_storm,
     latency_bounded_throughput,
     poisson_arrival_times,
 )
@@ -296,24 +307,111 @@ class TestBatcher:
         assert batcher.poll(10.0) is None
         assert batcher.pending_items == 0
 
-    def test_single_request_batch_under_backpressure(self):
-        """A capacity-1 batcher still forms batches, one query at a time."""
-        batcher = Batcher(max_items=8, max_wait_s=10, max_pending_items=1)
-        assert not batcher.at_capacity
-        assert batcher.offer(self.q(0, 0.0)) is None
-        assert batcher.at_capacity
-        with pytest.raises(ValueError):
-            batcher.offer(self.q(1, 0.001))
-        batch = batcher.flush(0.002)
-        assert batch.num_items == 1
-        assert not batcher.at_capacity  # dispatch releases the bound
-        assert batcher.offer(self.q(2, 0.003)) is None
 
-    def test_multi_item_query_consumes_capacity(self):
-        batcher = Batcher(max_items=16, max_wait_s=10, max_pending_items=4)
-        batcher.offer(self.q(0, 0.0, items=4))
-        assert batcher.at_capacity
+def pipeline(**sizes):
+    model = RecommendationModel(scaled_for_execution(RMC1_SMALL, max_rows=100))
+    return FilterRankPipeline(model, model, **sizes).recommend(64)
 
-    def test_rejects_bad_pending_bound(self):
-        with pytest.raises(ValueError):
-            Batcher(max_items=4, max_pending_items=0)
+
+# owner, field, build(value), a value it accepts, values it rejects
+CHECKED_INPUTS = [
+    (
+        "fault_storm", "num_replicas",
+        lambda v: fault_storm(v, 0.1, seed=1),
+        np.int64(2), (2.5, True),
+    ),
+    (
+        "fault_storm", "duration_s",
+        lambda v: fault_storm(2, v, seed=1),
+        0.1, (math.inf, math.nan),
+    ),
+    (
+        "domain_storm", "duration_s",
+        lambda v: domain_storm(FleetTopology(4), v, seed=1),
+        0.1, (math.inf, math.nan),
+    ),
+    (
+        "RequestRouter", "num_machines",
+        lambda v: RequestRouter(BROADWELL, RMC1_SMALL, 8, v).run(1000.0, 0.01),
+        np.int64(2), (2.5, True),
+    ),
+    (
+        "RequestRouter", "batch_size",
+        lambda v: RequestRouter(BROADWELL, RMC1_SMALL, v, 2).run(1000.0, 0.01),
+        np.int64(8), (2.5, True),
+    ),
+    (
+        "BatchedServer", "max_batch",
+        lambda v: BatchedServer(BROADWELL, RMC1_SMALL, max_batch=v).simulate(
+            1000.0, 0.01
+        ),
+        np.int64(8), (2.5, True),
+    ),
+    (
+        "BatchedServer", "items_per_query",
+        lambda v: BatchedServer(
+            BROADWELL, RMC1_SMALL, items_per_query=v
+        ).simulate(1000.0, 0.01),
+        np.int64(2), (2.5, True),
+    ),
+    (
+        "BatchedServer", "max_wait_s",
+        lambda v: BatchedServer(BROADWELL, RMC1_SMALL, max_wait_s=v).simulate(
+            1000.0, 0.01
+        ),
+        0.001, (math.inf, math.nan),
+    ),
+    (
+        "FilterRankPipeline", "filter_keep",
+        lambda v: pipeline(filter_keep=v, final_keep=1),
+        np.int64(4), (2.5, True),
+    ),
+    (
+        "FilterRankPipeline", "final_keep",
+        lambda v: pipeline(final_keep=v),
+        np.int64(5), (2.5, True),
+    ),
+    (
+        "FilterRankPipeline", "batch_size",
+        lambda v: pipeline(batch_size=v),
+        np.int64(32), (2.5, True),
+    ),
+    (
+        "DegradationPolicy", "queue_depth_trigger",
+        lambda v: DegradationPolicy(
+            max_lookups_per_table=2, queue_depth_trigger=v
+        ),
+        math.inf, (math.nan,),
+    ),
+    (
+        "Batcher", "max_items",
+        lambda v: Batcher(max_items=v),
+        np.int64(4), (2.5, True),
+    ),
+    (
+        "Batcher", "max_wait_s",
+        lambda v: Batcher(max_wait_s=v),
+        0.001, (math.inf, math.nan),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "field, build, good, bad",
+    [
+        pytest.param(field, build, good, bad, id=f"{owner}.{field}-{bad}")
+        for owner, field, build, good, bads in CHECKED_INPUTS
+        for bad in bads
+    ],
+)
+def test_counts_and_times_are_checked_where_they_are_given(
+    field, build, good, bad
+):
+    # Before these checks a fractional or boolean count ran (2.5 replicas,
+    # a batch of 2.5 items, True as one machine) or failed later with a
+    # TypeError; an inf or nan storm horizon raised numpy's OverflowError,
+    # which names no field; and a nan batcher wait or degradation trigger
+    # never fired.
+    build(good)
+    with pytest.raises(ValueError, match=re.escape(field)):
+        build(bad)
