@@ -113,17 +113,6 @@ class RecommendationModel:
         """Aggregate analytical cost of one forward pass."""
         return sum_costs(op.cost(batch_size) for op in self.operators())
 
-    def cost_by_op_type(self, batch_size: int) -> dict[str, OperatorCost]:
-        """Analytical cost grouped by Figure-4 operator category."""
-        out: dict[str, OperatorCost] = {}
-        for op in self.operators():
-            cost = op.cost(batch_size)
-            if op.op_type in out:
-                out[op.op_type] = out[op.op_type] + cost
-            else:
-                out[op.op_type] = cost
-        return out
-
     # --------------------------------------------------------------- execute
 
     def _validate_inputs(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .operators.base import OperatorCost, ZERO_COST, sum_costs
+from .operators.base import OperatorCost, sum_costs
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,6 @@ class Profile:
         if total <= 0.0:
             return {}
         return {k: v / total for k, v in self.seconds_by_op_type().items()}
-
-    def cost_by_op_type(self) -> dict[str, OperatorCost]:
-        """Analytical cost grouped by operator category."""
-        out: dict[str, OperatorCost] = {}
-        for record in self.records:
-            out[record.op_type] = out.get(record.op_type, ZERO_COST) + record.cost
-        return out
 
     def merged(self, other: "Profile") -> "Profile":
         """Combine two profiles (e.g. across repeated forward passes)."""

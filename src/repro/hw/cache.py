@@ -71,10 +71,6 @@ class SetAssociativeCache:
 
     # -------------------------------------------------------------- helpers
 
-    def line_of(self, address: int) -> int:
-        """Line index (address / line size) of a byte address."""
-        return address // self.line_bytes
-
     def _set_index(self, line: int) -> int:
         return line % self.num_sets
 

@@ -70,10 +70,6 @@ class VectorizedSetAssociativeCache:
 
     # ------------------------------------------------------------- geometry
 
-    def line_of(self, address: int) -> int:
-        """Line index (address / line size) of a byte address."""
-        return address // self.line_bytes
-
     def lines_spanned(self, address: int, size: int) -> range:
         """All line indices touched by ``size`` bytes at ``address``."""
         first = address // self.line_bytes
