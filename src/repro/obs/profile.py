@@ -1,16 +1,15 @@
-"""Per-operator cycle and byte attribution for live serving runs.
+"""Per-operator cycle and byte attribution.
 
 The paper's Figure 4 attributes data-center cycles to operator classes
 (FC, SLS, Concat, ...) from fleet profiling. :class:`OpProfiler`
-reproduces that breakdown for *any* simulated serving run, not just the
-static experiment: the :class:`~repro.hw.timing.TimingModel` reports each
-operator invocation it prices (cycles plus bytes touched), and the
-serving simulators attribute every completed request's noisy service time
-back to its per-operator shares.
+accumulates that breakdown from whatever prices operators: the
+:class:`~repro.hw.timing.TimingModel` reports each operator invocation it
+prices (cycles plus bytes touched), and a cache replay reports the
+simulated cycles and bytes of its trace.
 
-For a single-model run the profiled cycle fractions converge on
-``ModelLatency.fraction_by_op_type()`` — the same quantity Figure 4/7
-plot — which the integration tests assert to within 1%.
+Fed by one model's pricing, the profiled cycle fractions match
+``ModelLatency.fraction_by_op_type()`` — the quantity Figures 4 and 7
+plot.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # imported for annotations only; no runtime cycle
-    from ..hw.timing import ModelLatency, OperatorTime
+    from ..hw.timing import OperatorTime
 
 __all__ = ["OpAttribution", "OpProfiler"]
 
@@ -42,19 +41,17 @@ class OpAttribution:
 class OpProfiler:
     """Attributes simulated cycles and bytes to operator classes.
 
-    Two feeding styles, matching the two layers that know the numbers:
+    Two feeders, matching the two layers that know the numbers:
 
     * ``TimingModel(server, profiler=...)`` calls :meth:`record_timed_op`
       once per operator it prices (analytic, per invocation);
-    * ``ServingSimulator(..., profiler=...)`` calls :meth:`record_request`
-      once per completed inference, scaling the request's per-op base
-      times to its actual (noisy) service time so attributed cycles sum
-      to simulated cycles exactly.
+    * :func:`~repro.hw.trace_integration.replay_line_trace` (``profiler=``)
+      calls :meth:`record_op` once per replayed trace, with the replay's
+      simulated cycles and line bytes.
     """
 
     def __init__(self) -> None:
         self.by_op_type: dict[str, OpAttribution] = {}
-        self.requests: int = 0
 
     # ------------------------------------------------------------- feeding
 
@@ -73,34 +70,6 @@ class OpProfiler:
     ) -> None:
         """Accumulate one priced operator (the TimingModel hook)."""
         self.record_op(op.op_type, op.seconds * frequency_ghz * 1e9, bytes_moved)
-
-    def record_request(
-        self,
-        latency: "ModelLatency",
-        frequency_ghz: float,
-        actual_seconds: float | None = None,
-        bytes_by_op: dict[str, float] | None = None,
-    ) -> None:
-        """Attribute one completed request's time to its operators.
-
-        Args:
-            latency: the analytic per-op breakdown the request was priced
-                from (at its dispatch-time contention state).
-            frequency_ghz: the serving core's clock, to convert seconds
-                into cycles.
-            actual_seconds: the request's realized service time (with
-                noise/fault multipliers); each op's share is scaled by
-                ``actual/analytic`` so attribution sums to simulated time.
-            bytes_by_op: optional per-op-type byte counts for this request
-                (defaults to zero — byte attribution then comes from the
-                TimingModel hook instead).
-        """
-        total_s = latency.total_seconds
-        scale = 1.0 if actual_seconds is None or total_s <= 0 else actual_seconds / total_s
-        for op in latency.per_op:
-            moved = 0.0 if bytes_by_op is None else bytes_by_op.get(op.op_type, 0.0)
-            self.record_op(op.op_type, op.seconds * scale * frequency_ghz * 1e9, moved)
-        self.requests += 1
 
     # ------------------------------------------------------------- queries
 
@@ -132,7 +101,6 @@ class OpProfiler:
                 target.invocations += a.invocations
                 target.cycles += a.cycles
                 target.bytes_moved += a.bytes_moved
-            out.requests += profiler.requests
         return out
 
     def render(self) -> str:
@@ -151,6 +119,4 @@ class OpProfiler:
                 f"{100 * fractions.get(a.op_type, 0.0):>8.1f}%"
                 f"{a.bytes_moved:>16.3e}"
             )
-        if self.requests:
-            lines.append(f"requests attributed: {self.requests}")
         return "\n".join(lines)

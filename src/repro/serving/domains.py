@@ -18,13 +18,12 @@ cross-machine structure). This module adds the missing structure:
 * **Compilation** — :meth:`DomainSchedule.expand_to_schedule` lowers a
   domain schedule to ordinary per-replica
   :class:`~repro.serving.faults.FaultSchedule` primitives. The router
-  (its Python loop and its kernel alike) and the simulator consume the
-  expanded schedule unchanged, so every bit-identity proof keeps
-  holding; the
-  crash-vs-partition distinction matters only to the shard-recovery model
-  (:mod:`repro.serving.distributed`), which a router cannot observe
-  anyway (a dead replica and an unreachable one refuse connections the
-  same way).
+  (its Python loop and its kernel alike) and the multi-model router
+  consume the expanded schedule unchanged, so every bit-identity proof
+  keeps holding; the crash-vs-partition distinction matters only to the
+  shard-recovery model (:mod:`repro.serving.distributed`), which a router
+  cannot observe anyway (a dead replica and an unreachable one refuse
+  connections the same way).
 * :func:`domain_storm` — a seeded generator of correlated storms, the
   domain-level sibling of :func:`~repro.serving.faults.fault_storm`.
 
@@ -42,7 +41,12 @@ import numpy as np
 
 from ..data.sparse import _integer
 from .faults import FaultSchedule, ReplicaCrash, Straggler
-from .loadgen import _require_duration, _require_finite, _require_seed
+from .loadgen import (
+    _require_counts,
+    _require_duration,
+    _require_finite,
+    _require_seed,
+)
 
 #: Domain kinds, innermost to outermost. ``host`` is the blast radius of
 #: an independent machine failure; ``rack`` shares power and a top-of-rack
@@ -428,6 +432,12 @@ def domain_storm(
     for kind in kinds:
         _check_kind(kind)
     _require_seed("domain_storm", seed)
+    _require_counts(
+        "domain_storm",
+        crash_count=crash_count,
+        partition_count=partition_count,
+        slowdown_count=slowdown_count,
+    )
     rng = np.random.default_rng(seed)
 
     def interval_s(frac_range: tuple[float, float]) -> float:

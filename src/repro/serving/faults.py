@@ -27,9 +27,7 @@ that absorb them — as by micro-architecture. This module adds both sides:
 
 :class:`ResilientRouter` runs the fleet-level discrete-event simulation:
 M replicas of one model, Poisson query arrivals, faults from a schedule,
-and the configured policies. :class:`~repro.serving.simulator.ServingSimulator`
-accepts the same :class:`FaultSchedule` for the single-machine co-location
-view.
+and the configured policies.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 from ._des_native import native_available, route_native
 from .loadgen import (
+    _require_counts,
     _require_duration,
     _require_finite,
     _require_seed,
@@ -309,6 +308,12 @@ def fault_storm(
         raise ValueError("need at least one replica")
     _require_duration("fault_storm", duration_s)
     _require_seed("fault_storm", seed)
+    _require_counts(
+        "fault_storm",
+        crash_count=crash_count,
+        straggler_count=straggler_count,
+        bandwidth_dip_count=bandwidth_dip_count,
+    )
     rng = np.random.default_rng(seed)
 
     def interval_s(frac_range: tuple[float, float]) -> float:
@@ -380,7 +385,7 @@ class ResiliencePolicy:
         )
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout must be positive")
-        if self.max_retries < 0:
+        if _integer("max_retries", self.max_retries) < 0:
             raise ValueError("max_retries must be non-negative")
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be non-negative")

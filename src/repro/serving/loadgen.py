@@ -40,6 +40,13 @@ def _require_seed(owner: str, seed) -> None:
         raise ValueError(f"{owner}.seed must be non-negative, got {seed!r}")
 
 
+def _require_counts(owner: str, **counts: int) -> None:
+    """Reject a count that is not a non-negative integer (numpy ints pass)."""
+    for name, value in counts.items():
+        if _integer(f"{owner}.{name}", value) < 0:
+            raise ValueError(f"{owner}.{name} must be non-negative, got {value!r}")
+
+
 def _require_duration(owner: str, duration_s: float) -> None:
     """Reject a non-finite or non-positive generation horizon."""
     _require_finite(owner, duration_s=duration_s)

@@ -43,9 +43,8 @@ Three mechanisms, all deterministic on the DES clock:
 
 One event loop drives the DES: a single heap holds arrivals, fault
 transitions, completions and load-dones, and service noise is drawn one
-scalar lognormal at a time. Overload protection is admission-only here,
-mirroring :class:`~repro.serving.simulator.ServingSimulator`: circuit
-breakers and brownout stay router-per-model concerns
+scalar lognormal at a time. Overload protection is admission-only here:
+circuit breakers and brownout stay router-per-model concerns
 (:class:`~repro.serving.faults.ResilientRouter`).
 """
 
@@ -933,7 +932,7 @@ class MultiModelRouter:
             Admission control only — circuit breakers and brownout are
             per-model router concerns
             (:class:`~repro.serving.faults.ResilientRouter`); passing
-            them raises, mirroring ``ServingSimulator``.
+            them raises.
         seed: RNG seed (service noise).
         tracer: optional :class:`~repro.obs.tracer.Tracer`; spans/instants
             under ``serving.multimodel.*``. Purely observational.

@@ -20,6 +20,7 @@ from ..data.dataset import InputGenerator
 from ..data.sparse import _integer
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
+from .loadgen import _require_seed
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,8 @@ class FilterRankPipeline:
 
     def recommend(self, candidate_count: int, seed: int = 0) -> PipelineResult:
         """Filter and rank ``candidate_count`` synthetic candidates."""
-        if candidate_count < self.filter_keep:
+        _require_seed("FilterRankPipeline.recommend", seed)
+        if _integer("candidate_count", candidate_count) < self.filter_keep:
             raise ValueError("candidate_count must be at least filter_keep")
         filter_gen = InputGenerator(self.filter_model.config, seed=seed)
         filter_scores, filter_seconds = self._score(

@@ -23,28 +23,16 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..analysis.distributions import LatencySummary, summarize
 from ..config.model_config import ModelConfig
-from ..core.graph import config_ops
-from ..core.operators.base import OP_FC, OP_SLS
 from ..data.sparse import _integer
 from ..hw.colocation import ColocationState
 from ..hw.server import ServerSpec
-from ..hw.timing import ModelLatency, TimingModel
-from ..obs.tracer import as_tracer
+from ..hw.timing import TimingModel
 from .loadgen import _require_seed, poisson_arrival_times
-from .overload import SHED_CODEL, SHED_DEADLINE, SHED_OLDEST, SHED_QUEUE_FULL
-
-if TYPE_CHECKING:
-    from ..obs.metrics import MetricsRegistry
-    from ..obs.profile import OpProfiler
-    from ..obs.tracer import NullTracer, Tracer
-    from .faults import FaultSchedule
-    from .overload import OverloadConfig
 
 #: Baseline multiplicative latency noise (OS jitter, clock, queue probes).
 BASE_NOISE_SIGMA = 0.04
@@ -100,16 +88,14 @@ class SimulationResult:
     """Outcome of one serving simulation.
 
     ``offered`` counts every arrival the simulation generated (including
-    closed-loop re-issues); ``killed`` counts inferences lost in flight to
-    a replica crash. Both are zero-fault-compatible: without a fault
-    schedule ``killed`` is 0 and every offered arrival eventually
-    completes or is still queued at the horizon.
+    closed-loop re-issues), and ``max_queue_depth`` is the deepest
+    per-instance backlog observed — the overload-onset signal.
+    Conservation: ``offered = completed + queued at the horizon``.
 
-    ``shed`` counts arrivals dropped by admission control (0 without an
-    overload config), and ``max_queue_depth`` is the deepest per-instance
-    backlog observed — the overload-onset signal, tracked even with
-    protection off. Conservation: ``offered = completed + shed + killed +
-    in-flight/queued at the horizon``.
+    ``shed`` and ``killed`` are always 0: the simulator has no admission
+    control and no faults (``ResilientRouter`` has both). The fields stay
+    because the benchmark's ``colocation_tail`` check
+    (``perfbench/hooks.py``) reads them from every run.
     """
 
     server_name: str
@@ -121,7 +107,6 @@ class SimulationResult:
     records: list[InferenceRecord]
     offered: int = 0
     killed: int = 0
-    downtime_s: float = 0.0
     shed: int = 0
     max_queue_depth: int = 0
 
@@ -147,12 +132,6 @@ class SimulationResult:
         """Active co-located jobs observed at each dispatch."""
         return np.array([r.active_jobs for r in self.records], dtype=np.int64)
 
-    def availability(self) -> float:
-        """Fraction of offered arrivals that completed (1.0 when idle)."""
-        if self.offered == 0:
-            return 1.0
-        return len(self.records) / self.offered
-
 
 class ServingSimulator:
     """Simulates co-located model instances on one server socket.
@@ -167,36 +146,6 @@ class ServingSimulator:
             ``None`` runs closed-loop (every instance always busy).
         hyperthreading: two instances per physical core.
         seed: RNG seed.
-        faults: optional :class:`~repro.serving.faults.FaultSchedule`
-            injected on this machine's event clock. Crashes kill the
-            in-flight inference and park the instance; stragglers and
-            bandwidth dips multiply service times. A zero schedule (or
-            ``None``) reproduces the fault-free run record-for-record —
-            fault handling never touches the main RNG stream.
-        tracer: optional :class:`~repro.obs.tracer.Tracer`. When set, each
-            completed inference is recorded as a ``serving.sim.request``
-            span with ``queue``/``service`` children and per-operator leaf
-            spans, all on the DES clock (one track per instance). The
-            default nil tracer records nothing; tracing never touches the
-            RNG stream, so tracing off is bit-identical to the historical
-            simulator.
-        profiler: optional :class:`~repro.obs.profile.OpProfiler`; every
-            completed inference's realized service time is attributed to
-            its per-operator shares (the Figure-4 view of the run).
-        overload: optional
-            :class:`~repro.serving.overload.OverloadConfig`. Only the
-            ``admission`` leg applies here: each instance's queue is
-            bounded with the configured shed policy plus an optional
-            CoDel sojourn controller. Circuit breakers and brownout are
-            fleet/router concerns (no alternative replica, no quality
-            tiers on this co-location model) and raise ``ValueError``.
-            ``None`` (the default) reproduces the unbounded run
-            record-for-record — admission never touches the RNG stream.
-        metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            after every :meth:`run` records the ``serving.queue.depth``
-            gauge (backlog left at the horizon), the
-            ``serving.queue.max_depth`` gauge, and the
-            ``serving.overload.shed`` counter.
     """
 
     def __init__(
@@ -208,11 +157,6 @@ class ServingSimulator:
         per_instance_qps: float | None = None,
         hyperthreading: bool = False,
         seed: int = 0,
-        faults: "FaultSchedule | None" = None,
-        tracer: "Tracer | NullTracer | None" = None,
-        profiler: "OpProfiler | None" = None,
-        overload: "OverloadConfig | None" = None,
-        metrics: "MetricsRegistry | None" = None,
     ) -> None:
         if _integer("num_instances", num_instances) < 1:
             raise ValueError("need at least one instance")
@@ -221,119 +165,21 @@ class ServingSimulator:
         if per_instance_qps is not None and not 0 < per_instance_qps < math.inf:
             raise ValueError("per_instance_qps must be positive and finite")
         _require_seed("ServingSimulator", seed)
-        if overload is not None and (
-            overload.breaker is not None or overload.brownout is not None
-        ):
-            raise ValueError(
-                "ServingSimulator supports only admission control; circuit "
-                "breakers and brownout live in ResilientRouter"
-            )
-        self.overload = overload
-        self.metrics = metrics
         self.server = server
         self.config = config
         self.batch_size = batch_size
         self.num_instances = num_instances
         self.per_instance_qps = per_instance_qps
         self.hyperthreading = hyperthreading
-        self.faults = faults
-        self.tracer = as_tracer(tracer)
-        self.profiler = profiler
         self.timing = TimingModel(server)
         self._rng = np.random.default_rng(seed)
         self._resident = self.timing.resident_bytes(config)
         self._traffic = self.timing.estimate_random_traffic_gbps(config, batch_size)
         # Per active-job count, uncontended to saturated: the contention
-        # state, the dispatch path's (base seconds, lognormal mean, sigma),
-        # and the per-operator model for whatever reads one (the memory
-        # fraction of a run with faults, the profiler, the tracer). These
-        # caches live and die with this simulator.
+        # state and the dispatch path's (base seconds, lognormal mean,
+        # sigma). These caches live and die with this simulator.
         self._states: dict[int, ColocationState] = {}
         self._levels: dict[int, tuple[float, float, float]] = {}
-        self._latencies: dict[int, ModelLatency] = {}
-        #: Per-request bytes touched per operator class, mirroring the
-        #: TimingModel's byte accounting (filled lazily for the profiler).
-        self._bytes_by_op_cache: dict[str, float] | None = None
-
-    # ------------------------------------------------------- observability
-
-    def _request_bytes_by_op(self) -> dict[str, float]:
-        """Bytes one inference touches, grouped by operator class."""
-        if self._bytes_by_op_cache is None:
-            out: dict[str, float] = {}
-            for spec in config_ops(self.config):
-                if spec.op_type == OP_SLS:
-                    row_bytes = max(64, spec.embedding_dim * spec.dtype_bytes)
-                    moved = self.batch_size * spec.lookups_per_sample * row_bytes
-                elif spec.op_type == OP_FC:
-                    moved = (
-                        spec.weight_bytes
-                        + self.batch_size * spec.activation_bytes_per_sample
-                    )
-                else:
-                    moved = self.batch_size * spec.activation_bytes_per_sample
-                out[spec.op_type] = out.get(spec.op_type, 0.0) + moved
-            self._bytes_by_op_cache = out
-        return self._bytes_by_op_cache
-
-    def _observe_completion(self, record: InferenceRecord) -> None:
-        """Feed one completed inference to the tracer and profiler.
-
-        Purely observational: called after the record is final, touching
-        neither the RNG stream nor the event queue, so runs with the nil
-        tracer and no profiler are bit-identical to uninstrumented ones.
-        """
-        base = self._base_latency(record.active_jobs)
-        if self.profiler is not None:
-            self.profiler.record_request(
-                base,
-                self.server.frequency_ghz,
-                actual_seconds=record.service_s,
-                bytes_by_op=self._request_bytes_by_op(),
-            )
-        tracer = self.tracer
-        if not tracer.enabled:
-            return
-        track = record.instance_id
-        request_id = tracer.begin(
-            "serving.sim.request",
-            record.arrival_s,
-            track=track,
-            active_jobs=record.active_jobs,
-        )
-        if record.queue_s > 0:
-            tracer.complete(
-                "serving.sim.queue",
-                record.arrival_s,
-                record.start_s,
-                parent_id=request_id,
-                track=track,
-            )
-        service_id = tracer.complete(
-            "serving.sim.service",
-            record.start_s,
-            record.end_s,
-            parent_id=request_id,
-            track=track,
-        )
-        # Leaf op spans: the analytic per-op shares at this dispatch's
-        # contention level, scaled so they tile the realized service time.
-        scale = (
-            record.service_s / base.total_seconds if base.total_seconds > 0 else 0.0
-        )
-        cursor_s = record.start_s
-        for op in base.per_op:
-            op_end_s = cursor_s + op.seconds * scale
-            tracer.complete(
-                f"serving.op.{op.op_type.lower()}",
-                cursor_s,
-                op_end_s,
-                parent_id=service_id,
-                track=track,
-                op=op.name,
-            )
-            cursor_s = op_end_s
-        tracer.end(request_id, record.end_s)
 
     # ------------------------------------------------------------- services
 
@@ -359,15 +205,6 @@ class ServingSimulator:
             sigma = self.noise_sigma(active_jobs)
             level = self._levels[active_jobs] = (base_s, -0.5 * sigma**2, sigma)
         return level
-
-    def _base_latency(self, active_jobs: int) -> ModelLatency:
-        """The per-operator model at a contention level."""
-        latency = self._latencies.get(active_jobs)
-        if latency is None:
-            latency = self._latencies[active_jobs] = self.timing.model_latency(
-                self.config, self.batch_size, self.state_for(active_jobs)
-            )
-        return latency
 
     def noise_sigma(self, active_jobs: int) -> float:
         """Lognormal sigma of the service-time noise at a contention level."""
@@ -396,15 +233,6 @@ class ServingSimulator:
         if not 0 < duration_s < math.inf:
             raise ValueError("duration_s must be positive and finite")
         rng = self._rng
-        faults = self.faults
-        fault_active = faults is not None and not faults.is_zero
-        # Memory-bound share of an uncontended inference: the part a
-        # DRAM-bandwidth fault stretches (SLS dominates DRAM traffic).
-        memory_fraction = (
-            self._base_latency(1).fraction_by_op_type().get(OP_SLS, 0.0)
-            if fault_active
-            else 0.0
-        )
         # Per-instance FIFO: next arrival stream.
         arrivals: list[list[float]] = []
         for i in range(self.num_instances):
@@ -417,111 +245,27 @@ class ServingSimulator:
                     ).tolist()
                 )
 
-        # Event queue holds (time, seq, kind, instance, epoch); kinds:
-        # 0 arrival, 1 completion, 2 replica crash, 3 replica restart.
-        # The per-instance epoch invalidates the completion event of an
-        # inference killed in flight by a crash. With no fault schedule no
-        # crash/restart events exist and the loop below consumes the RNG
-        # stream exactly as the fault-free simulator did.
-        events: list[tuple[float, int, int, int, int]] = []
+        # Event queue holds (time, seq, kind, instance); kind 0 is an
+        # arrival, 1 a completion. ``seq`` is unique, so ``(time, seq)``
+        # orders every event.
+        events: list[tuple[float, int, int, int]] = []
         seq = 0
         for i, times in enumerate(arrivals):
             for t in times:
-                heapq.heappush(events, (t, seq, 0, i, 0))
+                heapq.heappush(events, (t, seq, 0, i))
                 seq += 1
         offered = seq
-        if fault_active:
-            assert faults is not None
-            for edge_t_s, replica_id, goes_down in faults.transition_events(
-                self.num_instances
-            ):
-                heapq.heappush(
-                    events, (edge_t_s, seq, 2 if goes_down else 3, replica_id, 0)
-                )
-                seq += 1
-
-        tracer = self.tracer
-        observing = tracer.enabled or self.profiler is not None
-        if tracer.enabled:
-            for i in range(self.num_instances):
-                tracer.set_track_name(i, f"instance {i}")
 
         busy = [False] * self.num_instances
-        down = [False] * self.num_instances
-        epoch = [0] * self.num_instances
-        killed = 0
         queues: list[list[float]] = [[] for _ in range(self.num_instances)]
         current: list[InferenceRecord | None] = [None] * self.num_instances
         records: list[InferenceRecord] = []
-
-        # Admission control (overload protection). With ``overload=None``
-        # every branch below is skipped and the queues stay unbounded —
-        # admission decisions are pure functions of the queue state and
-        # never touch the RNG stream, so protection-off runs reproduce
-        # the historical simulator record-for-record.
-        admission = self.overload.admission if self.overload is not None else None
-        codels = (
-            [admission.make_codel() for _ in range(self.num_instances)]
-            if admission is not None
-            else None
-        )
-        shed = 0
         max_queue_depth = 0
-
-        def shed_one(instance: int, now: float, reason: str) -> None:
-            nonlocal shed
-            shed += 1
-            if tracer.enabled:
-                tracer.instant(
-                    "serving.overload.shed", now, track=instance, reason=reason
-                )
-
-        def admit(instance: int, now: float) -> bool:
-            """Apply the admission policy to one arrival that must queue."""
-            assert admission is not None
-            depth = len(queues[instance])
-            if (
-                admission.shed_policy == "deadline_aware"
-                and admission.deadline_s is not None
-            ):
-                # Dead on arrival: the backlog ahead (queue + in-flight)
-                # plus its own service already exceeds the deadline.
-                expected_s = self._level(sum(busy) + 1)[0]
-                if (depth + 2) * expected_s > admission.deadline_s:
-                    shed_one(instance, now, SHED_DEADLINE)
-                    return False
-            if depth >= admission.queue_capacity:
-                if admission.shed_policy == "reject_oldest":
-                    # LIFO-drain: evict the head (it has waited longest
-                    # and is closest to its deadline) to admit the new.
-                    queues[instance].pop(0)
-                    shed_one(instance, now, SHED_OLDEST)
-                    return True
-                shed_one(instance, now, SHED_QUEUE_FULL)
-                return False
-            return True
-
-        def next_arrival(instance: int, now: float) -> float | None:
-            """Pop the queue head, letting CoDel shed standing delay."""
-            while queues[instance]:
-                arrival = queues[instance].pop(0)
-                if (
-                    codels is not None
-                    and codels[instance] is not None
-                    and codels[instance].on_dequeue(now - arrival, now)
-                ):
-                    shed_one(instance, now, SHED_CODEL)
-                    continue
-                return arrival
-            return None
 
         def dispatch(instance: int, arrival: float, now: float) -> None:
             nonlocal seq
             active = sum(busy) + 1
             service = self.sample_service_s(active, rng)
-            if fault_active:
-                assert faults is not None
-                service *= faults.service_multiplier(instance, now, memory_fraction)
             busy[instance] = True
             current[instance] = InferenceRecord(
                 instance_id=instance,
@@ -531,87 +275,35 @@ class ServingSimulator:
                 active_jobs=active,
                 service_s=service,
             )
-            heapq.heappush(events, (now + service, seq, 1, instance, epoch[instance]))
+            heapq.heappush(events, (now + service, seq, 1, instance))
             seq += 1
 
         while events:
-            now, _, kind, instance, ev_epoch = heapq.heappop(events)
-            if now >= duration_s and kind == 0:
-                continue
+            now, _, kind, instance = heapq.heappop(events)
             if kind == 0:  # arrival
-                if busy[instance] or down[instance]:
-                    if admission is not None and not admit(instance, now):
-                        continue
+                if now >= duration_s:
+                    continue
+                if busy[instance]:
                     queues[instance].append(now)
                     if len(queues[instance]) > max_queue_depth:
                         max_queue_depth = len(queues[instance])
                 else:
                     dispatch(instance, now, now)
-            elif kind == 1:  # completion
-                if ev_epoch != epoch[instance]:
-                    continue  # the inference was killed by a crash
-                record = current[instance]
-                assert record is not None
-                records.append(record)
-                if observing:
-                    self._observe_completion(record)
-                busy[instance] = False
-                current[instance] = None
-                if now >= duration_s:
-                    continue
-                arrival = next_arrival(instance, now)
-                if arrival is not None:
-                    dispatch(instance, arrival, now)
-                elif self.per_instance_qps is None:
-                    offered += 1
-                    dispatch(instance, now, now)  # closed loop re-issue
-            elif kind == 2:  # replica crash
-                down[instance] = True
-                epoch[instance] += 1
-                if tracer.enabled:
-                    tracer.instant("serving.sim.crash", now, track=instance)
-                if busy[instance]:
-                    killed += 1
-                    if tracer.enabled:
-                        dead = current[instance]
-                        assert dead is not None
-                        tracer.complete(
-                            "serving.sim.request",
-                            dead.arrival_s,
-                            now,
-                            track=instance,
-                            active_jobs=dead.active_jobs,
-                            outcome="killed",
-                        )
-                    busy[instance] = False
-                    current[instance] = None
-            else:  # kind == 3: replica restart
-                down[instance] = False
-                if tracer.enabled:
-                    tracer.instant("serving.sim.restart", now, track=instance)
-                if now >= duration_s:
-                    continue
-                arrival = next_arrival(instance, now)
-                if arrival is not None:
-                    dispatch(instance, arrival, now)
-                elif self.per_instance_qps is None and not busy[instance]:
-                    offered += 1
-                    dispatch(instance, now, now)  # closed loop resumes
+                continue
+            # completion
+            record = current[instance]
+            assert record is not None
+            records.append(record)
+            busy[instance] = False
+            current[instance] = None
+            if now >= duration_s:
+                continue
+            if queues[instance]:
+                dispatch(instance, queues[instance].pop(0), now)
+            elif self.per_instance_qps is None:
+                offered += 1
+                dispatch(instance, now, now)  # closed loop re-issue
 
-        downtime_s = 0.0
-        if fault_active:
-            assert faults is not None
-            downtime_s = sum(
-                faults.downtime_s(i, duration_s) for i in range(self.num_instances)
-            )
-        if self.metrics is not None:
-            self.metrics.gauge("serving.queue.depth").set(
-                float(sum(len(q) for q in queues))
-            )
-            self.metrics.gauge("serving.queue.max_depth").set(
-                float(max_queue_depth)
-            )
-            self.metrics.counter("serving.overload.shed").inc(shed)
         return SimulationResult(
             server_name=self.server.name,
             model_name=self.config.name,
@@ -620,9 +312,6 @@ class ServingSimulator:
             duration_s=duration_s,
             records=records,
             offered=offered,
-            killed=killed,
-            downtime_s=downtime_s,
-            shed=shed,
             max_queue_depth=max_queue_depth,
         )
 

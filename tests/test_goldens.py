@@ -37,23 +37,15 @@ from repro.experiments import (
 )
 from repro.hw import ALL_SERVERS, BROADWELL, MB, SKYLAKE, TimingModel
 from repro.memory import NmpGeometry
-from repro.obs import OpProfiler, Tracer, dumps_chrome
 from repro.serving import (
-    AdmissionPolicy,
-    BandwidthFault,
     DiurnalLoadGenerator,
-    FaultSchedule,
     LoadSpike,
     MixedModelLoadGenerator,
     ModelClassRate,
-    OverloadConfig,
     PoissonLoadGenerator,
-    ReplicaCrash,
     ServingSimulator,
-    Straggler,
 )
 from repro.serving.faults import ResiliencePolicy, ResilientRouter, fault_storm
-from repro.serving.overload import SHED_POLICIES
 from repro.serving.router import POLICIES, RequestRouter, compare_policies
 from tests.oracles.resilient_router import run_reference
 from tests.reference_loops import reference_loops
@@ -314,7 +306,9 @@ def _simulation_bits(result):
         digest.update(np.array(column, dtype=dtype).tobytes())
     books = (result.offered, result.shed, result.killed, result.max_queue_depth)
     digest.update(np.array(books, dtype=np.int64).tobytes())
-    digest.update(np.float64(result.downtime_s).tobytes())
+    # The layout keeps a float64 slot for replica downtime, which is 0.0 in
+    # a simulator without faults, so the pinned digests carry over.
+    digest.update(np.float64(0.0).tobytes())
     return {"records": len(result.records), "sha256": digest.hexdigest()}
 
 
@@ -322,62 +316,14 @@ def _simulator_bits_payload():
     def sim(server=BROADWELL, instances=4, **kwargs):
         return ServingSimulator(server, RMC2_SMALL, 32, instances, **kwargs)
 
-    storm = FaultSchedule(
-        crashes=[ReplicaCrash(1, at_s=0.02, downtime_s=0.03)],
-        stragglers=[Straggler(2, start_s=0.01, duration_s=0.05, slowdown=4.0)],
-        bandwidth_faults=[
-            BandwidthFault(start_s=0.03, duration_s=0.04, bandwidth_fraction=0.5)
-        ],
-    )
-    # Three times what two instances can serve, so every queue overflows.
-    overloaded_qps = 700.0
-    admissions = {
-        f"admission/{policy}": AdmissionPolicy(
-            queue_capacity=3,
-            shed_policy=policy,
-            deadline_s=0.02 if policy == "deadline_aware" else None,
-        )
-        for policy in SHED_POLICIES
-    }
-    # A queue deep enough that CoDel, not the capacity, does the shedding.
-    admissions["admission/codel"] = AdmissionPolicy(
-        queue_capacity=64, codel_target_s=0.005, codel_interval_s=0.02
-    )
     runs = {
         "closed_loop": sim(seed=1).run(0.05),
         "closed_loop/hyperthreading": sim(
             instances=6, hyperthreading=True, seed=2
         ).run(0.03),
         "open_loop": sim(SKYLAKE, per_instance_qps=90.0, seed=3).run(0.3),
-        "faults/closed_loop": sim(faults=storm, seed=4).run(0.1),
-        "faults/open_loop": sim(
-            per_instance_qps=90.0, faults=storm, seed=5
-        ).run(0.1),
     }
-    for name, admission in admissions.items():
-        runs[name] = sim(
-            instances=2,
-            per_instance_qps=overloaded_qps,
-            overload=OverloadConfig(admission=admission),
-            seed=6,
-        ).run(0.1)
-    payload = {name: _simulation_bits(result) for name, result in runs.items()}
-
-    tracer, profiler = Tracer(), OpProfiler()
-    traced = sim(
-        per_instance_qps=90.0, faults=storm, tracer=tracer, profiler=profiler,
-        seed=7,
-    ).run(0.1)
-    observed = hashlib.sha256(dumps_chrome(tracer).encode())
-    for op_type, a in sorted(profiler.by_op_type.items()):
-        observed.update(op_type.encode())
-        observed.update(np.array([a.invocations], dtype=np.int64).tobytes())
-        observed.update(np.array([a.cycles, a.bytes_moved]).tobytes())
-    payload["traced_profiled"] = {
-        **_simulation_bits(traced),
-        "observed_sha256": observed.hexdigest(),
-    }
-    return payload
+    return {name: _simulation_bits(result) for name, result in runs.items()}
 
 
 def test_simulator_bits_golden(golden):

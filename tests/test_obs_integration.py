@@ -34,7 +34,6 @@ from repro.serving.distributed import (
     distributed_latency,
     shard_tables,
 )
-from repro.serving.simulator import ServingSimulator
 from repro.__main__ import main
 
 _FIG11X_KWARGS = dict(num_machines=4, duration_s=0.4, seed=11)
@@ -97,32 +96,6 @@ class TestFig11xTracing:
         report = flight_report(tracer, top_k=5)
         assert "serving.router.request" in report
         assert "serving.router.attempt" in report
-
-
-class TestSimulatorTracing:
-    _KWARGS = dict(
-        batch_size=4, num_instances=2, per_instance_qps=200, seed=3
-    )
-
-    def _run(self, tracer=None):
-        sim = ServingSimulator(
-            BROADWELL, presets.RMC1_SMALL, tracer=tracer, **self._KWARGS
-        )
-        return sim.run(0.05)
-
-    def test_traced_runs_are_deterministic(self):
-        tracer_a, tracer_b = Tracer(), Tracer()
-        self._run(tracer_a)
-        self._run(tracer_b)
-        assert dumps_chrome(tracer_a) == dumps_chrome(tracer_b)
-        assert validate_chrome(to_chrome(tracer_a)) == []
-
-    def test_tracing_off_is_bit_identical(self):
-        tracer = Tracer()
-        traced = self._run(tracer)
-        plain = self._run()
-        assert plain.records == traced.records
-        assert tracer.spans  # the traced run actually recorded something
 
 
 class TestDistributedTracing:

@@ -23,9 +23,7 @@ from repro.serving import (
     OverloadConfig,
     ResiliencePolicy,
     ResilientRouter,
-    ServingSimulator,
     Straggler,
-    check_conservation,
     default_brownout_tiers,
     truncate_lookups,
 )
@@ -530,74 +528,6 @@ class TestResilientRouterOverload:
             for key in snapshot.counters
         )
         assert "serving.queue.max_depth" in snapshot.gauges
-
-
-# -------------------------------------------------- simulator wiring
-
-
-class TestServingSimulatorOverload:
-    def sim(self, overload=None, metrics=None, qps=None):
-        return ServingSimulator(
-            BROADWELL,
-            RMC1_SMALL,
-            batch_size=8,
-            num_instances=2,
-            per_instance_qps=qps,
-            seed=5,
-            overload=overload,
-            metrics=metrics,
-        )
-
-    def overloaded_qps(self):
-        probe = self.sim()
-        return 3.0 / probe._base_latency(2).total_seconds
-
-    def test_rejects_breaker_and_brownout(self):
-        with pytest.raises(ValueError):
-            self.sim(overload=OverloadConfig(breaker=BreakerPolicy()))
-        with pytest.raises(ValueError):
-            self.sim(
-                overload=OverloadConfig(
-                    brownout=BrownoutPolicy(
-                        tiers=default_brownout_tiers(RMC1_SMALL)
-                    )
-                )
-            )
-
-    def test_admission_bounds_depth_and_sheds(self):
-        overload = OverloadConfig(admission=AdmissionPolicy(queue_capacity=4))
-        result = self.sim(overload=overload, qps=self.overloaded_qps()).run(
-            duration_s=0.1
-        )
-        assert result.shed > 0
-        assert result.max_queue_depth <= 4
-        in_flight = check_conservation(
-            result.offered,
-            len(result.records),
-            shed=result.shed,
-            killed=result.killed,
-        )
-        assert in_flight >= 0
-
-    def test_protection_off_is_record_identical(self):
-        qps = self.overloaded_qps()
-        a = self.sim(qps=qps).run(duration_s=0.05)
-        b = self.sim(overload=None, qps=qps).run(duration_s=0.05)
-        assert a.shed == 0
-        assert [r.end_s for r in a.records] == [r.end_s for r in b.records]
-        assert a.max_queue_depth == b.max_queue_depth > 0
-
-    def test_queue_depth_metrics_visible_without_protection(self):
-        registry = MetricsRegistry()
-        result = self.sim(metrics=registry, qps=self.overloaded_qps()).run(
-            duration_s=0.05
-        )
-        snapshot = registry.snapshot()
-        assert snapshot.gauges["serving.queue.max_depth"] == (
-            result.max_queue_depth
-        )
-        assert "serving.queue.depth" in snapshot.gauges
-        assert snapshot.counters["serving.overload.shed"] == 0
 
 
 # ------------------------------------------------------------ loadgen

@@ -5,7 +5,7 @@ randomly drawn load, protection policies, and fault schedules. Whatever
 the draw, the books must balance:
 
 * request level — offered = completed + failed + unresolved (router),
-  offered = completed + shed + killed + in-flight (simulator);
+  offered = completed + in-flight (simulator);
 * rate level — goodput <= throughput <= offered rate.
 
 CI runs this as a dedicated "chaos smoke" step with
@@ -227,29 +227,8 @@ class TestRouterChaos:
 
 class TestSimulatorChaos:
     @CHAOS
-    @given(
-        capacity=st.one_of(st.none(), st.integers(1, 32)),
-        shed_policy=st.sampled_from(
-            ["reject_newest", "reject_oldest", "deadline_aware"]
-        ),
-        load_factor=st.floats(0.3, 5.0),
-        faults=fault_schedules(),
-        seed=st.integers(0, 2**16),
-    )
-    def test_conservation(
-        self, capacity, shed_policy, load_factor, faults, seed
-    ):
-        overload = (
-            None
-            if capacity is None
-            else OverloadConfig(
-                admission=AdmissionPolicy(
-                    queue_capacity=capacity,
-                    shed_policy=shed_policy,
-                    deadline_s=25.0 * SERVICE_S,
-                )
-            )
-        )
+    @given(load_factor=st.floats(0.3, 5.0), seed=st.integers(0, 2**16))
+    def test_conservation(self, load_factor, seed):
         sim = ServingSimulator(
             BROADWELL,
             RMC1_SMALL,
@@ -257,21 +236,12 @@ class TestSimulatorChaos:
             num_instances=NUM_MACHINES,
             per_instance_qps=load_factor / SERVICE_S,
             seed=seed,
-            overload=overload,
-            faults=faults,
         )
         result = sim.run(DURATION_S)
-        in_flight = check_conservation(
-            result.offered,
-            len(result.records),
-            shed=result.shed,
-            killed=result.killed,
-        )
-        assert in_flight >= 0
-        if capacity is not None:
-            assert result.max_queue_depth <= capacity
-        else:
-            assert result.shed == 0
+        in_flight = check_conservation(result.offered, len(result.records))
+        # Every dispatched inference completes, so what is left is each
+        # instance's backlog, no deeper than the deepest one seen.
+        assert in_flight <= NUM_MACHINES * result.max_queue_depth
 
 
 #: Every replica its own host/rack/zone: any replication factor ≤ 3 is

@@ -48,7 +48,9 @@ class TestSimulatorMG1:
     @pytest.fixture(scope="class")
     def runs(self):
         probe = ServingSimulator(BROADWELL, RMC2_SMALL, 8, 1)
-        base_s = probe._base_latency(1).total_seconds
+        base_s = probe.timing.model_latency(
+            RMC2_SMALL, 8, probe.state_for(1)
+        ).total_seconds
         sigma = probe.noise_sigma(1)
         rate_qps = self.RHO / base_s
         duration_s = self.REQUESTS / rate_qps
@@ -82,7 +84,9 @@ class TestSimulatorMG1:
     @pytest.mark.parametrize("instances", [1, 4])
     def test_closed_loop_completes_d_over_service(self, instances):
         sim = ServingSimulator(BROADWELL, RMC2_SMALL, 8, instances, seed=3)
-        base_s = sim._base_latency(instances).total_seconds
+        base_s = sim.timing.model_latency(
+            RMC2_SMALL, 8, sim.state_for(instances)
+        ).total_seconds
         duration_s = 4000 * base_s
         result = sim.run(duration_s)
         expected = instances * duration_s / base_s

@@ -32,6 +32,7 @@ from repro.serving import (
     fault_storm,
     stable_fc_seed,
 )
+from tests.test_serving_basics import pipeline
 
 
 def _summary_bytes(seed: int) -> bytes:
@@ -122,6 +123,7 @@ SEEDED = {
     "BatchedServer.simulate": lambda seed: BatchedServer(
         BROADWELL, RMC1_SMALL
     ).simulate(1000.0, duration_s=0.01, seed=seed),
+    "FilterRankPipeline.recommend": lambda seed: pipeline(seed=seed),
 }
 
 

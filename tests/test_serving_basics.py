@@ -23,6 +23,7 @@ from repro.serving import (
     PoissonLoadGenerator,
     Query,
     RequestRouter,
+    ResiliencePolicy,
     SLA,
     ThroughputPoint,
     batch_stream,
@@ -308,9 +309,11 @@ class TestBatcher:
         assert batcher.pending_items == 0
 
 
-def pipeline(**sizes):
+def pipeline(candidate_count=64, seed=0, **sizes):
     model = RecommendationModel(scaled_for_execution(RMC1_SMALL, max_rows=100))
-    return FilterRankPipeline(model, model, **sizes).recommend(64)
+    return FilterRankPipeline(model, model, **sizes).recommend(
+        candidate_count, seed=seed
+    )
 
 
 # owner, field, build(value), a value it accepts, values it rejects
@@ -325,10 +328,35 @@ CHECKED_INPUTS = [
         lambda v: fault_storm(2, v, seed=1),
         0.1, (math.inf, math.nan),
     ),
+    *[
+        (
+            "fault_storm", count,
+            lambda v, count=count: fault_storm(2, 0.1, seed=1, **{count: v}),
+            np.int64(0), (2.5, True, -1),
+        )
+        for count in ("crash_count", "straggler_count", "bandwidth_dip_count")
+    ],
     (
         "domain_storm", "duration_s",
         lambda v: domain_storm(FleetTopology(4), v, seed=1),
         0.1, (math.inf, math.nan),
+    ),
+    *[
+        (
+            "domain_storm", count,
+            lambda v, count=count: domain_storm(
+                FleetTopology(4), 0.1, seed=1, **{count: v}
+            ),
+            np.int64(0), (2.5, True, -1),
+        )
+        for count in ("crash_count", "partition_count", "slowdown_count")
+    ],
+    (
+        "ResiliencePolicy", "max_retries",
+        lambda v: ResiliencePolicy(
+            timeout_s=0.0005, max_retries=v, backoff_base_s=0.0001
+        ),
+        np.int64(2), (2.5, True),
     ),
     (
         "RequestRouter", "num_machines",
@@ -377,6 +405,11 @@ CHECKED_INPUTS = [
         np.int64(32), (2.5, True),
     ),
     (
+        "FilterRankPipeline", "candidate_count",
+        lambda v: pipeline(candidate_count=v),
+        np.int64(100), (100.5,),
+    ),
+    (
         "DegradationPolicy", "queue_depth_trigger",
         lambda v: DegradationPolicy(
             max_lookups_per_table=2, queue_depth_trigger=v
@@ -408,10 +441,10 @@ def test_counts_and_times_are_checked_where_they_are_given(
     field, build, good, bad
 ):
     # Before these checks a fractional or boolean count ran (2.5 replicas,
-    # a batch of 2.5 items, True as one machine) or failed later with a
-    # TypeError; an inf or nan storm horizon raised numpy's OverflowError,
-    # which names no field; and a nan batcher wait or degradation trigger
-    # never fired.
+    # a batch of 2.5 items, True as one machine or one retry) or failed
+    # later with a TypeError; a negative storm count drew no events; an inf
+    # or nan storm horizon raised numpy's OverflowError, which names no
+    # field; and a nan batcher wait or degradation trigger never fired.
     build(good)
     with pytest.raises(ValueError, match=re.escape(field)):
         build(bad)

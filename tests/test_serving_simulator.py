@@ -195,6 +195,11 @@ class TestValidation:
 
     def test_backend_option_is_gone(self):
         # The simulator picks its own loop: there is no option to pass.
-        for option in ("backend", "engine"):
-            with pytest.raises(TypeError):
-                ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1, **{option: "native"})
+        # Nor does it take faults, admission control or observers; those
+        # live in ResilientRouter.
+        for option in (
+            "backend", "engine", "faults", "overload", "tracer", "profiler",
+            "metrics",
+        ):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1, **{option: None})
