@@ -7,9 +7,9 @@ Broadwell at batch 32, alone and at 8 co-located jobs, against pricing
 every operator through ``op_time`` over ``config_ops`` (the per-operator
 algorithm, still public), and asserts that all three give the same
 ``per_op`` and total bit for bit. It also times the default-scale
-Figure 11 (median of several runs) and counts its whole-model pricing
-calls (``model_latency`` plus ``model_seconds``). Writes
-``BENCH_pricing.json``.
+Figure 11 (median of several runs) and counts its ``TimingModel`` builds
+and its pricing calls (``model_latency``, ``model_seconds`` and the FC
+probe's ``fc_time``). Writes ``BENCH_pricing.json``.
 
 Run directly (CI uploads the JSON as an artifact)::
 
@@ -139,9 +139,9 @@ def bench_models() -> list[dict]:
     return rows
 
 
-def _figure11_calls() -> dict[str, int]:
-    """Whole-model pricing calls one default-scale Figure 11 makes."""
-    calls = dict.fromkeys(PRICING_METHODS, 0)
+def _figure11_calls() -> tuple[int, dict[str, int]]:
+    """``TimingModel`` builds and pricing calls of one default-scale Figure 11."""
+    calls = dict.fromkeys(("__init__", *PRICING_METHODS, "fc_time"), 0)
     originals = {name: getattr(TimingModel, name) for name in calls}
 
     def counting(name):
@@ -158,7 +158,8 @@ def _figure11_calls() -> dict[str, int]:
     finally:
         for name, original in originals.items():
             setattr(TimingModel, name, original)
-    return calls
+    builds = calls.pop("__init__")
+    return builds, calls
 
 
 def bench_figure11() -> dict:
@@ -168,10 +169,11 @@ def bench_figure11() -> dict:
         start_s = time.perf_counter()
         fig11_tail_latency.run()
         runs_s.append(time.perf_counter() - start_s)
-    calls = _figure11_calls()
+    builds, calls = _figure11_calls()
     return {
         "runs_s": runs_s,
         "median_s": statistics.median(runs_s),
+        "timing_models": builds,
         "pricing_calls": sum(calls.values()),
         "calls_by_method": calls,
     }
@@ -232,7 +234,10 @@ def _calls_text(fig11: dict) -> str:
     by_method = " + ".join(
         f"{n} {name}" for name, n in fig11["calls_by_method"].items()
     )
-    return f"{fig11['pricing_calls']} pricing calls ({by_method})"
+    return (
+        f"{fig11['timing_models']} TimingModel builds, "
+        f"{fig11['pricing_calls']} pricing calls ({by_method})"
+    )
 
 
 def render(report: dict) -> str:

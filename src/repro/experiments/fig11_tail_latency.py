@@ -20,7 +20,7 @@ from ..analysis.tables import format_table
 from ..config.model_config import ModelConfig
 from ..config.presets import RMC2_SMALL
 from ..hw.server import BROADWELL, SKYLAKE, ServerSpec
-from ..serving.simulator import ServingSimulator
+from ..serving.simulator import ContentionLevels, ServingSimulator
 
 #: The Figure-11a operator: 512x512 (~1 MiB weights).
 SMALL_FC = (512, 512)
@@ -85,15 +85,19 @@ def run(
     out: dict[str, ServerTailResult] = {}
     for server in servers:
         physical_cores = server.total_cores
+        # One priced table per hyperthreading setting, shared by every
+        # simulator of this server, so each level is priced once per run.
+        tables: dict[bool, ContentionLevels] = {}
 
         def simulator(n: int, sim_seed: int) -> ServingSimulator:
+            hyperthreading = n > physical_cores
+            levels = tables.get(hyperthreading)
+            if levels is None:
+                levels = tables[hyperthreading] = ContentionLevels(
+                    server, workload, 32, hyperthreading
+                )
             return ServingSimulator(
-                server,
-                workload,
-                32,
-                num_instances=min(n, physical_cores),
-                hyperthreading=n > physical_cores,
-                seed=sim_seed,
+                levels, num_instances=min(n, physical_cores), seed=sim_seed
             )
 
         pooled: list[np.ndarray] = []

@@ -12,10 +12,13 @@ model replicas on one socket, each receiving Poisson arrivals (open loop)
 or re-issuing immediately (closed loop). Service times come from the
 :class:`~repro.hw.timing.TimingModel` evaluated at the dispatch-time active
 count, with multiplicative lognormal noise whose spread grows with
-contention (and faster on inclusive hierarchies). A run returns the
-:class:`InferenceRecord` list its event loop builds, in completion order;
-:class:`SimulationResult` derives its latency, service-time and
-active-job arrays from that list.
+contention (and faster on inclusive hierarchies). A
+:class:`ContentionLevels` table prices each active count once, and the
+simulators of one server, model, batch and hyperthreading setting can
+share it; each simulator keeps only its instances, arrivals and RNG. A
+run returns the :class:`InferenceRecord` list its event loop builds, in
+completion order; :class:`SimulationResult` derives its latency,
+service-time and active-job arrays from that list.
 """
 
 from __future__ import annotations
@@ -133,19 +136,23 @@ class SimulationResult:
         return np.array([r.active_jobs for r in self.records], dtype=np.int64)
 
 
-class ServingSimulator:
-    """Simulates co-located model instances on one server socket.
+class ContentionLevels:
+    """The prices of one model's contention levels on one server.
+
+    A level's price depends only on the server, the model, the batch,
+    hyperthreading and the active-job count, so every simulator of one
+    such setting can share one table. The table owns the
+    :class:`~repro.hw.timing.TimingModel`, the resident bytes and the
+    co-runner traffic. Per active-job count it holds the contention state,
+    the (base seconds, lognormal mean, sigma) of a whole inference and
+    the seconds of each FC probe, each priced on first use. It lives as
+    long as the simulators that hold it.
 
     Args:
         server: server generation.
         config: the model each instance serves.
         batch_size: items per inference.
-        num_instances: co-located replicas (one per physical core, as in the
-            paper's experiments).
-        per_instance_qps: open-loop Poisson arrival rate per instance;
-            ``None`` runs closed-loop (every instance always busy).
         hyperthreading: two instances per physical core.
-        seed: RNG seed.
     """
 
     def __init__(
@@ -153,35 +160,22 @@ class ServingSimulator:
         server: ServerSpec,
         config: ModelConfig,
         batch_size: int,
-        num_instances: int,
-        per_instance_qps: float | None = None,
         hyperthreading: bool = False,
-        seed: int = 0,
     ) -> None:
-        if _integer("num_instances", num_instances) < 1:
-            raise ValueError("need at least one instance")
         if _integer("batch_size", batch_size) < 1:
             raise ValueError("batch_size must be positive")
-        if per_instance_qps is not None and not 0 < per_instance_qps < math.inf:
-            raise ValueError("per_instance_qps must be positive and finite")
-        _require_seed("ServingSimulator", seed)
         self.server = server
         self.config = config
         self.batch_size = batch_size
-        self.num_instances = num_instances
-        self.per_instance_qps = per_instance_qps
         self.hyperthreading = hyperthreading
         self.timing = TimingModel(server)
-        self._rng = np.random.default_rng(seed)
         self._resident = self.timing.resident_bytes(config)
         self._traffic = self.timing.estimate_random_traffic_gbps(config, batch_size)
-        # Per active-job count, uncontended to saturated: the contention
-        # state and the dispatch path's (base seconds, lognormal mean,
-        # sigma). These caches live and die with this simulator.
         self._states: dict[int, ColocationState] = {}
         self._levels: dict[int, tuple[float, float, float]] = {}
-
-    # ------------------------------------------------------------- services
+        # (input_dim, output_dim, fc_batch, active_jobs) -> the probe's
+        # seconds, lognormal mean and sigma.
+        self._probes: dict[tuple[int, int, int, int], tuple[float, float, float]] = {}
 
     def state_for(self, active_jobs: int) -> ColocationState:
         """Contention state when ``active_jobs`` instances are running."""
@@ -195,7 +189,7 @@ class ServingSimulator:
             )
         return state
 
-    def _level(self, active_jobs: int) -> tuple[float, float, float]:
+    def level(self, active_jobs: int) -> tuple[float, float, float]:
         """Base seconds, lognormal mean and sigma at a contention level."""
         level = self._levels.get(active_jobs)
         if level is None:
@@ -216,9 +210,71 @@ class ServingSimulator:
         )
         return BASE_NOISE_SIGMA + per_churn * churn
 
+    def fc_probe(
+        self, active_jobs: int, input_dim: int, output_dim: int, fc_batch: int
+    ) -> tuple[float, float, float]:
+        """A standalone FC's seconds, lognormal mean and sigma at a level.
+
+        The FC runs under the level's contention state; its noise follows
+        the level's, as whole inferences' does.
+        """
+        key = (input_dim, output_dim, fc_batch, active_jobs)
+        probe = self._probes.get(key)
+        if probe is None:
+            base_s = self.timing.fc_time(
+                "fc-probe",
+                flops=2 * fc_batch * input_dim * output_dim,
+                weight_bytes=(input_dim * output_dim + output_dim) * 4,
+                activation_bytes=fc_batch * (input_dim + output_dim) * 4,
+                batch=fc_batch,
+                state=self.state_for(active_jobs),
+            ).seconds
+            _, log_mean, sigma = self.level(active_jobs)
+            probe = self._probes[key] = (base_s, log_mean, sigma)
+        return probe
+
+
+class ServingSimulator:
+    """Simulates co-located model instances on one server socket.
+
+    Args:
+        levels: the priced contention levels of the server, model, batch
+            and hyperthreading setting every instance runs; simulators of
+            one setting may share one table.
+        num_instances: co-located replicas (one per physical core, as in the
+            paper's experiments).
+        per_instance_qps: open-loop Poisson arrival rate per instance;
+            ``None`` runs closed-loop (every instance always busy).
+        seed: RNG seed.
+    """
+
+    def __init__(
+        self,
+        levels: ContentionLevels,
+        num_instances: int,
+        per_instance_qps: float | None = None,
+        seed: int = 0,
+    ) -> None:
+        if not isinstance(levels, ContentionLevels):
+            raise TypeError(
+                "ServingSimulator.levels must be a ContentionLevels, "
+                f"got {type(levels).__name__}"
+            )
+        if _integer("num_instances", num_instances) < 1:
+            raise ValueError("need at least one instance")
+        if per_instance_qps is not None and not 0 < per_instance_qps < math.inf:
+            raise ValueError("per_instance_qps must be positive and finite")
+        _require_seed("ServingSimulator", seed)
+        self.levels = levels
+        self.num_instances = num_instances
+        self.per_instance_qps = per_instance_qps
+        self._rng = np.random.default_rng(seed)
+
+    # ------------------------------------------------------------- services
+
     def sample_service_s(self, active_jobs: int, rng: np.random.Generator) -> float:
         """Draw one noisy service time at the given active count."""
-        base_s, log_mean, sigma = self._level(active_jobs)
+        base_s, log_mean, sigma = self.levels.level(active_jobs)
         return base_s * float(rng.lognormal(mean=log_mean, sigma=sigma))
 
     # ------------------------------------------------------------------ run
@@ -304,10 +360,11 @@ class ServingSimulator:
                 offered += 1
                 dispatch(instance, now, now)  # closed loop re-issue
 
+        levels = self.levels
         return SimulationResult(
-            server_name=self.server.name,
-            model_name=self.config.name,
-            batch_size=self.batch_size,
+            server_name=levels.server.name,
+            model_name=levels.config.name,
+            batch_size=levels.batch_size,
             num_instances=self.num_instances,
             duration_s=duration_s,
             records=records,
@@ -329,36 +386,20 @@ class ServingSimulator:
 
         For each dispatch in ``result``, the FC runs under that dispatch's
         contention state; per-sample noise follows the same model as whole
-        inferences.
+        inferences. Each level's probe is priced once, by the table.
         """
-        weight_bytes = (input_dim * output_dim + output_dim) * 4
-        act_bytes = fc_batch * (input_dim + output_dim) * 4
-        flops = 2 * fc_batch * input_dim * output_dim
-        n = len(result.records)
-        samples = np.empty(n, dtype=np.float64)
+        records = result.records
         rng = np.random.default_rng(stable_fc_seed(input_dim, output_dim))
         # One chunked standard-normal draw replaces n scalar lognormal
         # calls bit for bit: each lognormal consumes exactly one normal
         # draw and equals exp(mean + sigma * z), and a chunked draw yields
         # the same z sequence as n scalar draws.
-        normals = rng.standard_normal(n)
-        actives = result.active_job_counts()
-        base_cache: dict[int, tuple[float, float, float]] = {}
-        for i in range(n):
-            active = int(actives[i])
-            cached = base_cache.get(active)
-            if cached is None:
-                base_s = self.timing.fc_time(
-                    "fc-probe",
-                    flops=flops,
-                    weight_bytes=weight_bytes,
-                    activation_bytes=act_bytes,
-                    batch=fc_batch,
-                    state=self.state_for(active),
-                ).seconds
-                _, log_mean, sigma = self._level(active)
-                cached = (base_s, log_mean, sigma)
-                base_cache[active] = cached
-            base_s, log_mean, sigma = cached
-            samples[i] = base_s * math.exp(log_mean + sigma * normals[i])
-        return samples
+        normals = rng.standard_normal(len(records)).tolist()
+        probe = self.levels.fc_probe
+        samples = []
+        for record, z in zip(records, normals):
+            base_s, log_mean, sigma = probe(
+                record.active_jobs, input_dim, output_dim, fc_batch
+            )
+            samples.append(base_s * math.exp(log_mean + sigma * z))
+        return np.array(samples, dtype=np.float64)

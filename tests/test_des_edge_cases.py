@@ -23,6 +23,7 @@ from repro.serving import (
     SLA,
     AdmissionPolicy,
     BreakerPolicy,
+    ContentionLevels,
     FaultSchedule,
     OverloadConfig,
     ReplicaCrash,
@@ -42,7 +43,8 @@ def check_simulator(num_instances, **kwargs):
     arrivals never decrease along its records, and each inference starts
     no earlier than its arrival or the end of the one before it.
     """
-    sim = ServingSimulator(BROADWELL, RMC1_SMALL, 8, num_instances, **kwargs)
+    levels = ContentionLevels(BROADWELL, RMC1_SMALL, 8)
+    sim = ServingSimulator(levels, num_instances, **kwargs)
     result = sim.run(0.03)
     in_flight = check_conservation(result.offered, len(result.records))
     assert in_flight >= 0

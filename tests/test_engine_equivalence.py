@@ -190,11 +190,12 @@ def test_engine_and_backend_validation():
     )
     from repro.hw import trace_integration
     from repro.memory.near_memory import NearMemorySystem
-    from repro.serving import ServingSimulator
+    from repro.serving import ContentionLevels, ServingSimulator
 
     with pytest.raises(TypeError):
         CacheHierarchy(BROADWELL, backend="native")
     takers = [
+        ContentionLevels,
         ServingSimulator,
         CacheHierarchy,
         NearMemorySystem,

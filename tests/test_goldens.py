@@ -38,6 +38,7 @@ from repro.experiments import (
 from repro.hw import ALL_SERVERS, BROADWELL, MB, SKYLAKE, TimingModel
 from repro.memory import NmpGeometry
 from repro.serving import (
+    ContentionLevels,
     DiurnalLoadGenerator,
     LoadSpike,
     MixedModelLoadGenerator,
@@ -313,8 +314,9 @@ def _simulation_bits(result):
 
 
 def _simulator_bits_payload():
-    def sim(server=BROADWELL, instances=4, **kwargs):
-        return ServingSimulator(server, RMC2_SMALL, 32, instances, **kwargs)
+    def sim(server=BROADWELL, instances=4, hyperthreading=False, **kwargs):
+        levels = ContentionLevels(server, RMC2_SMALL, 32, hyperthreading)
+        return ServingSimulator(levels, instances, **kwargs)
 
     runs = {
         "closed_loop": sim(seed=1).run(0.05),

@@ -23,6 +23,7 @@ from repro.obs.tracer import Tracer
 from repro.serving import (
     AdmissionPolicy,
     BreakerPolicy,
+    ContentionLevels,
     MixedModelLoadGenerator,
     MixedQuery,
     ModelClassRate,
@@ -476,7 +477,7 @@ def test_single_model_layers_take_no_pool():
     # Cross-model dispatch lives only in MultiModelRouter.
     pool = make_pool()
     with pytest.raises(TypeError):
-        ServingSimulator(BROADWELL, RMC1_SMALL, 8, 2, pool=pool)
+        ServingSimulator(ContentionLevels(BROADWELL, RMC1_SMALL, 8), 2, pool=pool)
     with pytest.raises(TypeError):
         ResilientRouter(BROADWELL, RMC1_SMALL, 8, 2, pool=pool)
 

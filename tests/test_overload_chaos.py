@@ -25,6 +25,7 @@ from repro.serving import (
     AdmissionPolicy,
     BreakerPolicy,
     BrownoutPolicy,
+    ContentionLevels,
     FaultSchedule,
     FleetTopology,
     MultiModelPool,
@@ -230,9 +231,7 @@ class TestSimulatorChaos:
     @given(load_factor=st.floats(0.3, 5.0), seed=st.integers(0, 2**16))
     def test_conservation(self, load_factor, seed):
         sim = ServingSimulator(
-            BROADWELL,
-            RMC1_SMALL,
-            batch_size=8,
+            ContentionLevels(BROADWELL, RMC1_SMALL, batch_size=8),
             num_instances=NUM_MACHINES,
             per_instance_qps=load_factor / SERVICE_S,
             seed=seed,

@@ -7,8 +7,9 @@ formulas with the per-operator methods, so these tests compare two views
 of the same arithmetic, exactly, across every production preset, server,
 contention level, backend and hit ratio, and on random states; the
 ``pricing_bits`` golden holds that arithmetic to its pinned bits. The
-Figure 11 tests check that each run simulates every curve point once and
-that no pricing cache outlives its run.
+Figure 11 tests check that each run simulates every curve point once,
+prices each contention level once, and keeps no pricing cache past its
+run.
 """
 
 from dataclasses import replace
@@ -36,7 +37,7 @@ from repro.hw import (
 )
 from repro.memory import NmpGeometry
 from repro.obs import OpProfiler
-from repro.serving import ServingSimulator
+from repro.serving import ContentionLevels, ServingSimulator
 
 BATCH = 32
 
@@ -218,7 +219,8 @@ def test_only_a_faulted_run_prices_the_memory_fraction(num_instances, monkeypatc
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(TimingModel, "model_latency", counted)
-    ServingSimulator(BROADWELL, RMC2_SMALL, BATCH, num_instances).run(0.01)
+    levels = ContentionLevels(BROADWELL, RMC2_SMALL, BATCH)
+    ServingSimulator(levels, num_instances).run(0.01)
     assert calls == []
 
 
@@ -248,6 +250,61 @@ def test_fig11_runs_each_curve_point_once(monkeypatch):
     for server in result.servers.values():
         assert [p.num_jobs for p in server.curve_small] == [1, 8, 16]
         assert [p.num_jobs for p in server.curve_large] == [1, 8, 16]
+
+
+def test_fig11_prices_each_level_once(monkeypatch):
+    """Figure 11's simulators share one level table per server setting.
+
+    The expected counts come from the runs themselves: the active-job
+    counts each table's simulators dispatched at, and the levels each FC
+    probe shape was sampled at.
+    """
+    builds = []
+    original_init = TimingModel.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TimingModel, "__init__", counted_init)
+    calls = dict.fromkeys(("model_seconds", "fc_time"), 0)
+    for method in calls:
+        original = getattr(TimingModel, method)
+
+        def counted(self, *args, _method=method, _original=original, **kwargs):
+            calls[_method] += 1
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TimingModel, method, counted)
+    dispatched = {}
+    probed = {}
+    original_run = ServingSimulator.run
+    original_samples = ServingSimulator.fc_latency_samples
+
+    def run(self, *args, **kwargs):
+        result = original_run(self, *args, **kwargs)
+        levels = set(result.active_job_counts().tolist())
+        dispatched.setdefault(self.levels, set()).update(levels)
+        return result
+
+    def samples(self, result, input_dim, output_dim, fc_batch=1):
+        probe = (self.levels, input_dim, output_dim, fc_batch)
+        probed.setdefault(probe, set()).update(result.active_job_counts().tolist())
+        return original_samples(self, result, input_dim, output_dim, fc_batch)
+
+    monkeypatch.setattr(ServingSimulator, "run", run)
+    monkeypatch.setattr(ServingSimulator, "fc_latency_samples", samples)
+    # A config no other test prices.
+    _fig11_small(replace(RMC2_SMALL, name="RMC2-small, level-count check"))
+    tables = list(dispatched)
+    assert len({(t.server.name, t.hyperthreading) for t in tables}) == len(tables)
+    assert sorted(map(id, builds)) == sorted(id(t.timing) for t in tables)
+    # Each dispatched level once, plus each table's traffic estimate.
+    assert calls["model_seconds"] == sum(
+        1 + len(levels) for levels in dispatched.values()
+    )
+    assert calls["fc_time"] == sum(len(levels) for levels in probed.values())
+    assert {probe[0] for probe in probed} == set(tables)
 
 
 def test_second_fig11_run_prices_as_much_as_the_first(monkeypatch):

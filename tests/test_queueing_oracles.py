@@ -29,7 +29,12 @@ import pytest
 
 from repro.config import RMC1_SMALL, RMC2_SMALL
 from repro.hw import BROADWELL
-from repro.serving import ResiliencePolicy, ResilientRouter, ServingSimulator
+from repro.serving import (
+    ContentionLevels,
+    ResiliencePolicy,
+    ResilientRouter,
+    ServingSimulator,
+)
 from repro.serving.router import SERVICE_NOISE_SIGMA
 
 
@@ -47,16 +52,16 @@ class TestSimulatorMG1:
 
     @pytest.fixture(scope="class")
     def runs(self):
-        probe = ServingSimulator(BROADWELL, RMC2_SMALL, 8, 1)
-        base_s = probe.timing.model_latency(
-            RMC2_SMALL, 8, probe.state_for(1)
+        levels = ContentionLevels(BROADWELL, RMC2_SMALL, 8)
+        base_s = levels.timing.model_latency(
+            RMC2_SMALL, 8, levels.state_for(1)
         ).total_seconds
-        sigma = probe.noise_sigma(1)
+        sigma = levels.noise_sigma(1)
         rate_qps = self.RHO / base_s
         duration_s = self.REQUESTS / rate_qps
         results = [
             ServingSimulator(
-                BROADWELL, RMC2_SMALL, 8, 1, per_instance_qps=rate_qps, seed=seed
+                levels, 1, per_instance_qps=rate_qps, seed=seed
             ).run(duration_s)
             for seed in self.SEEDS
         ]
@@ -83,9 +88,11 @@ class TestSimulatorMG1:
 
     @pytest.mark.parametrize("instances", [1, 4])
     def test_closed_loop_completes_d_over_service(self, instances):
-        sim = ServingSimulator(BROADWELL, RMC2_SMALL, 8, instances, seed=3)
-        base_s = sim.timing.model_latency(
-            RMC2_SMALL, 8, sim.state_for(instances)
+        sim = ServingSimulator(
+            ContentionLevels(BROADWELL, RMC2_SMALL, 8), instances, seed=3
+        )
+        base_s = sim.levels.timing.model_latency(
+            RMC2_SMALL, 8, sim.levels.state_for(instances)
         ).total_seconds
         duration_s = 4000 * base_s
         result = sim.run(duration_s)

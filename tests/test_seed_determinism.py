@@ -16,6 +16,7 @@ from repro.config import RMC1_SMALL, RMC2_SMALL
 from repro.hw import BROADWELL
 from repro.serving import (
     BatchedServer,
+    ContentionLevels,
     DiurnalLoadGenerator,
     FleetTopology,
     LoadSpike,
@@ -38,8 +39,8 @@ from tests.test_serving_basics import pipeline
 def _summary_bytes(seed: int) -> bytes:
     """Canonical byte serialization of one seeded simulation summary."""
     sim = ServingSimulator(
-        BROADWELL, RMC2_SMALL, 16, num_instances=2, per_instance_qps=800,
-        seed=seed,
+        ContentionLevels(BROADWELL, RMC2_SMALL, 16), num_instances=2,
+        per_instance_qps=800, seed=seed,
     )
     result = sim.run(0.25)
     summary = result.summary()
@@ -105,7 +106,7 @@ SEEDED = {
         (ModelClassRate("a", 100.0),), seed=seed
     ),
     "ServingSimulator": lambda seed: ServingSimulator(
-        BROADWELL, RMC1_SMALL, 8, 1, seed=seed
+        ContentionLevels(BROADWELL, RMC1_SMALL, 8), 1, seed=seed
     ),
     "RequestRouter": lambda seed: RequestRouter(
         BROADWELL, RMC1_SMALL, 8, 2, seed=seed
@@ -162,7 +163,7 @@ class TestStableFcSeed:
 
     def test_fc_latency_samples_use_stable_seed(self):
         sim = ServingSimulator(
-            BROADWELL, RMC2_SMALL, 16, num_instances=1,
+            ContentionLevels(BROADWELL, RMC2_SMALL, 16), num_instances=1,
             per_instance_qps=500, seed=0,
         )
         result = sim.run(0.1)

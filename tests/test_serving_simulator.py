@@ -10,7 +10,7 @@ import pytest
 
 from repro.config import RMC1_SMALL, RMC2_SMALL
 from repro.hw import BROADWELL, SKYLAKE
-from repro.serving import ServingSimulator
+from repro.serving import ContentionLevels, ServingSimulator
 from tests.reference_loops import reference_loops
 
 #: The simulator has one loop and no kernel. These cases run it with the
@@ -26,7 +26,8 @@ LOOPS = [
 @pytest.fixture(scope="module")
 def result_open():
     sim = ServingSimulator(
-        BROADWELL, RMC2_SMALL, 32, num_instances=4, per_instance_qps=50, seed=0
+        ContentionLevels(BROADWELL, RMC2_SMALL, 32), num_instances=4,
+        per_instance_qps=50, seed=0,
     )
     return sim, sim.run(0.5)
 
@@ -62,7 +63,7 @@ class TestOpenLoop:
     def test_reproducible_by_seed(self):
         def run():
             sim = ServingSimulator(
-                BROADWELL, RMC2_SMALL, 32, num_instances=2,
+                ContentionLevels(BROADWELL, RMC2_SMALL, 32), num_instances=2,
                 per_instance_qps=50, seed=7,
             )
             return sim.run(0.3).latencies_s()
@@ -78,51 +79,57 @@ class TestOpenLoop:
 
 class TestClosedLoop:
     def test_instances_always_busy(self):
-        sim = ServingSimulator(BROADWELL, RMC2_SMALL, 32, num_instances=3, seed=1)
+        sim = ServingSimulator(
+            ContentionLevels(BROADWELL, RMC2_SMALL, 32), num_instances=3, seed=1
+        )
         result = sim.run(0.3)
         counts = result.active_job_counts()
         # After startup every dispatch sees all instances active.
         assert np.median(counts) == 3
 
     def test_more_instances_more_throughput(self):
+        levels = ContentionLevels(BROADWELL, RMC2_SMALL, 32)
+
         def throughput(n):
-            sim = ServingSimulator(BROADWELL, RMC2_SMALL, 32, num_instances=n, seed=1)
+            sim = ServingSimulator(levels, num_instances=n, seed=1)
             return sim.run(0.3).throughput_items_per_s()
 
         assert throughput(4) > 1.5 * throughput(1)
 
     def test_contention_slows_service(self):
-        alone = ServingSimulator(BROADWELL, RMC2_SMALL, 32, 1, seed=2).run(0.3)
-        packed = ServingSimulator(BROADWELL, RMC2_SMALL, 32, 8, seed=2).run(0.3)
+        levels = ContentionLevels(BROADWELL, RMC2_SMALL, 32)
+        alone = ServingSimulator(levels, 1, seed=2).run(0.3)
+        packed = ServingSimulator(levels, 8, seed=2).run(0.3)
         assert packed.service_times_s().mean() > 1.5 * alone.service_times_s().mean()
 
 
 class TestNoiseModel:
     def test_noise_grows_with_contention_on_inclusive(self):
-        sim = ServingSimulator(BROADWELL, RMC2_SMALL, 32, 8, seed=0)
-        assert sim.noise_sigma(8) > sim.noise_sigma(1)
+        levels = ContentionLevels(BROADWELL, RMC2_SMALL, 32)
+        assert levels.noise_sigma(8) > levels.noise_sigma(1)
 
     def test_inclusive_noisier_than_exclusive(self):
-        bdw = ServingSimulator(BROADWELL, RMC2_SMALL, 32, 8, seed=0)
-        skl = ServingSimulator(SKYLAKE, RMC2_SMALL, 32, 8, seed=0)
+        bdw = ContentionLevels(BROADWELL, RMC2_SMALL, 32)
+        skl = ContentionLevels(SKYLAKE, RMC2_SMALL, 32)
         assert bdw.noise_sigma(8) > skl.noise_sigma(8)
 
 
 class TestLifetime:
     @pytest.mark.parametrize("loop", LOOPS)
     def test_simulator_dies_after_run(self, loop):
-        """No module-level cache keeps a finished simulator alive."""
+        """No module-level cache keeps a finished simulator or its table alive."""
         sim = ServingSimulator(
-            BROADWELL, RMC2_SMALL, 32, num_instances=4, per_instance_qps=50,
-            seed=0,
+            ContentionLevels(BROADWELL, RMC2_SMALL, 32), num_instances=4,
+            per_instance_qps=50, seed=0,
         )
         with loop():
             result = sim.run(0.05)
         assert len(result.records) > 0
-        ref = weakref.ref(sim)
+        assert len(sim.fc_latency_samples(result, 512, 512)) == len(result.records)
+        refs = [weakref.ref(sim), weakref.ref(sim.levels)]
         del sim, result
         gc.collect()
-        assert ref() is None
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestFcSamples:
@@ -134,7 +141,7 @@ class TestFcSamples:
 
     def test_skylake_fc_insensitive_to_colocation(self):
         """FC that fits Skylake's L2 barely varies (Figure 11a)."""
-        sim = ServingSimulator(SKYLAKE, RMC2_SMALL, 32, 16, seed=3)
+        sim = ServingSimulator(ContentionLevels(SKYLAKE, RMC2_SMALL, 32), 16, seed=3)
         result = sim.run(0.3)
         samples = sim.fc_latency_samples(result, 512, 512)
         assert samples.std() / samples.mean() < 0.12
@@ -143,7 +150,7 @@ class TestFcSamples:
 class TestValidation:
     def test_rejects_zero_instances(self):
         with pytest.raises(ValueError):
-            ServingSimulator(BROADWELL, RMC1_SMALL, 1, num_instances=0)
+            ServingSimulator(ContentionLevels(BROADWELL, RMC1_SMALL, 1), 0)
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -157,21 +164,24 @@ class TestValidation:
     )
     def test_rejects_non_integral_counts(self, field, bad):
         # A fractional instance count constructed, then raised a TypeError
-        # in run(); a fractional batch was priced without a word.
-        kwargs = {"batch_size": 4, "num_instances": 2}
-        sim = ServingSimulator(
-            BROADWELL, RMC1_SMALL, **{**kwargs, field: np.int64(2)}
-        )
-        assert sim.run(0.01).records
+        # in run(); a fractional batch was priced without a word. The batch
+        # is the table's, the instance count the simulator's.
+        def simulator(batch_size=4, num_instances=2):
+            levels = ContentionLevels(BROADWELL, RMC1_SMALL, batch_size)
+            return ServingSimulator(levels, num_instances)
+
+        assert simulator(**{field: np.int64(2)}).run(0.01).records
         with pytest.raises(ValueError, match=field):
-            ServingSimulator(BROADWELL, RMC1_SMALL, **{**kwargs, field: bad})
+            simulator(**{field: bad})
 
     def test_rejects_bad_qps(self):
         with pytest.raises(ValueError):
-            ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1, per_instance_qps=0)
+            ServingSimulator(
+                ContentionLevels(BROADWELL, RMC1_SMALL, 1), 1, per_instance_qps=0
+            )
 
     def test_rejects_bad_duration(self):
-        sim = ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1)
+        sim = ServingSimulator(ContentionLevels(BROADWELL, RMC1_SMALL, 1), 1)
         with pytest.raises(ValueError):
             sim.run(0.0)
 
@@ -180,16 +190,13 @@ class TestValidation:
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_rejects_non_finite_inputs(self, value, field, loop):
         """An inf or nan rate or horizon used to hang the event loop."""
+        levels = ContentionLevels(BROADWELL, RMC1_SMALL, 1)
         if field == "qps":
             with pytest.raises(ValueError, match="finite"):
-                ServingSimulator(
-                    BROADWELL, RMC1_SMALL, 1, 2, per_instance_qps=value,
-                )
+                ServingSimulator(levels, 2, per_instance_qps=value)
             return
         for qps in (None, 50.0):  # closed and open loop
-            sim = ServingSimulator(
-                BROADWELL, RMC1_SMALL, 1, 2, per_instance_qps=qps,
-            )
+            sim = ServingSimulator(levels, 2, per_instance_qps=qps)
             with loop(), pytest.raises(ValueError, match="finite"):
                 sim.run(value)
 
@@ -197,9 +204,21 @@ class TestValidation:
         # The simulator picks its own loop: there is no option to pass.
         # Nor does it take faults, admission control or observers; those
         # live in ResilientRouter.
+        levels = ContentionLevels(BROADWELL, RMC1_SMALL, 1)
         for option in (
             "backend", "engine", "faults", "overload", "tracer", "profiler",
             "metrics",
         ):
             with pytest.raises(TypeError, match="unexpected keyword"):
-                ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1, **{option: None})
+                ServingSimulator(levels, 1, **{option: None})
+
+    def test_takes_only_a_level_table(self):
+        # One constructor form: the server, model, batch and hyperthreading
+        # go to the table, never to the simulator.
+        with pytest.raises(TypeError, match="levels"):
+            ServingSimulator(BROADWELL, RMC1_SMALL, 1, 1)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            ServingSimulator(
+                ContentionLevels(BROADWELL, RMC1_SMALL, 1), 1,
+                hyperthreading=True,
+            )
