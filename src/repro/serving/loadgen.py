@@ -69,7 +69,10 @@ class Query:
     num_items: int
 
     def __post_init__(self) -> None:
-        if self.arrival_s < 0:
+        # One chained comparison per query (nan and inf fail it too); the
+        # field is named only on the way to an error.
+        if not 0 <= self.arrival_s < math.inf:
+            _require_finite(type(self).__name__, arrival_s=self.arrival_s)
             raise ValueError("arrival time must be non-negative")
         if self.num_items < 1:
             raise ValueError("a query must carry at least one item")

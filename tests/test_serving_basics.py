@@ -19,6 +19,7 @@ from repro.serving import (
     FleetTopology,
     LoadSpike,
     MixedModelLoadGenerator,
+    MixedQuery,
     ModelClassRate,
     PoissonLoadGenerator,
     Query,
@@ -238,6 +239,15 @@ class TestQuery:
     def test_rejects_zero_items(self):
         with pytest.raises(ValueError):
             Query(query_id=0, arrival_s=0.0, num_items=0)
+
+    @pytest.mark.parametrize("arrival_s", [math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize("cls", [Query, MixedQuery], ids=lambda c: c.__name__)
+    def test_rejects_non_finite_arrival(self, cls, arrival_s):
+        # A nan arrival was served with a nan latency, and an inf one
+        # silently ended a multi-model trace there.
+        kwargs = {"model": RMC1_SMALL.name} if cls is MixedQuery else {}
+        with pytest.raises(ValueError, match=f"{cls.__name__}.arrival_s"):
+            cls(99, arrival_s, 8, **kwargs)
 
 
 class TestBatcher:
