@@ -136,8 +136,7 @@ class Autoscaler:
             hours / tick_hours: horizon and tick.
             healthy_fraction: optional ``hour -> fraction in (0, 1]`` of
                 provisioned replicas actually serving (the fault feed, e.g.
-                adapted from
-                :meth:`repro.serving.faults.FaultSchedule.healthy_fraction`).
+                :meth:`repro.experiments.fleet_day.DayIncident.healthy_fraction`).
                 The reactive policy sees the same signal and over-provisions
                 to compensate, after the provisioning delay.
         """

@@ -160,10 +160,10 @@ class BandwidthFault:
 class FaultSchedule:
     """A composed, clock-driven set of fault injections.
 
-    The schedule is immutable and purely declarative: simulators query it
-    (``is_down`` / ``service_multiplier`` / ``transition_events``) against
-    their own event clock, so the same schedule replayed against the same
-    seed yields byte-identical runs.
+    The schedule is immutable and purely declarative: routers query it
+    (``service_multiplier`` / ``transition_events``) against their own
+    event clock, so the same schedule replayed against the same seed
+    yields byte-identical runs.
     """
 
     def __init__(
@@ -204,13 +204,6 @@ class FaultSchedule:
                 for c in self.crashes
                 if c.replica_id == replica_id
             ]
-        )
-
-    def is_down(self, replica_id: int, t_s: float) -> bool:
-        """True when the replica is crashed at time ``t_s``."""
-        return any(
-            start_s <= t_s < end_s
-            for start_s, end_s in self.down_intervals(replica_id)
         )
 
     def service_multiplier(
@@ -255,20 +248,6 @@ class FaultSchedule:
                 events.append((end_s, replica_id, False))
         events.sort()
         return events
-
-    def downtime_s(self, replica_id: int, horizon_s: float) -> float:
-        """Total seconds the replica is down within ``[0, horizon_s)``."""
-        return sum(
-            max(0.0, min(end_s, horizon_s) - min(start_s, horizon_s))
-            for start_s, end_s in self.down_intervals(replica_id)
-        )
-
-    def healthy_fraction(self, t_s: float, num_replicas: int) -> float:
-        """Fraction of replicas up at time ``t_s`` (autoscaler feed)."""
-        if num_replicas < 1:
-            raise ValueError("need at least one replica")
-        up = sum(0 if self.is_down(r, t_s) else 1 for r in range(num_replicas))
-        return up / num_replicas
 
 
 def _merge_intervals(

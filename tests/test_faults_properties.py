@@ -74,12 +74,6 @@ class TestScheduleProperties:
                 assert schedule.service_multiplier(replica, t, frac) >= 1.0
 
     @settings(max_examples=60, deadline=None)
-    @given(schedule=fault_schedules(), t=st.floats(0.0, 2 * DURATION_S))
-    def test_healthy_fraction_bounded(self, schedule, t):
-        frac = schedule.healthy_fraction(t, NUM_REPLICAS)
-        assert 0.0 <= frac <= 1.0
-
-    @settings(max_examples=60, deadline=None)
     @given(schedule=fault_schedules())
     def test_down_intervals_merged_and_ordered(self, schedule):
         for replica in range(NUM_REPLICAS):
@@ -88,14 +82,6 @@ class TestScheduleProperties:
                 assert start_s < end_s
             for (_, prev_end), (nxt_start, _) in zip(intervals, intervals[1:]):
                 assert nxt_start > prev_end  # disjoint, sorted
-
-    @settings(max_examples=60, deadline=None)
-    @given(schedule=fault_schedules())
-    def test_downtime_bounded_by_horizon(self, schedule):
-        horizon_s = 2 * DURATION_S
-        for replica in range(NUM_REPLICAS):
-            down_s = schedule.downtime_s(replica, horizon_s)
-            assert 0.0 <= down_s <= horizon_s + 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(schedule=fault_schedules())
@@ -144,8 +130,6 @@ class TestScheduleProperties:
         zero = FaultSchedule.zero()
         assert zero.is_zero
         assert zero.service_multiplier(0, 0.1) == 1.0
-        assert not zero.is_down(0, 0.1)
-        assert zero.healthy_fraction(0.1, NUM_REPLICAS) == 1.0
         assert zero.transition_events(NUM_REPLICAS) == []
 
     def test_storm_is_reproducible(self):
