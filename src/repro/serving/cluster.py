@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ..config.model_config import ModelConfig
 from ..hw.server import ServerSpec
@@ -132,8 +131,11 @@ def aware_capacity(
     Variables: x[i][j] = fraction of pool i's machine time on demand j,
     plus the served scale lambda. Maximize lambda subject to
     ``sum_i count_i x_ij rate_ij >= lambda * weight_j`` and
-    ``sum_j x_ij <= 1``.
+    ``sum_j x_ij <= 1``. Needs scipy, imported here so that importing
+    :mod:`repro` does not load it.
     """
+    from scipy.optimize import linprog
+
     if not pools or not demands:
         raise ValueError("need at least one pool and one demand")
     rates = _rate_matrix(pools, demands)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .cluster import WorkloadDemand, _normalized_weights, _rate_matrix
 from ..hw.server import ServerSpec
@@ -60,8 +59,11 @@ def provision_min_cost(
 
     Variables: y[i][j] — machine-equivalents of generation i dedicated to
     demand j. Minimize ``sum_i cost_i * sum_j y_ij`` subject to
-    ``sum_i y_ij rate_ij >= total * weight_j``.
+    ``sum_i y_ij rate_ij >= total * weight_j``. Needs scipy, imported here
+    so that importing :mod:`repro` does not load it.
     """
+    from scipy.optimize import linprog
+
     if total_items_per_s <= 0:
         raise ValueError("demand must be positive")
     if not generations or not demands:
