@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..config.model_config import ModelConfig
+from ..data.sparse import _integer
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
+from .loadgen import _require_finite
 
 
 @dataclass(frozen=True)
@@ -33,10 +35,17 @@ class DiurnalLoad:
     period_hours: float = 24.0
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "DiurnalLoad",
+            peak_items_per_s=self.peak_items_per_s,
+            period_hours=self.period_hours,
+        )
         if self.peak_items_per_s <= 0:
             raise ValueError("peak demand must be positive")
         if not 0.0 < self.trough_ratio <= 1.0:
             raise ValueError("trough_ratio must be in (0, 1]")
+        if self.period_hours <= 0:
+            raise ValueError("DiurnalLoad.period_hours must be positive")
 
     def at(self, hour: float) -> float:
         """Demand at a given hour (peak at hour period/2)."""
@@ -44,6 +53,14 @@ class DiurnalLoad:
         amplitude = (self.peak_items_per_s * (1 - self.trough_ratio)) / 2
         phase = 2 * math.pi * (hour / self.period_hours)
         return mid - amplitude * math.cos(phase)
+
+
+def _require_horizon(owner: str, hours: float, tick_hours: float) -> None:
+    """Reject a horizon or tick that is not finite and positive."""
+    _require_finite(owner, hours=hours, tick_hours=tick_hours)
+    for name, value in (("hours", hours), ("tick_hours", tick_hours)):
+        if value <= 0:
+            raise ValueError(f"{owner}.{name} must be positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,8 +124,18 @@ class Autoscaler:
     ) -> None:
         if not 0 < target_utilization < sla_utilization <= 1.0:
             raise ValueError("need 0 < target < sla_utilization <= 1")
-        if min_replicas < 1:
-            raise ValueError("min_replicas must be positive")
+        _require_finite("Autoscaler", provision_delay_hours=provision_delay_hours)
+        if provision_delay_hours < 0:
+            raise ValueError(
+                "Autoscaler.provision_delay_hours must be non-negative"
+            )
+        for name, count in (
+            ("batch_size", batch_size), ("min_replicas", min_replicas)
+        ):
+            if _integer(f"Autoscaler.{name}", count) < 1:
+                raise ValueError(
+                    f"Autoscaler.{name} must be positive, got {count!r}"
+                )
         self.replica_capacity = batch_size / TimingModel(server).model_seconds(
             config, batch_size
         )
@@ -140,8 +167,7 @@ class Autoscaler:
                 The reactive policy sees the same signal and over-provisions
                 to compensate, after the provisioning delay.
         """
-        if hours <= 0 or tick_hours <= 0:
-            raise ValueError("hours and tick must be positive")
+        _require_horizon("Autoscaler.run", hours, tick_hours)
         steps: list[AutoscaleStep] = []
         # Pending scale-ups: (effective_hour, replica_count_target).
         pending: list[tuple[float, int]] = []
@@ -182,6 +208,7 @@ def static_provisioning(
     tick_hours: float = 0.1,
 ) -> AutoscaleResult:
     """Baseline: provision for the peak and never scale."""
+    _require_horizon("static_provisioning", hours, tick_hours)
     replicas = autoscaler.replicas_for(load.peak_items_per_s)
     steps = []
     t = 0.0

@@ -1,5 +1,9 @@
 """Tests for optimizers, NUMA placement, and the autoscaler."""
 
+import itertools
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -149,3 +153,82 @@ class TestAutoscaler:
                        sla_utilization=0.8)
         with pytest.raises(ValueError):
             DiurnalLoad(peak_items_per_s=0)
+
+    @pytest.fixture
+    def bounded_load(self, monkeypatch):
+        """Fail, rather than hang, a run whose tick loop never ends."""
+        calls = itertools.count()
+        at = DiurnalLoad.at
+
+        def bounded(load, hour):
+            if next(calls) > 100_000:
+                raise AssertionError("the run did not stop")
+            return at(load, hour)
+
+        monkeypatch.setattr(DiurnalLoad, "at", bounded)
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            pytest.param(
+                lambda s, load: s.run(load, hours=math.inf),
+                "Autoscaler.run.hours", id="run-hours-inf",
+            ),
+            pytest.param(
+                lambda s, load: s.run(load, hours=math.nan),
+                "Autoscaler.run.hours", id="run-hours-nan",
+            ),
+            pytest.param(
+                lambda s, load: s.run(load, tick_hours=math.nan),
+                "Autoscaler.run.tick_hours", id="run-tick-nan",
+            ),
+            pytest.param(
+                lambda s, load: static_provisioning(s, load, hours=math.inf),
+                "static_provisioning.hours", id="static-hours-inf",
+            ),
+            pytest.param(
+                lambda s, load: static_provisioning(s, load, tick_hours=0.0),
+                "static_provisioning.tick_hours", id="static-tick-zero",
+            ),
+            pytest.param(
+                lambda s, load: DiurnalLoad(100.0, period_hours=0.0).at(1.0),
+                "DiurnalLoad.period_hours", id="period-zero",
+            ),
+            pytest.param(
+                lambda s, load: DiurnalLoad(100.0, period_hours=math.nan),
+                "DiurnalLoad.period_hours", id="period-nan",
+            ),
+            pytest.param(
+                lambda s, load: s.run(DiurnalLoad(math.inf)),
+                "DiurnalLoad.peak_items_per_s", id="peak-inf",
+            ),
+            pytest.param(
+                lambda s, load: Autoscaler(BROADWELL, RMC2_SMALL, batch_size=2.5),
+                "Autoscaler.batch_size", id="batch-fractional",
+            ),
+            pytest.param(
+                lambda s, load: Autoscaler(BROADWELL, RMC2_SMALL, min_replicas=2.5),
+                "Autoscaler.min_replicas", id="min-replicas-fractional",
+            ),
+            pytest.param(
+                lambda s, load: Autoscaler(
+                    BROADWELL, RMC2_SMALL, provision_delay_hours=math.nan
+                ),
+                "Autoscaler.provision_delay_hours", id="delay-nan",
+            ),
+        ],
+    )
+    def test_hostile_input_names_its_field(self, setup, bounded_load, call, field):
+        scaler, load = setup
+        with pytest.raises(ValueError, match=re.escape(field)):
+            call(scaler, load)
+
+    def test_edge_inputs_stay_valid(self, setup):
+        _, load = setup
+        scaler = Autoscaler(
+            BROADWELL, RMC2_SMALL, batch_size=np.int64(32),
+            provision_delay_hours=0.0, min_replicas=np.int64(2),
+        )
+        steps = scaler.run(load, hours=1.0, tick_hours=0.5).steps
+        assert [s.hour for s in steps] == [0.0, 0.5]
+        assert min(s.replicas for s in steps) >= 2
