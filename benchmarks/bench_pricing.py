@@ -15,9 +15,12 @@ Run directly (CI uploads the JSON as an artifact)::
 
     PYTHONPATH=src python benchmarks/bench_pricing.py
 
-``--parent-src DIR`` runs the same measurements in a fresh process
-against another checkout's ``src/`` (say, the parent commit's) and adds
-them to the report as a ``parent`` column::
+``--parent-src DIR`` times this checkout and another checkout's ``src/``
+(say, the parent commit's) in fresh processes, alternating round by round
+(which side goes first alternates too) for ``ROUNDS`` rounds. The report
+then holds the median of each timed cell on this checkout, with the
+parent's ``model_latency`` and Figure 11 as a ``parent`` column, and both
+sides' ``model_latency`` in every round::
 
     PYTHONPATH=src python benchmarks/bench_pricing.py --parent-src ../parent/src
 
@@ -38,6 +41,7 @@ import time
 from pathlib import Path
 
 import pytest
+from conftest import alternate
 
 from repro.analysis import format_table
 from repro.config import PRODUCTION_PRESETS, RMC2_SMALL
@@ -46,11 +50,13 @@ from repro.experiments import fig11_tail_latency
 from repro.hw import BROADWELL, RUN_ALONE, TimingModel
 
 DEFAULT_OUT = Path(__file__).parent / "BENCH_pricing.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 BATCH = 32
 CALLS = 50
 REPEATS = 10
 FIGURE11_RUNS = 5
+ROUNDS = 10
 # RMC2-small's 20 tables share one shape: pricing it once must pay.
 FLOOR_MODEL = RMC2_SMALL.name
 FLOOR = 2.0
@@ -196,8 +202,38 @@ def measure_elsewhere(src: Path) -> dict:
     return json.loads(out.stdout)
 
 
+def _median_cells(reports: list):
+    """One report from several of :func:`measure`'s: each timed cell's median.
+
+    Counts and labels must agree across the reports; lists of runs are
+    joined.
+    """
+    first = reports[0]
+    if isinstance(first, dict):
+        return {key: _median_cells([r[key] for r in reports]) for key in first}
+    if isinstance(first, list) and isinstance(first[0], dict):
+        return [_median_cells(list(rows)) for rows in zip(*reports)]
+    if isinstance(first, list):
+        return [value for r in reports for value in r]
+    if isinstance(first, float):
+        return statistics.median(reports)
+    if any(r != first for r in reports):
+        raise ValueError(f"a count or label differs between rounds: {reports}")
+    return first
+
+
+def _latency_rounds(reports: list[dict], row: dict) -> list[float]:
+    """``row``'s model and state's ``model_latency_us`` in each report."""
+    return [
+        r["model_latency_us"]
+        for report in reports
+        for r in report["models"]
+        if (r["model"], r["state"]) == (row["model"], row["state"])
+    ]
+
+
 def run_bench(parent_src: Path | None = None) -> dict:
-    """Time pricing on this checkout (and ``parent_src``); the JSON report."""
+    """Time pricing on this checkout (alternating with ``parent_src``)."""
     report = {
         "bench": "pricing",
         "config": {
@@ -207,16 +243,20 @@ def run_bench(parent_src: Path | None = None) -> dict:
             "repeats": REPEATS,
             "figure11_runs": FIGURE11_RUNS,
         },
-        **measure(),
     }
-    if parent_src is not None:
-        parent = measure_elsewhere(parent_src)
-        by_key = {(r["model"], r["state"]): r for r in parent["models"]}
+    if parent_src is None:
+        report.update(measure())
+    else:
+        ours, theirs = alternate(measure_elsewhere, [SRC, parent_src], ROUNDS)
+        report["config"]["rounds"] = ROUNDS
+        report.update(_median_cells(ours))
         for row in report["models"]:
-            row["parent_model_latency_us"] = by_key[
-                (row["model"], row["state"])
-            ]["model_latency_us"]
-        report["parent_figure11"] = parent["figure11"]
+            row["model_latency_us_rounds"] = _latency_rounds(ours, row)
+            row["parent_model_latency_us_rounds"] = _latency_rounds(theirs, row)
+            row["parent_model_latency_us"] = statistics.median(
+                row["parent_model_latency_us_rounds"]
+            )
+        report["parent_figure11"] = _median_cells([r["figure11"] for r in theirs])
     return report
 
 

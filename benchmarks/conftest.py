@@ -9,6 +9,7 @@ table/series is printed (run with ``-s`` to see it inline) and appended to
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 # The engine benches hold their reference runs to the reference loops
@@ -20,9 +21,23 @@ if _ROOT not in sys.path:
 
 from tests.reference_loops import reference_loops  # noqa: E402
 
-__all__ = ["RESULTS_PATH", "emit", "reference_loops"]
+__all__ = ["RESULTS_PATH", "alternate", "emit", "reference_loops"]
 
 RESULTS_PATH = Path(__file__).parent / "results.txt"
+
+
+def alternate(measure: Callable, sides: list, rounds: int) -> list[list]:
+    """``measure(side)`` for every side, ``rounds`` times; one list per side.
+
+    The host's speed drifts within minutes, so the sides take turns round
+    by round, and which side goes first alternates too.
+    """
+    results: list[list] = [[] for _ in sides]
+    for i in range(rounds):
+        order = range(len(sides)) if i % 2 == 0 else reversed(range(len(sides)))
+        for j in order:
+            results[j].append(measure(sides[j]))
+    return results
 
 
 def emit(title: str, text: str) -> None:
