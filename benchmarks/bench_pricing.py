@@ -41,7 +41,7 @@ import time
 from pathlib import Path
 
 import pytest
-from conftest import alternate
+from conftest import alternate, median_cells
 
 from repro.analysis import format_table
 from repro.config import PRODUCTION_PRESETS, RMC2_SMALL
@@ -202,26 +202,6 @@ def measure_elsewhere(src: Path) -> dict:
     return json.loads(out.stdout)
 
 
-def _median_cells(reports: list):
-    """One report from several of :func:`measure`'s: each timed cell's median.
-
-    Counts and labels must agree across the reports; lists of runs are
-    joined.
-    """
-    first = reports[0]
-    if isinstance(first, dict):
-        return {key: _median_cells([r[key] for r in reports]) for key in first}
-    if isinstance(first, list) and isinstance(first[0], dict):
-        return [_median_cells(list(rows)) for rows in zip(*reports)]
-    if isinstance(first, list):
-        return [value for r in reports for value in r]
-    if isinstance(first, float):
-        return statistics.median(reports)
-    if any(r != first for r in reports):
-        raise ValueError(f"a count or label differs between rounds: {reports}")
-    return first
-
-
 def _latency_rounds(reports: list[dict], row: dict) -> list[float]:
     """``row``'s model and state's ``model_latency_us`` in each report."""
     return [
@@ -249,14 +229,14 @@ def run_bench(parent_src: Path | None = None) -> dict:
     else:
         ours, theirs = alternate(measure_elsewhere, [SRC, parent_src], ROUNDS)
         report["config"]["rounds"] = ROUNDS
-        report.update(_median_cells(ours))
+        report.update(median_cells(ours))
         for row in report["models"]:
             row["model_latency_us_rounds"] = _latency_rounds(ours, row)
             row["parent_model_latency_us_rounds"] = _latency_rounds(theirs, row)
             row["parent_model_latency_us"] = statistics.median(
                 row["parent_model_latency_us_rounds"]
             )
-        report["parent_figure11"] = _median_cells([r["figure11"] for r in theirs])
+        report["parent_figure11"] = median_cells([r["figure11"] for r in theirs])
     return report
 
 

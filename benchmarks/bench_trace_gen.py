@@ -16,10 +16,13 @@ Run directly (CI uploads the JSON as an artifact)::
 
     PYTHONPATH=src python benchmarks/bench_trace_gen.py
 
-``--parent-src DIR`` runs the generation measurements in a fresh process
-against another checkout's ``src/`` (say, the parent commit's), adds them
-to the report as a ``parent`` column, and asserts that both checkouts
-generate the same traces::
+``--parent-src DIR`` runs the generation measurements on this checkout
+and another checkout's ``src/`` (say, the parent commit's) in fresh
+processes, alternating round by round (which side goes first alternates
+too) for ``ROUNDS`` rounds. The report then holds each generation cell's
+median on this checkout, the parent's as a ``parent`` column, and both
+sides' timings in every round; it asserts that both checkouts generate
+the same traces::
 
     PYTHONPATH=src python benchmarks/bench_trace_gen.py --parent-src ../parent/src
 
@@ -44,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import reference_loops
+from conftest import alternate, median_cells, reference_loops
 
 from repro.analysis import format_table
 from repro.data import TemporalReuseGenerator, ZipfSparseGenerator
@@ -52,6 +55,7 @@ from repro.data.traces import synthetic_production_traces
 from repro.experiments import fig14_trace_locality
 
 DEFAULT_OUT = Path(__file__).parent / "BENCH_trace_gen.json"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: perfbench ``embedding_locality``'s tables: LLC-sized and ~15x the LLC.
 TABLE_SIZES = (8_192, 4_194_304)
@@ -61,6 +65,7 @@ ZIPF_ALPHA = 0.9  # trace-3's alpha in synthetic_production_traces
 SIZES = (100_000, 1_000_000)
 NATIVE_FLOOR = 10.0
 REPEATS = 3  # best-of-N for the head-to-head, median-of-N elsewhere
+ROUNDS = 10
 
 
 def _sha256(ids: np.ndarray) -> str:
@@ -148,11 +153,6 @@ def measure_generation() -> dict:
     }
 
 
-def measure() -> dict:
-    """Every measurement of this bench against this checkout."""
-    return {"reuse": bench_reuse(), **measure_generation()}
-
-
 def measure_elsewhere(src: Path) -> dict:
     """:func:`measure_generation` in a fresh process on ``src``'s ``repro``."""
     env = {**os.environ, "PYTHONPATH": str(src.resolve())}
@@ -168,8 +168,17 @@ def measure_elsewhere(src: Path) -> dict:
     return json.loads(out.stdout)
 
 
+def _timed_ms(measured: dict) -> list[float]:
+    """One report's timed generation cells in ms, in ``render``'s row order."""
+    return [
+        measured["zipf_build"]["median_ms"],
+        *(t["median_ms"] for t in measured["production_traces"]),
+        1e3 * measured["figure14_s"],
+    ]
+
+
 def run_bench(parent_src: Path | None = None) -> dict:
-    """Time trace generation here (and on ``parent_src``); the JSON report."""
+    """Time trace generation here (alternating with ``parent_src``)."""
     report = {
         "bench": "trace_gen",
         "config": {
@@ -178,17 +187,25 @@ def run_bench(parent_src: Path | None = None) -> dict:
             "reuse_probability": REUSE_PROBABILITY,
             "repeats": REPEATS,
         },
-        **measure(),
+        "reuse": bench_reuse(),
     }
-    if parent_src is not None:
-        parent = measure_elsewhere(parent_src)
-        for row, theirs in zip(
-            report["production_traces"], parent["production_traces"]
-        ):
-            assert row["sha256"] == theirs["sha256"], (
-                f"{row['table_rows']} rows: the traces differ from the parent's"
-            )
-        report["parent"] = parent
+    if parent_src is None:
+        report.update(measure_generation())
+        return report
+    ours, theirs = alternate(measure_elsewhere, [SRC, parent_src], ROUNDS)
+    report["config"]["rounds"] = ROUNDS
+    report.update(median_cells(ours))
+    report["parent"] = median_cells(theirs)
+    for row, parent_row in zip(
+        report["production_traces"], report["parent"]["production_traces"]
+    ):
+        assert row["sha256"] == parent_row["sha256"], (
+            f"{row['table_rows']} rows: the traces differ from the parent's"
+        )
+    report["rounds_ms"] = {
+        "this checkout": [_timed_ms(r) for r in ours],
+        "parent": [_timed_ms(r) for r in theirs],
+    }
     return report
 
 
@@ -204,14 +221,15 @@ def check_floors(report: dict) -> None:
     )
 
 
-def _generation_cells(measured: dict) -> list[str]:
-    """One report's generation timings, in ``render``'s row order."""
-    zipf = measured["zipf_build"]
-    return [
-        f"{zipf['median_ms']:.1f} ms, peak {zipf['tracemalloc_peak_mb']:.0f} MB",
-        *(f"{t['median_ms']:.1f} ms" for t in measured["production_traces"]),
-        f"{measured['figure14_s']:.3f} s",
-    ]
+def _generation_cells(measured: dict, rounds: list | None) -> list[str]:
+    """One report's generation timings, in ``render``'s row order, each
+    with its rounds' quartiles when there are rounds."""
+    cells = [f"{ms:.1f} ms" for ms in _timed_ms(measured)]
+    for i, values in enumerate(zip(*rounds or [])):
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        cells[i] += f" [{q1:.1f}-{q3:.1f}]"
+    cells[0] += f", peak {measured['zipf_build']['tracemalloc_peak_mb']:.0f} MB"
+    return cells
 
 
 def render(report: dict) -> str:
@@ -240,15 +258,17 @@ def render(report: dict) -> str:
         f"production traces, {rows:,} rows x {TRACE_LENGTH:,}"
         for rows in TABLE_SIZES
     ] + ["figure14, default scale"]
-    ours = _generation_cells(report)
-    theirs = _generation_cells(parent) if parent else ["-"] * len(ours)
+    rounds = report.get("rounds_ms", {})
+    ours = _generation_cells(report, rounds.get("this checkout"))
+    theirs = (
+        _generation_cells(parent, rounds["parent"]) if parent else ["-"] * len(ours)
+    )
     gen_rows = [list(row) for row in zip(labels, ours, theirs)]
+    title = "trace generation, median host time"
+    if rounds:
+        title += f" [quartiles] over {len(rounds['parent'])} alternating rounds"
     parts.append(
-        format_table(
-            ["what", "this checkout", "parent"],
-            gen_rows,
-            title="trace generation, median host time",
-        )
+        format_table(["what", "this checkout", "parent"], gen_rows, title=title)
     )
     return "\n".join(parts)
 

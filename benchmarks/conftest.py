@@ -8,6 +8,7 @@ table/series is printed (run with ``-s`` to see it inline) and appended to
 
 from __future__ import annotations
 
+import statistics
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -21,7 +22,7 @@ if _ROOT not in sys.path:
 
 from tests.reference_loops import reference_loops  # noqa: E402
 
-__all__ = ["RESULTS_PATH", "alternate", "emit", "reference_loops"]
+__all__ = ["RESULTS_PATH", "alternate", "emit", "median_cells", "reference_loops"]
 
 RESULTS_PATH = Path(__file__).parent / "results.txt"
 
@@ -38,6 +39,26 @@ def alternate(measure: Callable, sides: list, rounds: int) -> list[list]:
         for j in order:
             results[j].append(measure(sides[j]))
     return results
+
+
+def median_cells(reports: list):
+    """One report from several of a side's rounds: each timed cell's median.
+
+    Counts and labels must agree across the reports; lists of runs are
+    joined.
+    """
+    first = reports[0]
+    if isinstance(first, dict):
+        return {key: median_cells([r[key] for r in reports]) for key in first}
+    if isinstance(first, list) and isinstance(first[0], dict):
+        return [median_cells(list(rows)) for rows in zip(*reports)]
+    if isinstance(first, list):
+        return [value for r in reports for value in r]
+    if isinstance(first, float):
+        return statistics.median(reports)
+    if any(r != first for r in reports):
+        raise ValueError(f"a count or label differs between rounds: {reports}")
+    return first
 
 
 def emit(title: str, text: str) -> None:

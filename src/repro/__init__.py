@@ -8,7 +8,7 @@ Public API highlights:
 * :mod:`repro.hw` -- Haswell/Broadwell/Skylake server timing simulator.
 * :mod:`repro.serving` -- batching, co-location, SLA and fleet simulation.
 * :mod:`repro.data` -- dense/sparse input generators and embedding traces.
-* :mod:`repro.obs` -- request tracing, metrics registry, operator profiling.
+* :mod:`repro.obs` -- request tracing, metrics registry, Chrome trace export.
 * :mod:`repro.experiments` -- one module per paper figure/table.
 """
 

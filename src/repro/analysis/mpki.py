@@ -22,10 +22,10 @@ import numpy as np
 
 from ..core.operators.base import Operator, OP_SLS
 from ..core.operators.sls import SparseLengthsSum
+from ..data.sparse import _integer
 from ..hw.hierarchy import CacheHierarchy
 from ..hw.server import ServerSpec
-from ..hw.trace_integration import replay_line_trace
-from ..obs.profile import OpProfiler
+from ..hw.trace_integration import _check_row_ids, replay_line_trace
 from ..obs.tracer import Tracer
 
 #: fp32 FLOPs per SIMD arithmetic instruction charged (AVX-2 FMA).
@@ -81,7 +81,11 @@ def measure_mpki(
     The first ``warmup`` iterations populate the caches (so dense operators
     reach their steady, reuse-heavy state) and are excluded from the stats.
     """
-    if iterations <= warmup:
+    if _integer("batch_size", batch_size) < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+    if _integer("warmup", warmup) < 0:
+        raise ValueError(f"warmup must be >= 0, got {warmup}")
+    if _integer("iterations", iterations) <= warmup:
         raise ValueError("iterations must exceed warmup")
     rng = rng or np.random.default_rng(0)
     hierarchy = CacheHierarchy(server)
@@ -107,30 +111,28 @@ def measure_sls_trace_mpki(
     sls: SparseLengthsSum,
     server: ServerSpec,
     rows: np.ndarray,
+    *,
     tracer: Tracer | None = None,
-    profiler: OpProfiler | None = None,
     track: int = 0,
-    t0_s: float = 0.0,
 ) -> MpkiResult:
     """MPKI of an SLS operator replaying a concrete lookup trace.
 
     Used with :mod:`repro.data.traces` to study how production locality
     (Figure 14) changes cache behaviour. The trace goes through the batch
     replay path (``line_trace_for_rows`` → ``access_lines``), so
-    million-lookup traces are practical; pass a ``tracer``/``profiler`` to
-    surface the replay in waterfalls and per-op attribution (both default
-    to off and leave the stats bit-identical).
+    million-lookup traces are practical; pass a ``tracer`` to surface the
+    replay as ``hw.replay.*`` spans on ``track`` (off by default, and the
+    stats are bit-identical either way).
     """
     if rows.size == 0:
         raise ValueError("trace must contain at least one lookup")
+    _check_row_ids("rows", rows)
     hierarchy = CacheHierarchy(server)
     replay_line_trace(
         hierarchy,
         sls.line_trace_for_rows(rows, line_bytes=hierarchy.line_bytes),
         tracer=tracer,
-        profiler=profiler,
         track=track,
-        t0_s=t0_s,
     )
     stats = hierarchy.stats
     lookups = int(rows.size)

@@ -47,7 +47,6 @@ from .simd import _interp_log_batch, effective_gflops
 
 if TYPE_CHECKING:
     from ..memory.near_memory import NmpGeometry
-    from ..obs.profile import OpProfiler
 
 #: Framework dispatch overhead per operator invocation (seconds).
 OP_OVERHEAD_S = 0.2e-6
@@ -268,10 +267,6 @@ class TimingModel:
 
     Args:
         server: the Table-II server generation to price operators on.
-        profiler: optional :class:`~repro.obs.profile.OpProfiler`; when
-            set, every operator this model prices is reported to it with
-            its simulated cycles and the bytes it touches. Profiling is
-            observational only — it never changes a priced latency.
         nmp: optional :class:`~repro.memory.near_memory.NmpGeometry`;
             when set, SLS operators are priced on the near-memory backend
             (rank-parallel DIMM-side gathers, see
@@ -287,14 +282,10 @@ class TimingModel:
     """
 
     def __init__(
-        self,
-        server: ServerSpec,
-        profiler: "OpProfiler | None" = None,
-        nmp: "NmpGeometry | None" = None,
+        self, server: ServerSpec, *, nmp: "NmpGeometry | None" = None
     ) -> None:
         self.server = server
         self.contention = ContentionModel(server)
-        self.profiler = profiler
         self.nmp = nmp
         # Each config's operators and their distinct shapes, expanded once
         # per model; see :meth:`_op_plan`.
@@ -317,21 +308,6 @@ class TimingModel:
         if entry is None:
             entry = self._plans[id(config)] = (config, _OpPlan.of(config))
         return entry[1]
-
-    def _timed(
-        self,
-        name: str,
-        op_type: str,
-        seconds: float,
-        compute_seconds: float,
-        memory_seconds: float,
-        bytes_moved: float,
-    ) -> OperatorTime:
-        """One priced operator, reported to the attached profiler, if any."""
-        op = OperatorTime(name, op_type, seconds, compute_seconds, memory_seconds)
-        if self.profiler is not None:
-            self.profiler.record_timed_op(op, self.server.frequency_ghz, bytes_moved)
-        return op
 
     # -------------------------------------------------------------- dense
 
@@ -383,7 +359,7 @@ class TimingModel:
         parts = self._fc(
             _Terms(self, batch, state), flops, weight_bytes, activation_bytes
         )
-        return self._timed(name, op_type, *parts, weight_bytes + activation_bytes)
+        return OperatorTime(name, op_type, *parts)
 
     # --------------------------------------------------------------- sparse
 
@@ -502,25 +478,21 @@ class TimingModel:
         embedding_dim: int,
         hit_ratio: float,
         dtype_bytes: int,
-    ) -> tuple[float, float, float, int]:
-        """Seconds, compute and memory seconds, and bytes moved of one SLS."""
+    ) -> tuple[float, float, float]:
+        """Seconds, compute and memory seconds of one SLS."""
         _check_hit_ratio(hit_ratio)
-        row_bytes = _row_bytes(embedding_dim, dtype_bytes)
-        batch = terms.batch
         if self.nmp is not None:
-            # Only the pooled vectors cross the memory bus — that reduction
-            # in bus traffic is the point of near-memory execution.
-            parts = self._nmp_sls_time(lookups_per_sample, batch, hit_ratio)
-            return (*parts, batch * row_bytes)
-        lookup_ns = self._sls_lookup_ns(terms, row_bytes, hit_ratio)
-        total_lookups = batch * lookups_per_sample
+            return self._nmp_sls_time(lookups_per_sample, terms.batch, hit_ratio)
+        lookup_ns = self._sls_lookup_ns(
+            terms, _row_bytes(embedding_dim, dtype_bytes), hit_ratio
+        )
+        total_lookups = terms.batch * lookups_per_sample
         seconds = total_lookups * lookup_ns * 1e-9 + OP_OVERHEAD_S
         compute = total_lookups * terms.core()[0] * 1e-9
         return (
             seconds,
             min(compute, seconds),
             max(0.0, seconds - compute - OP_OVERHEAD_S),
-            total_lookups * row_bytes,
         )
 
     def sls_time(
@@ -541,7 +513,7 @@ class TimingModel:
             hit_ratio,
             dtype_bytes,
         )
-        return self._timed(name, OP_SLS, *parts)
+        return OperatorTime(name, OP_SLS, *parts)
 
     # ------------------------------------------------------------- movement
 
@@ -564,25 +536,22 @@ class TimingModel:
         state: ColocationState = RUN_ALONE,
     ) -> OperatorTime:
         """Streaming data-movement ops: Concat and element-wise activations."""
-        parts = self._movement(state, bytes_moved, flops)
-        return self._timed(name, op_type, *parts, bytes_moved)
+        return OperatorTime(name, op_type, *self._movement(state, bytes_moved, flops))
 
     # ------------------------------------------------------------ dispatch
 
     def _price(
         self, terms: _Terms, spec: OpSpec, sls_hit_ratio: float
-    ) -> tuple[float, float, float, float]:
-        """Seconds, compute and memory seconds, and bytes moved of ``spec``."""
+    ) -> tuple[float, float, float]:
+        """Seconds, compute and memory seconds of ``spec``."""
         batch = terms.batch
         if spec.op_type in (OP_FC, OP_BATCH_MATMUL):
-            activation_bytes = batch * spec.activation_bytes_per_sample
-            parts = self._fc(
+            return self._fc(
                 terms,
                 batch * spec.flops_per_sample,
                 spec.weight_bytes,
-                activation_bytes,
+                batch * spec.activation_bytes_per_sample,
             )
-            return (*parts, spec.weight_bytes + activation_bytes)
         if spec.op_type == OP_SLS:
             return self._sls(
                 terms,
@@ -592,11 +561,11 @@ class TimingModel:
                 spec.dtype_bytes,
             )
         if spec.op_type in (OP_CONCAT, OP_ACTIVATION):
-            bytes_moved = batch * spec.activation_bytes_per_sample
-            parts = self._movement(
-                terms.state, bytes_moved, batch * spec.flops_per_sample
+            return self._movement(
+                terms.state,
+                batch * spec.activation_bytes_per_sample,
+                batch * spec.flops_per_sample,
             )
-            return (*parts, bytes_moved)
         raise ValueError(f"no timing model for op type {spec.op_type!r}")
 
     def op_time(
@@ -608,7 +577,7 @@ class TimingModel:
     ) -> OperatorTime:
         """Latency of one abstract operator at ``batch``."""
         parts = self._price(_Terms(self, batch, state), spec, sls_hit_ratio)
-        return self._timed(spec.name, spec.op_type, *parts)
+        return OperatorTime(spec.name, spec.op_type, *parts)
 
     # ----------------------------------------------------------- model-level
 
@@ -659,22 +628,13 @@ class TimingModel:
         plan, terms, hit_ratio = self._model_pass(
             config, batch, state, sls_hit_ratio, locality_hit_ratio
         )
-        if self.profiler is not None:
-            # The profiler hears one record per operator, in order.
-            per_op = tuple(
-                self._timed(
-                    spec.name, spec.op_type, *self._price(terms, spec, hit_ratio)
-                )
-                for spec in plan.ops
-            )
-        else:
-            # An operator's time depends on its shape, never its name, so
-            # each shape is priced once and its copies take their names.
-            priced = [self._price(terms, spec, hit_ratio) for spec in plan.shapes]
-            per_op = tuple(
-                OperatorTime(spec.name, spec.op_type, *priced[slot][:3])
-                for spec, slot in zip(plan.ops, plan.slots)
-            )
+        # An operator's time depends on its shape, never its name, so each
+        # shape is priced once and its copies take their names.
+        priced = [self._price(terms, spec, hit_ratio) for spec in plan.shapes]
+        per_op = tuple(
+            OperatorTime(spec.name, spec.op_type, *priced[slot])
+            for spec, slot in zip(plan.ops, plan.slots)
+        )
         return ModelLatency(
             model_name=config.name,
             server_name=self.server.name,
@@ -694,13 +654,8 @@ class TimingModel:
 
         Equal bit for bit: each shape is priced by the same formulas, and
         the operators' seconds are summed in operator order by the same
-        builtin ``sum``. With a profiler attached this is
-        ``model_latency``, so the profiler still hears every operator.
+        builtin ``sum``.
         """
-        if self.profiler is not None:
-            return self.model_latency(
-                config, batch, state, sls_hit_ratio, locality_hit_ratio
-            ).total_seconds
         plan, terms, hit_ratio = self._model_pass(
             config, batch, state, sls_hit_ratio, locality_hit_ratio
         )

@@ -10,9 +10,9 @@ locality number by hand.
 :func:`replay_line_trace` is the batch entry point: it feeds an int64
 line-index array (e.g. ``SparseLengthsSum.line_trace_for_rows``) through
 ``CacheHierarchy.access_lines`` in one kernel call per chunk, and
-optionally emits ``hw.replay.*`` spans / per-op attribution so replays
-show up in ``python -m repro trace`` waterfalls. Tracing off
-(``tracer=None``) is the default and leaves the replay bit-identical.
+optionally emits ``hw.replay.*`` spans so replays show up in
+``python -m repro trace`` waterfalls. Tracing off (``tracer=None``) is
+the default and leaves the replay bit-identical.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..config.model_config import ModelConfig
-from ..core.operators.base import OP_SLS
 from ..core.operators.sls import EmbeddingTable, SparseLengthsSum
-from ..obs.profile import OpProfiler
+from ..data.sparse import _integer
 from ..obs.tracer import Tracer
 from .hierarchy import CacheHierarchy, HierarchyStats
 from .server import ServerSpec
@@ -50,29 +49,38 @@ def _stats_delta(after: HierarchyStats, before: HierarchyStats) -> HierarchyStat
     )
 
 
+def _check_row_ids(name: str, ids: np.ndarray) -> None:
+    """A ValueError naming ``name`` unless ``ids`` are non-negative integers.
+
+    No upper bound: a replay reads only the row width, so perfbench replays
+    a 4M-row table's IDs through a one-row ``EmbeddingTable``.
+    """
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"{name} must be integer IDs, got dtype {ids.dtype}")
+    if ids.min() < 0:
+        raise ValueError(f"{name} must be non-negative, got {ids.min()}")
+
+
 def replay_line_trace(
     hierarchy: CacheHierarchy,
     lines: np.ndarray,
+    *,
     tracer: Tracer | None = None,
-    profiler: OpProfiler | None = None,
     track: int = 0,
-    t0_s: float = 0.0,
-    op_type: str = OP_SLS,
 ) -> HierarchyStats:
     """Replay a line-index array through ``hierarchy``; return delta stats.
 
     The replay itself is one ``access_lines`` batch. When a ``tracer`` is
-    supplied, the replay is recorded as a ``hw.replay.trace`` span (at
-    simulated time ``t0_s`` on ``track``) with per-level child spans whose
+    supplied, the replay is recorded as a ``hw.replay.trace`` span (from
+    simulated time 0 on ``track``) with per-level child spans whose
     durations are the levels' simulated cycle shares — the same waterfall
-    treatment every other serving component gets. A ``profiler``
-    attributes the replay's simulated cycles and line bytes to
-    ``op_type``. Both default to off and leave the stats bit-identical.
+    treatment every other serving component gets. Tracing defaults to off
+    and leaves the stats bit-identical.
     """
     before = replace(hierarchy.stats)
     hierarchy.access_lines(lines)
     delta = _stats_delta(hierarchy.stats, before)
-    if tracer is None and profiler is None:
+    if tracer is None:
         return delta
     server = hierarchy.server
     dram_cycles = server.dram_random_ns / server.cycle_ns
@@ -83,34 +91,29 @@ def replay_line_trace(
         ("hw.replay.dram", delta.dram_accesses * dram_cycles, delta.dram_accesses),
     )
     total_cycles = sum(cycles for _, cycles, _ in level_cycles)
-    moved_bytes = delta.total_line_accesses * hierarchy.line_bytes
-    if profiler is not None:
-        profiler.record_op(op_type, total_cycles, moved_bytes)
-    if tracer is not None:
-        total_s = total_cycles * server.cycle_ns * 1e-9
-        parent = tracer.complete(
-            "hw.replay.trace",
-            begin_s=t0_s,
-            end_s=t0_s + total_s,
+    parent = tracer.complete(
+        "hw.replay.trace",
+        begin_s=0.0,
+        end_s=total_cycles * server.cycle_ns * 1e-9,
+        track=track,
+        lines=int(np.asarray(lines).size),
+        backend=hierarchy.backend,
+        dram_accesses=delta.dram_accesses,
+    )
+    cursor_s = 0.0
+    for name, cycles, count in level_cycles:
+        if count == 0:
+            continue
+        span_s = cycles * server.cycle_ns * 1e-9
+        tracer.complete(
+            name,
+            begin_s=cursor_s,
+            end_s=cursor_s + span_s,
+            parent_id=parent,
             track=track,
-            lines=int(np.asarray(lines).size),
-            backend=hierarchy.backend,
-            dram_accesses=delta.dram_accesses,
+            count=count,
         )
-        cursor_s = t0_s
-        for name, cycles, count in level_cycles:
-            if count == 0:
-                continue
-            span_s = cycles * server.cycle_ns * 1e-9
-            tracer.complete(
-                name,
-                begin_s=cursor_s,
-                end_s=cursor_s + span_s,
-                parent_id=parent,
-                track=track,
-                count=count,
-            )
-            cursor_s += span_s
+        cursor_s += span_s
     return delta
 
 
@@ -132,10 +135,6 @@ def measure_trace_hit_ratio(
     embedding_dim: int,
     trace_ids: np.ndarray,
     l3_share: float = 1.0,
-    tracer: Tracer | None = None,
-    profiler: OpProfiler | None = None,
-    track: int = 0,
-    t0_s: float = 0.0,
 ) -> tuple[float, CacheHierarchy]:
     """Replay a lookup trace through the hierarchy; return the hit ratio.
 
@@ -144,19 +143,17 @@ def measure_trace_hit_ratio(
     The replay runs in the cache-replay kernel when it loads, and in the
     bit-identical reference loop otherwise (see ``docs/PERFORMANCE.md``).
     """
+    table_rows = _integer("table_rows", table_rows)
+    embedding_dim = _integer("embedding_dim", embedding_dim)
     trace_ids = np.asarray(trace_ids).reshape(-1)
     if trace_ids.size == 0:
         raise ValueError("trace must contain lookups")
+    _check_row_ids("trace_ids", trace_ids)
     table = EmbeddingTable(table_rows, embedding_dim)
     sls = SparseLengthsSum("trace", table, lookups_per_sample=1)
     hierarchy = CacheHierarchy(server, l3_share=l3_share)
-    replay_line_trace(
-        hierarchy,
-        sls.line_trace_for_rows(trace_ids, line_bytes=hierarchy.line_bytes),
-        tracer=tracer,
-        profiler=profiler,
-        track=track,
-        t0_s=t0_s,
+    hierarchy.access_lines(
+        sls.line_trace_for_rows(trace_ids, line_bytes=hierarchy.line_bytes)
     )
     stats = hierarchy.stats
     total = stats.total_line_accesses
@@ -176,6 +173,8 @@ def trace_driven_latency(
     The trace is replayed against a table of the model's (per-table) size;
     the measured hit ratio replaces the analytic capacity heuristic.
     """
+    if _integer("batch_size", batch_size) < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     table = config.embedding_tables[0]
     hit_ratio, hierarchy = measure_trace_hit_ratio(
         server, table.rows, table.dim, trace_ids, l3_share

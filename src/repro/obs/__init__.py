@@ -1,4 +1,4 @@
-"""Observability for the serving stack: tracing, metrics, and profiling.
+"""Observability for the serving stack: tracing and metrics.
 
 The paper's contribution is visibility — operator breakdowns (Figure 4/7),
 tail attribution under co-location (Figure 11). ``repro.obs`` gives the
@@ -11,10 +11,12 @@ simulators the same visibility at run time:
 * :mod:`~repro.obs.metrics` — counters, gauges, streaming histograms with
   labels and snapshot/diff;
 * :mod:`~repro.obs.quantiles` — the one shared quantile implementation;
-* :mod:`~repro.obs.profile` — per-operator cycle/byte attribution
-  (a Figure-4 breakdown for any live run);
 * :mod:`~repro.obs.report` — the flight-recorder terminal report;
 * :mod:`~repro.obs.jsonio` — JSON export of results + metrics snapshots.
+
+Per-operator breakdowns come from pricing itself
+(``ModelLatency.fraction_by_op_type()``), and a cache replay's per-level
+cycles are on its ``hw.replay.*`` spans.
 
 See ``docs/OBSERVABILITY.md`` for the span model and naming convention.
 """
@@ -31,7 +33,6 @@ from .metrics import (
     MetricsSnapshot,
     series_key,
 )
-from .profile import OpAttribution, OpProfiler
 from .quantiles import quantile, quantiles
 from .report import StageStats, flight_report, stage_stats, top_spans, waterfall
 from .tracer import (
@@ -54,8 +55,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "NullTracer",
-    "OpAttribution",
-    "OpProfiler",
     "SPAN_NAME_RE",
     "SUMMARY_QUANTILES",
     "Span",

@@ -2,7 +2,7 @@
 
 The ROADMAP's standing guardrail is that every optional subsystem —
 ``faults=None``, ``overload=None``, ``tracer=None``, ``metrics=None``,
-``profiler=None`` — leaves runs bit-identical to baselines when off.
+``nmp=None`` — leaves runs bit-identical to baselines when off.
 The failure mode is not a wrong number but a crash on the *off* path: an
 unguarded ``self.tracer.begin(...)`` works in every traced test and
 raises ``AttributeError`` the first time someone runs the default

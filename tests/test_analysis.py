@@ -14,8 +14,9 @@ from repro.analysis import (
     measure_sls_trace_mpki,
     summarize,
 )
+from repro.config import RMC1_SMALL
 from repro.core.operators import EmbeddingTable, FullyConnected, SparseLengthsSum
-from repro.hw import BROADWELL
+from repro.hw import BROADWELL, measure_trace_hit_ratio, trace_driven_latency
 
 
 class TestRoofline:
@@ -85,6 +86,70 @@ class TestMpki:
     def test_rejects_bad_iterations(self):
         with pytest.raises(ValueError):
             measure_mpki(FullyConnected("fc", 8, 8), BROADWELL, iterations=1, warmup=1)
+
+    @pytest.mark.parametrize(
+        "call, field",
+        [
+            # Ran, and reported 18 instructions.
+            pytest.param(
+                lambda fc, sls: measure_mpki(fc, BROADWELL, batch_size=0),
+                "batch_size", id="mpki-batch-zero",
+            ),
+            pytest.param(
+                lambda fc, sls: measure_mpki(fc, BROADWELL, warmup=-1),
+                "warmup", id="mpki-warmup-negative",
+            ),
+            # Raised a TypeError that named no field.
+            pytest.param(
+                lambda fc, sls: measure_mpki(fc, BROADWELL, iterations=2.5),
+                "iterations", id="mpki-iterations-fractional",
+            ),
+            pytest.param(
+                lambda fc, sls: measure_mpki(fc, BROADWELL, batch_size=2.5),
+                "batch_size", id="mpki-batch-fractional",
+            ),
+            pytest.param(
+                lambda fc, sls: measure_trace_hit_ratio(BROADWELL, 2.5, 32, [0, 1]),
+                "table_rows", id="hit-ratio-rows-fractional",
+            ),
+            pytest.param(
+                lambda fc, sls: measure_trace_hit_ratio(BROADWELL, 100, 2.5, [0, 1]),
+                "embedding_dim", id="hit-ratio-dim-fractional",
+            ),
+            # Priced a fractional batch.
+            pytest.param(
+                lambda fc, sls: trace_driven_latency(
+                    BROADWELL, RMC1_SMALL, np.arange(8), batch_size=2.5
+                ),
+                "batch_size", id="trace-latency-batch-fractional",
+            ),
+            # Replayed silently.
+            pytest.param(
+                lambda fc, sls: measure_sls_trace_mpki(
+                    sls, BROADWELL, np.array([3, -1])
+                ),
+                "rows", id="trace-mpki-negative-id",
+            ),
+            pytest.param(
+                lambda fc, sls: measure_trace_hit_ratio(BROADWELL, 100, 32, [3, -1]),
+                "trace_ids", id="hit-ratio-negative-id",
+            ),
+            # Replayed 1.5 as row 1.
+            pytest.param(
+                lambda fc, sls: measure_sls_trace_mpki(sls, BROADWELL, np.array([1.5])),
+                "rows", id="trace-mpki-fractional-id",
+            ),
+            pytest.param(
+                lambda fc, sls: measure_trace_hit_ratio(BROADWELL, 100, 32, [1.5]),
+                "trace_ids", id="hit-ratio-fractional-id",
+            ),
+        ],
+    )
+    def test_hostile_input_names_its_field(self, call, field):
+        fc = FullyConnected("fc", 8, 8)
+        sls = SparseLengthsSum("s", EmbeddingTable(100, 32), 1)
+        with pytest.raises(ValueError, match=field):
+            call(fc, sls)
 
 
 class TestDistributions:

@@ -381,33 +381,27 @@ class TestPrefetchLeakRegression:
 
 
 class TestReplayObservability:
-    """Tracer/profiler hooks on the batch replay path: off == bit-identical."""
+    """The tracer hook on the batch replay path: off == bit-identical."""
 
-    def _stats(self, tracer, profiler):
+    def _stats(self, tracer):
         from repro.hw.trace_integration import replay_line_trace
 
         rng = np.random.default_rng(3)
         h = CacheHierarchy(TINY_BROADWELL, l3_share=0.5)
         lines = rng.integers(0, 2000, size=3000).astype(np.int64)
-        delta = replay_line_trace(h, lines, tracer=tracer, profiler=profiler)
+        delta = replay_line_trace(h, lines, tracer=tracer)
         return delta, snapshot(h)
 
     def test_tracing_off_is_bit_identical(self):
-        from repro.obs.profile import OpProfiler
         from repro.obs.tracer import Tracer
 
-        tracer, profiler = Tracer(), OpProfiler()
-        plain = self._stats(None, None)
-        traced = self._stats(tracer, profiler)
-        assert plain == traced
+        assert self._stats(None) == self._stats(Tracer())
 
     def test_replay_spans_and_attribution(self):
-        from repro.core.operators.base import OP_SLS
-        from repro.obs.profile import OpProfiler
         from repro.obs.tracer import Tracer
 
-        tracer, profiler = Tracer(), OpProfiler()
-        delta, _ = self._stats(tracer, profiler)
+        tracer = Tracer()
+        delta, _ = self._stats(tracer)
         names = {span.name for span in tracer.spans}
         assert "hw.replay.trace" in names and "hw.replay.dram" in names
         assert not tracer.open_spans()
@@ -418,8 +412,6 @@ class TestReplayObservability:
             s.begin_s >= parent.begin_s and s.end_s <= parent.end_s + 1e-12
             for s in children
         )
-        assert profiler.by_op_type[OP_SLS].invocations == 1
-        assert profiler.by_op_type[OP_SLS].cycles > 0
 
     def test_measure_functions_match_reference(self):
         from repro.analysis.mpki import measure_sls_trace_mpki

@@ -10,6 +10,8 @@ The two load-bearing guarantees:
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -17,9 +19,12 @@ import sys
 import numpy as np
 import pytest
 
+from repro.analysis.mpki import measure_sls_trace_mpki
 from repro.config import presets
-from repro.experiments import fig11x_faults
+from repro.experiments import fig11x_faults, fig14_trace_locality
+from repro.hw import TimingModel
 from repro.hw.server import BROADWELL
+from repro.hw.trace_integration import measure_trace_hit_ratio, replay_line_trace
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -96,6 +101,66 @@ class TestFig11xTracing:
         report = flight_report(tracer, top_k=5)
         assert "serving.router.request" in report
         assert "serving.router.attempt" in report
+
+
+class TestFig14Tracing:
+    """The replay's one observer is the tracer ``repro trace figure14`` sets."""
+
+    KWARGS = dict(table_rows=200_000, trace_length=8_000)
+
+    def test_traced_run_matches_untraced(self):
+        tracer = Tracer()
+        traced = fig14_trace_locality.run(tracer=tracer, **self.KWARGS)
+        assert traced == fig14_trace_locality.run(**self.KWARGS)
+        replays = [s for s in tracer.spans if s.name == "hw.replay.trace"]
+        assert len(replays) == len(traced.rows)
+        assert sorted(s.track for s in replays) == list(range(len(traced.rows)))
+        for replay in replays:
+            children = [s for s in tracer.spans if s.parent_id == replay.span_id]
+            assert children and all(s.track == replay.track for s in children)
+            assert sum(s.args["count"] for s in children) == replay.args["lines"]
+        assert validate_chrome(to_chrome(tracer)) == []
+
+
+#: The options that fed or placed the per-operator profiler, by function.
+_REMOVED_OPTIONS = [
+    (TimingModel, "profiler"),
+    (replay_line_trace, "profiler"),
+    (replay_line_trace, "op_type"),
+    (replay_line_trace, "t0_s"),
+    (measure_sls_trace_mpki, "profiler"),
+    (measure_sls_trace_mpki, "t0_s"),
+    (measure_trace_hit_ratio, "tracer"),
+    (measure_trace_hit_ratio, "profiler"),
+    (measure_trace_hit_ratio, "track"),
+    (measure_trace_hit_ratio, "t0_s"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, option",
+    _REMOVED_OPTIONS,
+    ids=[f"{fn.__name__}-{option}" for fn, option in _REMOVED_OPTIONS],
+)
+def test_profiler_options_are_gone(fn, option):
+    with pytest.raises(TypeError):
+        inspect.signature(fn).bind_partial(**{option: None})
+
+
+def test_profiler_is_gone():
+    with pytest.raises(ImportError):
+        from repro.obs import OpProfiler  # noqa: F401
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.obs.profile")
+    # The parameters after a removed one are keyword-only, so an old
+    # positional call fails instead of binding to the wrong parameter.
+    for fn, args in [
+        (TimingModel, (BROADWELL, None)),
+        (replay_line_trace, (None, None, None)),
+        (measure_sls_trace_mpki, (None, BROADWELL, None, None)),
+    ]:
+        with pytest.raises(TypeError):
+            inspect.signature(fn).bind(*args)
 
 
 class TestDistributedTracing:

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     PRODUCTION_PRESETS,
-    RMC1_SMALL,
     RMC2_SMALL,
     EmbeddingTableConfig,
 )
@@ -36,7 +35,6 @@ from repro.hw import (
     TimingModel,
 )
 from repro.memory import NmpGeometry
-from repro.obs import OpProfiler
 from repro.serving import ContentionLevels, ServingSimulator
 
 BATCH = 32
@@ -102,40 +100,6 @@ def test_per_op_equals_pricing_every_operator(config, server, nmp):
             assert latency.total_seconds == sum(op.seconds for op in expected)
             seconds = tm.model_seconds(config, BATCH, state, sls_hit_ratio=hit)
             assert seconds == latency.total_seconds, (name, hit)
-
-
-class _Recorder(OpProfiler):
-    """An :class:`OpProfiler` that also keeps every call, in order."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def record_timed_op(self, op, frequency_ghz, bytes_moved):
-        self.calls.append((op, frequency_ghz, bytes_moved))
-        super().record_timed_op(op, frequency_ghz, bytes_moved)
-
-
-@pytest.mark.parametrize("nmp", [False, True], ids=["host", "nmp"])
-def test_profiler_hears_every_operator_in_order(nmp):
-    geometry = NmpGeometry() if nmp else None
-    profiled, reference = _Recorder(), _Recorder()
-    tm = TimingModel(BROADWELL, profiler=profiled, nmp=geometry)
-    per_op_tm = TimingModel(BROADWELL, profiler=reference, nmp=geometry)
-    plain = TimingModel(BROADWELL, nmp=geometry)
-    for config in (RMC2_SMALL, RMC1_SMALL):
-        for state in _states(plain, config).values():
-            latency = tm.model_latency(config, BATCH, state)
-            _per_op_reference(per_op_tm, config, state, None)
-            assert latency == plain.model_latency(config, BATCH, state)
-            seconds = tm.model_seconds(config, BATCH, state)
-            _per_op_reference(per_op_tm, config, state, None)
-            assert seconds == plain.model_seconds(config, BATCH, state)
-            assert seconds == latency.total_seconds
-    assert profiled.calls == reference.calls
-    assert profiled.by_op_type == reference.by_op_type
-    ops = len(config_ops(RMC2_SMALL)) + len(config_ops(RMC1_SMALL))
-    assert len(profiled.calls) == 2 * 4 * ops
 
 
 @st.composite
