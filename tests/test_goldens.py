@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from repro.analysis.distributions import summarize
-from repro.config import PRODUCTION_PRESETS, RMC1_SMALL, RMC2_SMALL
+from repro.config import PRODUCTION_PRESETS, RMC1_SMALL, RMC2_SMALL, RMC3_SMALL
 from repro.core.graph import config_ops
 from repro.core.operators.base import (
     OP_ACTIVATION,
@@ -43,6 +43,8 @@ from repro.serving import (
     LoadSpike,
     MixedModelLoadGenerator,
     ModelClassRate,
+    MultiModelPool,
+    MultiModelRouter,
     PoissonLoadGenerator,
     ServingSimulator,
 )
@@ -50,6 +52,7 @@ from repro.serving.faults import ResiliencePolicy, ResilientRouter, fault_storm
 from repro.serving.router import POLICIES, RequestRouter, compare_policies
 from tests.oracles.resilient_router import run_reference
 from tests.reference_loops import reference_loops
+from tests.test_multimodel import flat_trace
 from tests.test_pricing import MIXED_TABLES, _states
 
 
@@ -648,6 +651,65 @@ def _multimodel_payload(result):
 
 def test_multimodel_golden(golden):
     golden("multimodel", _multimodel_payload(figmm_multimodel.run()))
+
+
+# --- Exact-bit multi-model golden --------------------------------------------
+#
+# The Figure MM golden rounds, so it cannot show that a change kept every
+# latency. This one hashes each arm's per-model latencies (float64, model by
+# model), its integer books and its two utilizations, for Figure MM at
+# seed 0 (86 swaps) and its default seed 23 (23 swaps, 11 drain claims),
+# and for one run over a pool with one slot per replica (184 swaps).
+
+
+def _multimodel_bits(result):
+    digest = hashlib.sha256()
+    for lats in result.latencies_by_model:
+        digest.update(np.asarray(lats, dtype=np.float64).tobytes())
+    counts = (
+        *result.offered_by_model,
+        *result.completed_by_model,
+        result.loads,
+        result.swaps,
+        result.thrash,
+        *result.swaps_by_model,
+        *result.resident_slots_by_model,
+        result.max_queue_depth,
+        result.hol_bypasses,
+        result.drain_claims,
+    )
+    digest.update(np.array(counts, dtype=np.int64).tobytes())
+    utilizations = (result.residency_utilization, result.busy_utilization)
+    digest.update(np.array(utilizations, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _multimodel_bits_payload():
+    payload = {}
+    for seed in (0, 23):
+        result = figmm_multimodel.run(seed=seed)
+        payload[f"figmm/seed{seed}"] = {
+            "mixed": _multimodel_bits(result.mixed),
+            **{
+                f"static/{name}": _multimodel_bits(result.static_by_model[i])
+                for i, name in enumerate(result.model_names)
+            },
+        }
+    pool = MultiModelPool(
+        (BROADWELL, SKYLAKE),
+        (RMC1_SMALL, RMC2_SMALL, RMC3_SMALL),
+        slots_per_replica=1,
+        thrash_window_s=0.05,
+    )
+    one_slot = MultiModelRouter(pool, seed=3).run(
+        0.05, flat_trace(0.05, 6000.0, seed=3)
+    )
+    payload["one_slot"] = _multimodel_bits(one_slot)
+    return payload
+
+
+def test_multimodel_bits_golden(golden):
+    golden("multimodel_bits", _multimodel_bits_payload())
 
 
 def _fignmp_payload(result):
