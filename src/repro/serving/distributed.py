@@ -33,6 +33,7 @@ from dataclasses import dataclass, replace
 from ..config.model_config import ModelConfig
 from ..core.graph import config_ops
 from ..core.operators.base import OP_SLS
+from ..data.sparse import _integer
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.metrics import MetricsRegistry
@@ -44,6 +45,7 @@ from .domains import (
     diverse_domain_order,
 )
 from .faults import _merge_intervals, degraded_quality
+from .loadgen import _require_finite
 
 
 @dataclass(frozen=True)
@@ -59,6 +61,11 @@ class NetworkConfig:
     bandwidth_bytes_per_s: float = 25e9 / 8
 
     def __post_init__(self) -> None:
+        _require_finite(
+            "NetworkConfig",
+            rtt_s=self.rtt_s,
+            bandwidth_bytes_per_s=self.bandwidth_bytes_per_s,
+        )
         if self.rtt_s < 0 or self.bandwidth_bytes_per_s <= 0:
             raise ValueError("invalid network parameters")
 
@@ -124,7 +131,7 @@ def min_shards_for_capacity(
 
 def shard_tables(config: ModelConfig, num_shards: int) -> ShardPlan:
     """Greedy largest-first partition of tables by storage bytes."""
-    if num_shards < 1:
+    if _integer("num_shards", num_shards) < 1:
         raise ValueError("need at least one shard")
     sizes = [
         (i, t.storage_bytes(config.dtype))
@@ -207,7 +214,7 @@ def replicate_shards(
     message when ``replication_factor`` exceeds the number of domains —
     the spread constraint is then infeasible.
     """
-    if replication_factor < 1:
+    if _integer("replication_factor", replication_factor) < 1:
         raise ValueError("replication factor must be positive")
     if spread is None:
         spread = best_spread(topology, replication_factor)
@@ -289,6 +296,8 @@ def distributed_latency(
     :func:`degraded_fanout_quality`. ``replication=None`` reproduces the
     unreplicated prediction bit for bit.
     """
+    if _integer("batch_size", batch_size) < 1:
+        raise ValueError("batch_size must be positive")
     timing = TimingModel(server)
     specs = config_ops(config)
     sls_specs = [s for s in specs if s.op_type == OP_SLS]

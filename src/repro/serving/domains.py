@@ -18,12 +18,12 @@ cross-machine structure). This module adds the missing structure:
 * **Compilation** — :meth:`DomainSchedule.expand_to_schedule` lowers a
   domain schedule to ordinary per-replica
   :class:`~repro.serving.faults.FaultSchedule` primitives. The router
-  (its Python loop and its kernel alike) and the multi-model router
-  consume the expanded schedule unchanged, so every bit-identity proof
-  keeps holding; the crash-vs-partition distinction matters only to the
-  shard-recovery model (:mod:`repro.serving.distributed`), which a router
-  cannot observe anyway (a dead replica and an unreachable one refuse
-  connections the same way).
+  (its Python loop and its kernel alike) consumes the expanded schedule
+  unchanged, so every bit-identity proof keeps holding; the
+  crash-vs-partition distinction matters only to the shard-recovery model
+  (:mod:`repro.serving.distributed`), which a router cannot observe anyway
+  (a dead replica and an unreachable one refuse connections the same
+  way).
 * :func:`domain_storm` — a seeded generator of correlated storms, the
   domain-level sibling of :func:`~repro.serving.faults.fault_storm`.
 

@@ -40,6 +40,16 @@ def _require_seed(owner: str, seed) -> None:
         raise ValueError(f"{owner}.seed must be non-negative, got {seed!r}")
 
 
+def _require_num_items(owner: str, num_items) -> None:
+    """Reject an item count that is not a positive integer (numpy ints pass).
+
+    Checked once per generator, not per query: every query it stamps
+    carries this value.
+    """
+    if _integer(f"{owner}.num_items", num_items) < 1:
+        raise ValueError(f"{owner}.num_items must be positive, got {num_items!r}")
+
+
 def _require_counts(owner: str, **counts: int) -> None:
     """Reject a count that is not a non-negative integer (numpy ints pass)."""
     for name, value in counts.items():
@@ -133,8 +143,7 @@ class PoissonLoadGenerator:
         _require_seed("PoissonLoadGenerator", seed)
         if rate_qps <= 0:
             raise ValueError("rate must be positive")
-        if num_items < 1:
-            raise ValueError("num_items must be positive")
+        _require_num_items("PoissonLoadGenerator", num_items)
         self.rate_qps = rate_qps
         self.num_items = num_items
         self._rng = np.random.default_rng(seed)
@@ -284,8 +293,7 @@ class DiurnalLoadGenerator:
             raise ValueError("amplitude must be in [0, 1]")
         if period_s <= 0:
             raise ValueError("period must be positive")
-        if num_items < 1:
-            raise ValueError("num_items must be positive")
+        _require_num_items("DiurnalLoadGenerator", num_items)
         self.mean_qps = mean_qps
         self.amplitude = amplitude
         self.period_s = period_s
@@ -402,8 +410,7 @@ class MixedModelLoadGenerator:
         _require_seed("MixedModelLoadGenerator", seed)
         if period_s <= 0:
             raise ValueError("period must be positive")
-        if num_items < 1:
-            raise ValueError("num_items must be positive")
+        _require_num_items("MixedModelLoadGenerator", num_items)
         self.classes = tuple(classes)
         self.period_s = period_s
         self.num_items = num_items

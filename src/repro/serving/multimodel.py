@@ -19,8 +19,7 @@ Three mechanisms, all deterministic on the DES clock:
   (every registered model must fit a single replica un-sharded). Slots
   are uniformly sized to the largest registered model, so any model can
   load into any free slot. A model swap costs its embedding-table bytes
-  at the replica's DRAM bandwidth, stretched by any active bandwidth
-  fault.
+  at the replica's DRAM bandwidth.
 * **Drain-before-swap guard** — the router takes slots through three
   pool calls. A hit is :meth:`MultiModelPool.idle_resident_slot` then
   :meth:`MultiModelPool.begin_service`; a load is
@@ -41,11 +40,11 @@ Three mechanisms, all deterministic on the DES clock:
   a per-request skip cap bounds how often the queue head may be bypassed
   before it locks the queue and forces its swap.
 
-One event loop drives the DES: a single heap holds arrivals, fault
-transitions, completions and load-dones, and service noise is drawn one
-scalar lognormal at a time. Overload protection is admission-only here:
-circuit breakers and brownout stay router-per-model concerns
-(:class:`~repro.serving.faults.ResilientRouter`).
+One event loop drives the DES: a single heap holds arrivals, completions
+and load-dones, and service noise is drawn one scalar lognormal at a
+time. Fault injection and admission control live in
+:class:`~repro.serving.faults.ResilientRouter`; every request offered
+here completes.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config.model_config import ModelConfig
-from ..core.operators.base import OP_SLS
 from ..data.sparse import _integer
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
@@ -65,14 +63,6 @@ from ..obs.quantiles import quantile
 from ..obs.tracer import as_tracer
 from .distributed import min_shards_for_capacity
 from .loadgen import _require_finite, _require_seed
-from .overload import (
-    SHED_CODEL,
-    SHED_DEADLINE,
-    SHED_OLDEST,
-    SHED_QUEUE_FULL,
-    OverloadConfig,
-    OverloadStats,
-)
 from .router import SERVICE_NOISE_SIGMA
 
 __all__ = [
@@ -89,12 +79,17 @@ SLOT_EMPTY = 0
 SLOT_LOADING = 1
 SLOT_RESIDENT = 2
 
-# Dynamic DES event kinds (the event loop tags arrivals -1 and fault
-# transitions -2).
+# Dynamic DES event kinds (the event loop tags arrivals -1).
 _EV_COMPLETE = 0
 _EV_LOAD_DONE = 1
 
 _NO_MODEL = -1
+
+# Head-of-line rotation: how deep the dispatch scan looks into a replica's
+# queue, and how many times warm work may bypass the queue head before it
+# locks the queue and forces its swap.
+_HOL_SCAN_WINDOW = 16
+_HOL_SKIP_CAP = 4
 
 
 class _Slot:
@@ -111,9 +106,6 @@ class _Slot:
     )
 
     def __init__(self) -> None:
-        self.clear()
-
-    def clear(self) -> None:
         self.state = SLOT_EMPTY
         self.model = _NO_MODEL
         self.busy = False
@@ -243,7 +235,6 @@ class MultiModelPool:
         self.loads = 0
         self.swaps = 0
         self.thrash = 0
-        self.loads_by_model = [0] * len(self.models)
         self.swaps_by_model = [0] * len(self.models)
         self._n_resident = 0
         self._n_loading = 0
@@ -252,7 +243,6 @@ class MultiModelPool:
         self._clock_s = 0.0
         self.resident_slot_s = 0.0
         self.loading_slot_s = 0.0
-        self.draining_slot_s = 0.0
         self.busy_slot_s = 0.0
 
     def slot(self, replica: int, slot: int) -> _Slot:
@@ -263,7 +253,6 @@ class MultiModelPool:
         if dt_s > 0.0:
             self.resident_slot_s += dt_s * self._n_resident
             self.loading_slot_s += dt_s * self._n_loading
-            self.draining_slot_s += dt_s * self._n_draining
             self.busy_slot_s += dt_s * self._n_busy
             self._clock_s = now_s
 
@@ -398,7 +387,6 @@ class MultiModelPool:
         s.pending_model = _NO_MODEL
         self._n_loading += 1
         self.loads += 1
-        self.loads_by_model[model] += 1
         if evicted != _NO_MODEL:
             self.swaps_by_model[model] += 1
         return _LoadStart(
@@ -502,20 +490,6 @@ class MultiModelPool:
         s.last_used_s = now_s
         self._n_busy -= 1
 
-    def crash(self, replica: int, now_s: float) -> None:
-        """Cold restart: residency is lost, every slot back to empty."""
-        self._integrate(now_s)
-        for s in self._slots[replica]:
-            if s.draining:
-                self._n_draining -= 1
-            elif s.state == SLOT_LOADING:
-                self._n_loading -= 1
-            elif s.state == SLOT_RESIDENT:
-                self._n_resident -= 1
-            if s.busy:
-                self._n_busy -= 1
-            s.clear()
-
     def residency_utilization(self, duration_s: float) -> float:
         """Time-weighted fraction of slot-time holding a resident model."""
         if duration_s <= 0:
@@ -532,9 +506,8 @@ class MultiModelResult:
 
     Per-model tuples are indexed like ``model_names``. ``latencies_by_model``
     holds completion-ordered latencies (seconds). Conservation: per
-    model, ``offered == completed + shed + killed`` (every request
-    reaches a terminal state; crashes kill both in-flight and queued
-    work).
+    model, ``offered == completed`` (the run serves every request it is
+    offered to completion).
     """
 
     duration_s: float
@@ -542,8 +515,6 @@ class MultiModelResult:
     replica_names: tuple[str, ...]
     offered_by_model: tuple[int, ...]
     completed_by_model: tuple[int, ...]
-    shed_by_model: tuple[int, ...]
-    killed_by_model: tuple[int, ...]
     latencies_by_model: tuple
     loads: int
     swaps: int
@@ -555,7 +526,6 @@ class MultiModelResult:
     max_queue_depth: int
     hol_bypasses: int
     drain_claims: int
-    overload: OverloadStats | None
 
     @property
     def offered(self) -> int:
@@ -564,14 +534,6 @@ class MultiModelResult:
     @property
     def completed(self) -> int:
         return sum(self.completed_by_model)
-
-    @property
-    def shed(self) -> int:
-        return sum(self.shed_by_model)
-
-    @property
-    def killed(self) -> int:
-        return sum(self.killed_by_model)
 
     @property
     def throughput_qps(self) -> float:
@@ -599,8 +561,6 @@ class MultiModelResult:
         return {
             "offered": self.offered,
             "completed": self.completed,
-            "shed": self.shed,
-            "killed": self.killed,
             "throughput_qps": self.throughput_qps,
             "loads": self.loads,
             "swaps": self.swaps,
@@ -611,8 +571,6 @@ class MultiModelResult:
                 name: {
                     "offered": self.offered_by_model[i],
                     "completed": self.completed_by_model[i],
-                    "shed": self.shed_by_model[i],
-                    "killed": self.killed_by_model[i],
                     "p99_s": self.p99_s(i),
                 }
                 for i, name in enumerate(self.model_names)
@@ -626,19 +584,15 @@ class MultiModelResult:
 class _Core:
     """DES state and every state transition, driven by the router's loop."""
 
-    def __init__(self, router, arrivals_s, model_ids, duration_s, faults, noise_factor, tracer):
+    def __init__(self, router, arrivals_s, model_ids, noise_factor, tracer):
         self.router = router
         self.pool = router.pool
         self.arrivals_s = arrivals_s
         self.model_ids = model_ids
-        self.duration_s = duration_s
-        self.faults = faults
         self.noise_factor = noise_factor
         self.tracer = tracer
         num_models = len(self.pool.models)
         num_replicas = self.pool.num_replicas
-        self.up = [True] * num_replicas
-        self.epoch = [0] * num_replicas
         self.queues: list[list[int]] = [[] for _ in range(num_replicas)]
         self.serving_count = [0] * num_replicas
         self.active = [[-1] * n for n in self.pool.num_slots]
@@ -646,21 +600,12 @@ class _Core:
         self.start_s = [0.0] * len(arrivals_s)
         self.offered_by_model = [0] * num_models
         self.completed_by_model = [0] * num_models
-        self.shed_by_model = [0] * num_models
-        self.killed_by_model = [0] * num_models
         self.latencies_by_model: list[list[float]] = [[] for _ in range(num_models)]
         self.max_queue_depth = 0
         self.hol_bypasses = 0
         self.drain_claims = 0
         self.end_s = 0.0
-        admission = router.admission
-        self.admission = admission
-        self.ovl = OverloadStats() if admission is not None else None
-        self.codel = [
-            admission.make_codel() if admission is not None else None
-            for _ in range(num_replicas)
-        ]
-        # The driving loop installs `push(t_s, kind, replica, slot, epoch)`.
+        # The driving loop installs `push(t_s, kind, replica, slot)`.
         self.push = None
 
     # ------------------------------------------------------------ helpers
@@ -668,44 +613,16 @@ class _Core:
     def _backlog(self, replica: int) -> int:
         return len(self.queues[replica]) + self.serving_count[replica]
 
-    def _bw_stretch(self, replica: int, now_s: float) -> float:
-        """Bandwidth-fault stretch on table loads (stragglers excluded).
-
-        ``service_multiplier`` composes straggler and bandwidth effects;
-        the fully-memory-bound over compute-bound ratio isolates the
-        bandwidth term, which is the one that throttles a DRAM-rate
-        table load.
-        """
-        if self.faults is None:
-            return 1.0
-        full = self.faults.service_multiplier(replica, now_s, 1.0)
-        none = self.faults.service_multiplier(replica, now_s, 0.0)
-        return full / none
-
-    def _shed(self, qid: int, replica: int, reason: str, now_s: float) -> None:
-        model = self.model_ids[qid]
-        self.shed_by_model[model] += 1
-        if self.ovl is not None:
-            self.ovl.count_shed(reason)
-        if self.tracer.enabled:
-            self.tracer.instant(
-                "serving.multimodel.shed",
-                now_s,
-                track=replica,
-                reason=reason,
-                model=self.pool.model_names[model],
-            )
-
     def _start_swap(self, replica: int, start, now_s: float) -> None:
         """Schedule the load-done event and record one swap's telemetry."""
-        swap_s = start.swap_base_s * self._bw_stretch(replica, now_s)
-        self.push(now_s + swap_s, _EV_LOAD_DONE, replica, start.slot, self.epoch[replica])
+        done_s = now_s + start.swap_base_s
+        self.push(done_s, _EV_LOAD_DONE, replica, start.slot)
         if self.tracer.enabled:
             names = self.pool.model_names
             self.tracer.complete(
                 "serving.multimodel.swap",
                 now_s,
-                now_s + swap_s,
+                done_s,
                 track=replica,
                 slot=start.slot,
                 model=names[self.pool.slot(replica, start.slot).model],
@@ -722,46 +639,18 @@ class _Core:
     def on_arrival(self, qid: int, now_s: float) -> None:
         model = self.model_ids[qid]
         self.offered_by_model[model] += 1
-        candidates = [r for r in range(self.pool.num_replicas) if self.up[r]]
-        if not candidates:
-            self.killed_by_model[model] += 1
-            return
-        affine = [r for r in candidates if self.pool.has_affinity(r, model)]
-        group = affine if affine else candidates
+        replicas = range(self.pool.num_replicas)
+        affine = [r for r in replicas if self.pool.has_affinity(r, model)]
+        group = affine if affine else replicas
         pick = min(group, key=lambda r: (self._backlog(r), r))
         queue = self.queues[pick]
-        if self.admission is not None:
-            self.ovl.offered += 1
-            policy = self.admission
-            if policy.shed_policy == "deadline_aware":
-                expected_s = self.router.service_s[pick][model]
-                waiting = len(queue) + self.serving_count[pick]
-                projected_s = (
-                    waiting * expected_s / self.pool.num_slots[pick]
-                    + expected_s
-                )
-                if projected_s > policy.deadline_s:
-                    self._shed(qid, pick, SHED_DEADLINE, now_s)
-                    return
-            if len(queue) >= policy.queue_capacity:
-                if policy.shed_policy == "reject_oldest":
-                    oldest = queue.pop(0)
-                    self._shed(oldest, pick, SHED_OLDEST, now_s)
-                else:
-                    self._shed(qid, pick, SHED_QUEUE_FULL, now_s)
-                    return
-            self.ovl.admitted += 1
         queue.append(qid)
         depth = len(queue)
         if depth > self.max_queue_depth:
             self.max_queue_depth = depth
-        if self.ovl is not None and depth > self.ovl.max_queue_depth:
-            self.ovl.max_queue_depth = depth
         self.try_dispatch(pick, now_s)
 
-    def on_complete(self, replica: int, slot: int, epoch: int, now_s: float) -> None:
-        if epoch != self.epoch[replica] or not self.up[replica]:
-            return
+    def on_complete(self, replica: int, slot: int, now_s: float) -> None:
         qid = self.active[replica][slot]
         self.active[replica][slot] = -1
         model = self.model_ids[qid]
@@ -789,58 +678,24 @@ class _Core:
             return
         self.try_dispatch(replica, now_s)
 
-    def on_load_done(self, replica: int, slot: int, epoch: int, now_s: float) -> None:
-        if epoch != self.epoch[replica] or not self.up[replica]:
-            return
+    def on_load_done(self, replica: int, slot: int, now_s: float) -> None:
         self.pool.finish_load(replica, slot, now_s)
         self.end_s = now_s
         self.try_dispatch(replica, now_s)
-
-    def on_fault(self, replica: int, goes_down: bool, now_s: float) -> None:
-        if goes_down:
-            if not self.up[replica]:
-                return
-            self.up[replica] = False
-            self.epoch[replica] += 1
-            self.end_s = now_s
-            for slot, qid in enumerate(self.active[replica]):
-                if qid >= 0:
-                    self.killed_by_model[self.model_ids[qid]] += 1
-                    self.active[replica][slot] = -1
-            for qid in self.queues[replica]:
-                self.killed_by_model[self.model_ids[qid]] += 1
-            self.queues[replica].clear()
-            self.serving_count[replica] = 0
-            self.pool.crash(replica, now_s)
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "serving.multimodel.crash", now_s, track=replica
-                )
-        else:
-            if self.up[replica]:
-                return
-            self.up[replica] = True
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "serving.multimodel.restart", now_s, track=replica
-                )
 
     # ----------------------------------------------------------- dispatch
 
     def try_dispatch(self, replica: int, now_s: float) -> None:
         """Serve, load, or claim — the head-of-line rotation loop."""
-        if not self.up[replica]:
-            return
         pool = self.pool
         model_ids = self.model_ids
-        router = self.router
         queue = self.queues[replica]
         while queue:
             head = queue[0]
             # Rotation window: a head that exhausted its skip budget locks
             # the queue (starvation guard) — only it may dispatch or swap.
-            if self.skips[head] < router.hol_skip_cap:
-                window = min(len(queue), router.hol_scan_window)
+            if self.skips[head] < _HOL_SKIP_CAP:
+                window = min(len(queue), _HOL_SCAN_WINDOW)
             else:
                 window = 1
             served = False
@@ -853,13 +708,7 @@ class _Core:
                 if pos > 0:
                     self.skips[head] += 1
                     self.hol_bypasses += 1
-                codel = self.codel[replica]
-                if codel is not None and codel.on_dequeue(
-                    now_s - self.arrivals_s[qid], now_s
-                ):
-                    self._shed(qid, replica, SHED_CODEL, now_s)
-                else:
-                    self._dispatch(replica, slot, qid, now_s)
+                self._dispatch(replica, slot, qid, now_s)
                 served = True
                 break
             if served:
@@ -904,15 +753,8 @@ class _Core:
         self.active[replica][slot] = qid
         self.serving_count[replica] += 1
         self.start_s[qid] = now_s
-        base_s = self.router.service_s[replica][model]
-        if self.faults is not None:
-            base_s *= self.faults.service_multiplier(
-                replica, now_s, self.router.memory_fraction[replica][model]
-            )
-        service_s = base_s * self.noise_factor()
-        self.push(
-            now_s + service_s, _EV_COMPLETE, replica, slot, self.epoch[replica]
-        )
+        service_s = self.router.service_s[replica][model] * self.noise_factor()
+        self.push(now_s + service_s, _EV_COMPLETE, replica, slot)
 
 
 # ---------------------------------------------------------------- router
@@ -925,14 +767,6 @@ class MultiModelRouter:
         pool: the residency pool to route over; it fixes the replicas,
             the models and the slot layout.
         batch_size: inference batch per request (prices service times).
-        hol_skip_cap: how many times the queue head may be bypassed by
-            warm-resident work before it locks the queue.
-        hol_scan_window: how deep the rotation scans the queue.
-        overload: optional :class:`~repro.serving.overload.OverloadConfig`.
-            Admission control only — circuit breakers and brownout are
-            per-model router concerns
-            (:class:`~repro.serving.faults.ResilientRouter`); passing
-            them raises.
         seed: RNG seed (service noise).
         tracer: optional :class:`~repro.obs.tracer.Tracer`; spans/instants
             under ``serving.multimodel.*``. Purely observational.
@@ -946,32 +780,15 @@ class MultiModelRouter:
         pool: MultiModelPool,
         *,
         batch_size: int = 8,
-        hol_skip_cap: int = 4,
-        hol_scan_window: int = 16,
-        overload: OverloadConfig | None = None,
         seed: int = 0,
         tracer=None,
         metrics=None,
     ) -> None:
         if _integer("batch_size", batch_size) < 1:
             raise ValueError("batch_size must be positive")
-        if _integer("hol_skip_cap", hol_skip_cap) < 0:
-            raise ValueError("hol_skip_cap must be non-negative")
-        if _integer("hol_scan_window", hol_scan_window) < 1:
-            raise ValueError("hol_scan_window must be positive")
         _require_seed("MultiModelRouter", seed)
-        self.admission = None
-        if overload is not None:
-            if overload.breaker is not None or overload.brownout is not None:
-                raise ValueError(
-                    "MultiModelRouter supports only admission control; "
-                    "circuit breakers and brownout live in ResilientRouter"
-                )
-            self.admission = overload.admission
         self.pool = pool
         self.batch_size = batch_size
-        self.hol_skip_cap = hol_skip_cap
-        self.hol_scan_window = hol_scan_window
         self.seed = seed
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
@@ -979,19 +796,13 @@ class MultiModelRouter:
         for spec in pool.replicas:
             if spec.name not in timings:
                 timings[spec.name] = TimingModel(spec)
-        self.service_s: list[list[float]] = []
-        self.memory_fraction: list[list[float]] = []
-        for spec in pool.replicas:
-            row_s = []
-            row_frac = []
-            for config in pool.models:
-                latency = timings[spec.name].model_latency(config, batch_size)
-                row_s.append(latency.total_seconds)
-                row_frac.append(
-                    latency.fraction_by_op_type().get(OP_SLS, 0.0)
-                )
-            self.service_s.append(row_s)
-            self.memory_fraction.append(row_frac)
+        self.service_s: list[list[float]] = [
+            [
+                timings[spec.name].model_seconds(config, batch_size)
+                for config in pool.models
+            ]
+            for spec in pool.replicas
+        ]
 
     # ------------------------------------------------------------ arrivals
 
@@ -1017,9 +828,7 @@ class MultiModelRouter:
 
     # ----------------------------------------------------------------- run
 
-    def run(
-        self, duration_s: float, queries, *, faults=None
-    ) -> MultiModelResult:
+    def run(self, duration_s: float, queries) -> MultiModelResult:
         """Serve a time-ordered trace for ``duration_s`` seconds.
 
         ``queries`` are :class:`~repro.serving.loadgen.MixedQuery` (e.g.
@@ -1033,11 +842,6 @@ class MultiModelRouter:
         rng = np.random.default_rng(self.seed)
         arrivals_s, model_ids = self._queries_to_arrays(queries, duration_s)
         self.pool.reset()
-        fault_events = (
-            faults.transition_events(self.pool.num_replicas)
-            if faults is not None
-            else []
-        )
         tracer = self.tracer
         if tracer.enabled:
             for r, spec in enumerate(self.pool.replicas):
@@ -1047,14 +851,12 @@ class MultiModelRouter:
             self,
             arrivals_s,
             model_ids,
-            duration_s,
-            faults,
             lambda: float(
                 rng.lognormal(mean=log_mean, sigma=SERVICE_NOISE_SIGMA)
             ),
             tracer,
         )
-        self._drive(core, fault_events)
+        self._drive(core)
         end_s = max(duration_s, core.end_s)
         self.pool.finalize(end_s)
         result = MultiModelResult(
@@ -1063,8 +865,6 @@ class MultiModelRouter:
             replica_names=tuple(spec.name for spec in self.pool.replicas),
             offered_by_model=tuple(core.offered_by_model),
             completed_by_model=tuple(core.completed_by_model),
-            shed_by_model=tuple(core.shed_by_model),
-            killed_by_model=tuple(core.killed_by_model),
             latencies_by_model=tuple(
                 tuple(lats) for lats in core.latencies_by_model
             ),
@@ -1081,7 +881,6 @@ class MultiModelRouter:
             max_queue_depth=core.max_queue_depth,
             hol_bypasses=core.hol_bypasses,
             drain_claims=core.drain_claims,
-            overload=core.ovl,
         )
         if self.metrics is not None:
             self._record_metrics(result)
@@ -1089,34 +888,25 @@ class MultiModelRouter:
 
     # -------------------------------------------------------- event loop
 
-    def _drive(self, core: _Core, fault_events) -> None:
+    def _drive(self, core: _Core) -> None:
         """One heap, every event."""
-        heap = []
-        seq = 0
-        for qid, t_s in enumerate(core.arrivals_s):
-            heap.append((t_s, seq, -1, qid, 0, 0))
-            seq += 1
-        for t_s, replica, goes_down in fault_events:
-            heap.append((t_s, seq, -2, replica, int(goes_down), 0))
-            seq += 1
+        heap = [(t_s, qid, -1, qid, 0) for qid, t_s in enumerate(core.arrivals_s)]
         heapq.heapify(heap)
-        counter = [seq]
+        counter = [len(heap)]
 
-        def push(t_s, kind, replica, slot, epoch):
+        def push(t_s, kind, replica, slot):
             counter[0] += 1
-            heapq.heappush(heap, (t_s, counter[0], kind, replica, slot, epoch))
+            heapq.heappush(heap, (t_s, counter[0], kind, replica, slot))
 
         core.push = push
         while heap:
-            t_s, _, kind, a, b, epoch = heapq.heappop(heap)
+            t_s, _, kind, a, b = heapq.heappop(heap)
             if kind == -1:
                 core.on_arrival(a, t_s)
-            elif kind == -2:
-                core.on_fault(a, bool(b), t_s)
             elif kind == _EV_COMPLETE:
-                core.on_complete(a, b, epoch, t_s)
+                core.on_complete(a, b, t_s)
             else:
-                core.on_load_done(a, b, epoch, t_s)
+                core.on_load_done(a, b, t_s)
 
     # ----------------------------------------------------------- metrics
 
@@ -1138,7 +928,3 @@ class MultiModelRouter:
             registry.gauge(
                 "serving.multimodel.slot_occupancy", model=name
             ).set(result.resident_slots_by_model[i])
-        if result.overload is not None:
-            registry.counter("serving.overload.shed").inc(
-                result.overload.shed
-            )

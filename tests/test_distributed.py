@@ -1,13 +1,17 @@
 """Tests for sharded (distributed) inference."""
 
+import math
+
 import pytest
 
 from repro.config import RMC1_SMALL, RMC2_SMALL
 from repro.hw import BROADWELL
 from repro.serving import (
+    FleetTopology,
     NetworkConfig,
     distributed_latency,
     min_shards_for_capacity,
+    replicate_shards,
     shard_tables,
     sharding_sweep,
 )
@@ -133,3 +137,58 @@ class TestDistributedLatency:
     def test_rejects_bad_network(self):
         with pytest.raises(ValueError):
             NetworkConfig(rtt_s=-1)
+
+
+def _replicate(factor):
+    plan = shard_tables(RMC1_SMALL, 2)
+    return replicate_shards(plan, FleetTopology(num_replicas=8), factor)
+
+
+def _price(batch_size):
+    plan = shard_tables(RMC1_SMALL, 2)
+    return distributed_latency(BROADWELL, RMC1_SMALL, batch_size, plan)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        # A fractional shard count raised a TypeError; True built a plan
+        # of True shards.
+        pytest.param(
+            lambda: shard_tables(RMC1_SMALL, 2.5), "num_shards",
+            id="shards-fractional",
+        ),
+        pytest.param(
+            lambda: shard_tables(RMC1_SMALL, True), "num_shards",
+            id="shards-bool",
+        ),
+        # 2.5 copies raised a TypeError; True built a plan of True copies.
+        pytest.param(
+            lambda: _replicate(2.5), "replication_factor",
+            id="replication-fractional",
+        ),
+        pytest.param(
+            lambda: _replicate(True), "replication_factor",
+            id="replication-bool",
+        ),
+        # A fractional batch priced a fractional inference, and True a
+        # batch of one.
+        pytest.param(lambda: _price(2.5), "batch_size", id="batch-fractional"),
+        pytest.param(lambda: _price(True), "batch_size", id="batch-bool"),
+        # A nan link made every transfer nan, an infinite RTT every one inf.
+        pytest.param(
+            lambda: NetworkConfig(rtt_s=math.nan), "rtt_s", id="rtt-nan"
+        ),
+        pytest.param(
+            lambda: NetworkConfig(rtt_s=math.inf), "rtt_s", id="rtt-inf"
+        ),
+        pytest.param(
+            lambda: NetworkConfig(bandwidth_bytes_per_s=math.nan),
+            "bandwidth_bytes_per_s",
+            id="bandwidth-nan",
+        ),
+    ],
+)
+def test_hostile_input_names_its_field(build, field):
+    with pytest.raises(ValueError, match=field):
+        build()

@@ -8,6 +8,7 @@ under a fixed seed, and the drain guard's core promise — a slot is never
 dispatched a model other than the one resident in it.
 """
 
+import dataclasses
 import math
 import os
 
@@ -21,13 +22,12 @@ from repro.hw.server import BROADWELL, SKYLAKE
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.serving import (
-    AdmissionPolicy,
-    BreakerPolicy,
     ContentionLevels,
     MixedModelLoadGenerator,
     MixedQuery,
     ModelClassRate,
     MultiModelPool,
+    MultiModelResult,
     MultiModelRouter,
     OverloadConfig,
     ResilientRouter,
@@ -242,15 +242,6 @@ class TestPoolTransitions:
         with pytest.raises(RuntimeError, match="claim"):
             pool.start_pending_load(0, 0, 0.0)
 
-    def test_crash_clears_residency(self):
-        pool = make_pool()
-        idx = pool.acquire_for_load(0, 0, 0.0).slot
-        pool.finish_load(0, idx, 0.001)
-        pool.begin_service(0, idx, 0, 0.002)
-        pool.crash(0, 0.003)
-        pool.verify_occupancy()
-        assert pool.occupancy(0) == (0, 0, 0, 2)
-
     def test_occupancy_time_integral(self):
         pool = make_pool()
         idx = pool.acquire_for_load(0, 0, 0.0).slot
@@ -266,44 +257,39 @@ class TestPoolTransitions:
 
 
 class TestRouterValidation:
-    def test_rejects_breaker_and_brownout(self):
-        with pytest.raises(ValueError, match="admission control"):
-            MultiModelRouter(
-                make_pool(),
-                overload=OverloadConfig(
-                    breaker=BreakerPolicy(
-                        failure_threshold=3,
-                        window_s=1.0,
-                        open_duration_s=1.0,
-                    )
-                ),
+    def test_fault_admission_and_head_of_line_options_are_gone(self):
+        # Fault injection and admission control live in ResilientRouter;
+        # the head-of-line window and skip cap are module constants.
+        pool = make_pool()
+        for option in (
+            {"overload": OverloadConfig()},
+            {"hol_skip_cap": 4},
+            {"hol_scan_window": 16},
+        ):
+            with pytest.raises(TypeError):
+                MultiModelRouter(pool, **option)
+        with pytest.raises(TypeError):
+            MultiModelRouter(pool).run(
+                0.1, [], faults=fault_storm(2, 0.1, seed=1)
             )
+        assert not hasattr(MultiModelPool, "crash")
+        fields = {f.name for f in dataclasses.fields(MultiModelResult)}
+        assert not fields & {"shed_by_model", "killed_by_model", "overload"}
 
     def test_rejects_bad_parameters(self):
-        pool = make_pool()
         with pytest.raises(ValueError, match="batch_size"):
-            MultiModelRouter(pool, batch_size=0)
-        with pytest.raises(ValueError, match="hol_skip_cap"):
-            MultiModelRouter(pool, hol_skip_cap=-1)
-        with pytest.raises(ValueError, match="hol_scan_window"):
-            MultiModelRouter(pool, hol_scan_window=0)
+            MultiModelRouter(make_pool(), batch_size=0)
 
     @pytest.mark.parametrize(
         "field, bad, good",
         [
             ("batch_size", 2.5, np.int64(8)),
             ("batch_size", True, np.int32(4)),
-            ("hol_skip_cap", 1.5, np.int64(0)),
-            ("hol_skip_cap", True, np.int64(2)),
-            ("hol_scan_window", 2.5, np.int64(4)),
-            ("hol_scan_window", True, np.int64(1)),
         ],
         ids=str,
     )
     def test_rejects_non_integral_parameters(self, field, bad, good):
-        # A fractional batch priced a fractional inference, and a
-        # fractional scan window constructed, then raised a TypeError in
-        # run().
+        # A fractional batch priced a fractional inference.
         pool = make_pool()
         MultiModelRouter(pool, **{field: good}).run(
             0.01, flat_trace(0.01, 1000.0)
@@ -341,12 +327,7 @@ class TestRouterRuns:
         result = router.run(
             0.1, flat_trace(0.1, 3000.0, mix=(0.5, 0.3, 0.2), seed=3)
         )
-        for i in range(len(MODELS)):
-            assert result.offered_by_model[i] == (
-                result.completed_by_model[i]
-                + result.shed_by_model[i]
-                + result.killed_by_model[i]
-            )
+        assert result.completed_by_model == result.offered_by_model
         assert result.offered == sum(result.offered_by_model)
         assert result.throughput_qps == result.completed / result.duration_s
         assert len(result.latencies_s()) == result.completed
@@ -361,25 +342,6 @@ class TestRouterRuns:
         second = router.run(0.05, trace)
         assert first.latencies_by_model == second.latencies_by_model
         assert first.summary() == second.summary()
-
-    def test_crash_kills_and_cold_restarts(self):
-        storm = fault_storm(len(REPLICAS), 0.1, seed=12)
-        router = MultiModelRouter(make_pool(), seed=7)
-        result = router.run(0.1, flat_trace(0.1, 4000.0, seed=7), faults=storm)
-        assert result.offered == (
-            result.completed + result.shed + result.killed
-        )
-
-    def test_admission_sheds(self):
-        overload = OverloadConfig(
-            admission=AdmissionPolicy(queue_capacity=2, shed_policy="reject_newest")
-        )
-        router = MultiModelRouter(make_pool(), overload=overload, seed=9)
-        result = router.run(0.05, flat_trace(0.05, 20_000.0, seed=9))
-        assert result.shed > 0
-        assert result.overload is not None
-        assert result.overload.offered == result.offered
-        assert result.overload.admitted + result.overload.shed == result.offered
 
     def test_loadgen_and_trace_paths(self):
         classes = (
@@ -433,8 +395,14 @@ class TestMixedLoadgen:
             )
         with pytest.raises(ValueError, match="period"):
             MixedModelLoadGenerator(self.CLASSES, period_s=0.0)
-        with pytest.raises(ValueError, match="num_items"):
-            MixedModelLoadGenerator(self.CLASSES, num_items=0)
+        # 2.5 stamped 2.5 items on every query, and True one item.
+        for bad in (0, 2.5, True):
+            with pytest.raises(
+                ValueError, match="MixedModelLoadGenerator.num_items"
+            ):
+                MixedModelLoadGenerator(self.CLASSES, num_items=bad)
+        gen = MixedModelLoadGenerator(self.CLASSES, num_items=np.int64(2))
+        assert gen.num_items == 2
 
     def test_generate_is_repeatable_and_sorted(self):
         gen = MixedModelLoadGenerator(self.CLASSES, period_s=0.1, seed=4)
@@ -490,26 +458,18 @@ class TestSlotAccountingProperties:
         seed=st.integers(0, 2**16),
         offered_qps=st.floats(500.0, 8000.0),
         weight=st.floats(0.1, 0.9),
-        with_faults=st.booleans(),
     )
-    def test_occupancy_conservation(
-        self, seed, offered_qps, weight, with_faults
-    ):
+    def test_occupancy_conservation(self, seed, offered_qps, weight):
         pool = AuditedPool(
             REPLICAS, MODELS, slots_per_replica=2, thrash_window_s=0.05
         )
         router = MultiModelRouter(pool, seed=seed)
-        faults = (
-            fault_storm(len(REPLICAS), 0.05, seed=seed + 1)
-            if with_faults
-            else None
-        )
         trace = flat_trace(
             0.05, offered_qps, mix=(weight, 1.0 - weight, weight / 2), seed=seed
         )
-        result = router.run(0.05, trace, faults=faults)
+        result = router.run(0.05, trace)
         pool.verify_occupancy()
-        assert result.offered == result.completed + result.shed + result.killed
+        assert result.completed_by_model == result.offered_by_model
 
     @PROPERTY
     @given(seed=st.integers(0, 2**16))

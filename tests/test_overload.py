@@ -570,6 +570,11 @@ class TestDiurnalLoadGenerator:
             DiurnalLoadGenerator(100.0, amplitude=1.5)
         with pytest.raises(ValueError):
             DiurnalLoadGenerator(100.0, period_s=0.0)
+        # 2.5 stamped 2.5 items on every query, and True one item.
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="DiurnalLoadGenerator.num_items"):
+                DiurnalLoadGenerator(1000.0, num_items=bad)
+        assert DiurnalLoadGenerator(1000.0, num_items=np.int64(2)).num_items == 2
 
 
 # ------------------------------------------------------ figure 11y

@@ -90,6 +90,11 @@ class TestPoissonLoadGenerator:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             PoissonLoadGenerator(rate_qps=0)
+        # 2.5 stamped 2.5 items on every query, and True one item.
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match="PoissonLoadGenerator.num_items"):
+                PoissonLoadGenerator(1000.0, num_items=bad)
+        assert PoissonLoadGenerator(1000.0, num_items=np.int64(2)).num_items == 2
 
 
 def scalar_arrival_times(rng, rate_qps, duration_s):
