@@ -760,8 +760,9 @@ def test_fignmp_golden_engine_invariant(golden):
 # pins ``RequestRouter`` under every policy (including a generator reused
 # across two runs and a bounded queue that sheds between service draws)
 # and ``ResilientRouter`` under ``random`` and ``round_robin`` routing in a
-# seeded fault storm. ``ResilientRouter.run`` and the router's test-only
-# spec (``run_reference``) must both reproduce the same file.
+# seeded fault storm and under every policy without faults.
+# ``ResilientRouter.run`` and the router's test-only spec
+# (``run_reference``) must both reproduce the same file.
 
 
 def _latency_digest(latencies_s):
@@ -797,6 +798,19 @@ def _request_router_payload():
     return payload
 
 
+def _resilient_digest(result):
+    return {
+        **_latency_digest(result.latencies_s),
+        "offered": result.offered,
+        "failed": result.failed,
+        "retries": result.retries,
+        "hedges": result.hedges,
+        "wasted_attempts": result.wasted_attempts,
+        "fail_fasts": result.fail_fasts,
+        "ejections": result.ejections,
+    }
+
+
 def _resilient_routing_payload(run):
     num_machines, duration_s, seed = 6, 0.2, 13
     base_s = TimingModel(BROADWELL).model_latency(RMC1_SMALL, 8).total_seconds
@@ -817,16 +831,15 @@ def _resilient_routing_payload(run):
         result = run(
             router, 0.5 * router.max_stable_qps(), duration_s, faults=storm
         )
-        payload[f"resilient/{routing}"] = {
-            **_latency_digest(result.latencies_s),
-            "offered": result.offered,
-            "failed": result.failed,
-            "retries": result.retries,
-            "hedges": result.hedges,
-            "wasted_attempts": result.wasted_attempts,
-            "fail_fasts": result.fail_fasts,
-            "ejections": result.ejections,
-        }
+        payload[f"resilient/{routing}"] = _resilient_digest(result)
+    # The policy comparison of the routing bench and the data-center
+    # example: no faults and the default resilience policy, at 85% load.
+    for routing in POLICIES:
+        router = ResilientRouter(
+            BROADWELL, RMC1_SMALL, 16, 10, routing=routing, seed=5
+        )
+        result = run(router, 0.85 * router.max_stable_qps(), 0.1)
+        payload[f"resilient/{routing}/fault-free"] = _resilient_digest(result)
     return payload
 
 
