@@ -18,12 +18,13 @@ from repro.config import RMC1_SMALL, RMC2_SMALL, RMC3_SMALL
 from repro.hw import BROADWELL, HASWELL, SKYLAKE
 from repro.serving import (
     MachinePool,
+    POLICIES,
+    ResilientRouter,
     SLA,
     WorkloadDemand,
     aware_capacity,
     best_placement,
     blind_capacity,
-    compare_policies,
 )
 
 POOLS = [
@@ -77,13 +78,15 @@ def step2_placement() -> None:
 
 def step3_routing() -> None:
     print("3) request routing over 12 Broadwell RMC1 replicas at 85% load")
-    results = compare_policies(
-        BROADWELL, RMC1_SMALL, batch_size=16, num_machines=12,
-        utilization=0.85, duration_s=2.0,
-    )
     rows = []
-    for policy, result in results.items():
-        summary = result.summary()
+    for policy in POLICIES:
+        router = ResilientRouter(
+            BROADWELL, RMC1_SMALL, batch_size=16, num_machines=12,
+            routing=policy, seed=0,
+        )
+        summary = router.run(
+            0.85 * router.max_stable_qps(), duration_s=2.0
+        ).summary()
         rows.append(
             [policy, f"{summary.p50 * 1e3:.2f}", f"{summary.p99 * 1e3:.2f}"]
         )

@@ -20,7 +20,6 @@ from ..config.model_config import ModelConfig
 from ..data.sparse import _integer
 from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
-from ..obs.tracer import NullTracer, Tracer, as_tracer
 from .batcher import batch_stream
 from .loadgen import PoissonLoadGenerator, _require_finite, _require_seed
 from .metrics import SLA
@@ -61,11 +60,6 @@ class BatchedServer:
         max_batch: batcher size threshold (items).
         max_wait_s: batcher timeout.
         items_per_query: user-post pairs carried by each query.
-        tracer: optional :class:`~repro.obs.tracer.Tracer`. Each simulated
-            batch becomes a ``serving.batch.request`` span (first arrival
-            to completion) with ``collect``/``wait``/``service`` children
-            on the batcher and model tracks. The default nil tracer
-            records nothing and never perturbs the simulation.
     """
 
     def __init__(
@@ -75,7 +69,6 @@ class BatchedServer:
         max_batch: int = 32,
         max_wait_s: float = 0.001,
         items_per_query: int = 1,
-        tracer: Tracer | NullTracer | None = None,
     ) -> None:
         if _integer("max_batch", max_batch) < 1:
             raise ValueError("max_batch must be positive")
@@ -89,7 +82,6 @@ class BatchedServer:
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
         self.items_per_query = items_per_query
-        self.tracer = as_tracer(tracer)
         self.timing = TimingModel(server)
         self._latency_cache: dict[int, float] = {}
 
@@ -113,11 +105,6 @@ class BatchedServer:
         if not queries:
             raise ValueError("no queries generated; raise rate or duration")
 
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.set_track_name(0, "batcher")
-            tracer.set_track_name(1, "model")
-
         free_at = 0.0
         latencies: list[float] = []
         items = 0
@@ -132,38 +119,6 @@ class BatchedServer:
                 latencies.append(done - query.arrival_s)
             items += batch.num_items
             batch_sizes.append(batch.num_items)
-            if tracer.enabled:
-                first_arrival_s = batch.queries[0].arrival_s
-                batch_id = tracer.begin(
-                    "serving.batch.request",
-                    first_arrival_s,
-                    track=0,
-                    num_items=batch.num_items,
-                )
-                tracer.complete(
-                    "serving.batch.collect",
-                    first_arrival_s,
-                    batch.formed_at_s,
-                    parent_id=batch_id,
-                    track=0,
-                )
-                if start > batch.formed_at_s:
-                    tracer.complete(
-                        "serving.batch.wait",
-                        batch.formed_at_s,
-                        start,
-                        parent_id=batch_id,
-                        track=0,
-                    )
-                tracer.complete(
-                    "serving.batch.service",
-                    start,
-                    done,
-                    parent_id=batch_id,
-                    track=1,
-                    num_items=batch.num_items,
-                )
-                tracer.end(batch_id, done)
 
         return BatchedServingResult(
             server_name=self.server.name,

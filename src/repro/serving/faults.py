@@ -636,6 +636,8 @@ class ResilientRouter:
     ) -> None:
         if _integer("num_machines", num_machines) < 1:
             raise ValueError("need at least one machine")
+        if _integer("batch_size", batch_size) < 1:
+            raise ValueError("batch_size must be positive")
         if routing not in POLICIES:
             raise ValueError(f"unknown policy {routing!r}; valid: {POLICIES}")
         _require_seed("ResilientRouter", seed)

@@ -1,10 +1,11 @@
-"""Request routing across replicated inference servers (queueing DES).
+"""Request routing across replicated inference servers.
 
 Data-center front-ends spread queries across many model replicas; the
 routing policy shapes tail latency long before micro-architecture does.
-This simulator complements :mod:`repro.serving.simulator` (contention on
-one machine) with the fleet view: M machines serving one model, Poisson
-query arrivals, and three classic policies —
+:class:`repro.serving.faults.ResilientRouter` simulates the fleet view
+(M machines serving one model, Poisson query arrivals, service times
+from the timing model plus lognormal noise) under one of three classic
+policies, its ``routing`` argument —
 
 * round-robin — cyclic, state-free;
 * random — uniform choice;
@@ -12,26 +13,18 @@ query arrivals, and three classic policies —
   queue; ``d=2`` captures most of join-shortest-queue's benefit at a
   fraction of its probing cost.
 
-Service times come from the timing model plus lognormal noise, so the
-policies are compared under realistic variability.
+This module holds what the router's Python loop, its C kernel
+(:mod:`repro.serving._des_native`) and its test-only spec share: the
+policy names, the service-noise sigma, bit-exact scalar routing draws
+and one routing decision (:func:`pick_machine`).
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
-
-from ..analysis.distributions import LatencySummary, summarize
-from ..config.model_config import ModelConfig
-from ..data.sparse import _integer
-from ..hw.server import ServerSpec
-from ..hw.timing import TimingModel
-from .loadgen import _require_seed, poisson_arrival_times
 
 POLICIES = ("round_robin", "random", "jsq2")
 
@@ -151,9 +144,10 @@ def pick_machine(
 ) -> int:
     """Select a target machine under one of :data:`POLICIES`.
 
-    Shared by :class:`RequestRouter` (happy path) and
-    :class:`repro.serving.faults.ResilientRouter` (which restricts
-    ``candidates`` to replicas its health checks still admit).
+    Called once per routed attempt by
+    :class:`repro.serving.faults.ResilientRouter`'s Python loop and its
+    test-only spec, which restrict ``candidates`` to replicas their health
+    checks still admit.
 
     Args:
         policy: one of :data:`POLICIES`.
@@ -181,140 +175,3 @@ def pick_machine(
             a, b = candidates[a], candidates[b]
         return a if queue_depth[a] <= queue_depth[b] else b
     return i if candidates is None else candidates[i]
-
-
-@dataclass(frozen=True)
-class RoutingResult:
-    """Outcome of one routing simulation.
-
-    ``max_queue_depth`` is the deepest per-machine backlog observed.
-    """
-
-    policy: str
-    num_machines: int
-    offered_qps: float
-    latencies_s: np.ndarray
-    duration_s: float
-    max_queue_depth: int = 0
-
-    def summary(self) -> LatencySummary:
-        """Per-query latency percentiles."""
-        return summarize(self.latencies_s)
-
-    def throughput_qps(self) -> float:
-        """Completed queries per second."""
-        return len(self.latencies_s) / self.duration_s
-
-
-class RequestRouter:
-    """Simulates one routing policy over replicated servers.
-
-    Args:
-        server: machine generation (all replicas identical).
-        config: the model each replica serves.
-        batch_size: items per query (each query is one inference).
-        num_machines: replica count.
-        policy: one of :data:`POLICIES`.
-        seed: RNG seed.
-    """
-
-    def __init__(
-        self,
-        server: ServerSpec,
-        config: ModelConfig,
-        batch_size: int,
-        num_machines: int,
-        policy: str = "jsq2",
-        seed: int = 0,
-    ) -> None:
-        if _integer("num_machines", num_machines) < 1:
-            raise ValueError("need at least one machine")
-        if _integer("batch_size", batch_size) < 1:
-            raise ValueError("batch_size must be positive")
-        if policy not in POLICIES:
-            raise ValueError(f"unknown policy {policy!r}; valid: {POLICIES}")
-        _require_seed("RequestRouter", seed)
-        self.server = server
-        self.config = config
-        self.batch_size = batch_size
-        self.num_machines = num_machines
-        self.policy = policy
-        self._rng = np.random.default_rng(seed)
-        self._base_service = TimingModel(server).model_seconds(config, batch_size)
-
-    def mean_service_s(self) -> float:
-        """Mean per-query service time."""
-        return self._base_service
-
-    def max_stable_qps(self) -> float:
-        """Arrival rate at 100% utilization (stability boundary)."""
-        return self.num_machines / self._base_service
-
-    def run(self, offered_qps: float, duration_s: float = 1.0) -> RoutingResult:
-        """Simulate ``duration_s`` of Poisson arrivals at ``offered_qps``."""
-        if not (0 < offered_qps < math.inf and 0 < duration_s < math.inf):
-            raise ValueError("rate and duration must be positive")
-        rng = self._rng
-        arrivals = poisson_arrival_times(rng, offered_qps, duration_s).tolist()
-
-        queue_depth = [0] * self.num_machines
-        free_at = [0.0] * self.num_machines
-        rr_state = [0]
-        draws = RoutingDraws(rng)
-        # Event queue of completions: (finish_time, seq, machine).
-        completions: list[tuple[float, int, int]] = []
-        latencies: list[float] = []
-        seq = 0
-        max_queue_depth = 0
-        for arrival in arrivals:
-            # Drain completions before this arrival to keep queues current.
-            while completions and completions[0][0] <= arrival:
-                _, _, machine = heapq.heappop(completions)
-                queue_depth[machine] -= 1
-            machine = pick_machine(self.policy, draws, queue_depth, rr_state)
-            sigma = SERVICE_NOISE_SIGMA
-            service = self._base_service * float(
-                rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma)
-            )
-            start = max(arrival, free_at[machine])
-            finish = start + service
-            free_at[machine] = finish
-            queue_depth[machine] += 1
-            if queue_depth[machine] > max_queue_depth:
-                max_queue_depth = queue_depth[machine]
-            heapq.heappush(completions, (finish, seq, machine))
-            seq += 1
-            latencies.append(finish - arrival)
-        draws.close()
-
-        return RoutingResult(
-            policy=self.policy,
-            num_machines=self.num_machines,
-            offered_qps=offered_qps,
-            latencies_s=np.asarray(latencies),
-            duration_s=duration_s,
-            max_queue_depth=max_queue_depth,
-        )
-
-
-def compare_policies(
-    server: ServerSpec,
-    config: ModelConfig,
-    batch_size: int,
-    num_machines: int,
-    utilization: float = 0.8,
-    duration_s: float = 2.0,
-    seed: int = 0,
-) -> dict[str, RoutingResult]:
-    """Run every policy at the same offered load (fraction of capacity)."""
-    if not 0 < utilization < 1:
-        raise ValueError("utilization must be in (0, 1)")
-    probe = RequestRouter(server, config, batch_size, num_machines, seed=seed)
-    qps = utilization * probe.max_stable_qps()
-    out = {}
-    for policy in POLICIES:
-        router = RequestRouter(
-            server, config, batch_size, num_machines, policy=policy, seed=seed
-        )
-        out[policy] = router.run(qps, duration_s)
-    return out

@@ -49,7 +49,7 @@ from repro.serving import (
     ServingSimulator,
 )
 from repro.serving.faults import ResiliencePolicy, ResilientRouter, fault_storm
-from repro.serving.router import POLICIES, RequestRouter, compare_policies
+from repro.serving.router import POLICIES
 from tests.oracles.resilient_router import run_reference
 from tests.reference_loops import reference_loops
 from tests.test_multimodel import flat_trace
@@ -757,10 +757,8 @@ def test_fignmp_golden_engine_invariant(golden):
 # --- Routing policies not covered by the figure goldens ---------------------
 #
 # The figure-11 family and the fleet day pin ``jsq2`` only. This golden
-# pins ``RequestRouter`` under every policy (including a generator reused
-# across two runs and a bounded queue that sheds between service draws)
-# and ``ResilientRouter`` under ``random`` and ``round_robin`` routing in a
-# seeded fault storm and under every policy without faults.
+# pins ``ResilientRouter`` under ``random`` and ``round_robin`` routing in
+# a seeded fault storm, and under every policy without faults.
 # ``ResilientRouter.run`` and the router's test-only spec
 # (``run_reference``) must both reproduce the same file.
 
@@ -775,27 +773,6 @@ def _latency_digest(latencies_s):
         "max_s": float(np.max(latencies_s)),
         "first_s": [float(x) for x in latencies_s[:8]],
     }
-
-
-def _request_router_payload():
-    kwargs = dict(batch_size=16, num_machines=10)
-    payload = {
-        f"compare/{policy}": _latency_digest(result.latencies_s)
-        for policy, result in compare_policies(
-            BROADWELL, RMC1_SMALL, utilization=0.85, duration_s=0.1,
-            seed=5, **kwargs,
-        ).items()
-    }
-    for policy in POLICIES:
-        router = RequestRouter(
-            BROADWELL, RMC1_SMALL, policy=policy, seed=7, **kwargs
-        )
-        qps = 0.8 * router.max_stable_qps()
-        for i in range(2):
-            payload[f"reused/{policy}/run{i}"] = _latency_digest(
-                router.run(qps, duration_s=0.05).latencies_s
-            )
-    return payload
 
 
 def _resilient_digest(result):
@@ -843,13 +820,9 @@ def _resilient_routing_payload(run):
     return payload
 
 
-def _routing_policies_payload(run):
-    return {**_request_router_payload(), **_resilient_routing_payload(run)}
-
-
 def test_routing_policies_golden(golden):
-    golden("routing_policies", _routing_policies_payload(ResilientRouter.run))
+    golden("routing_policies", _resilient_routing_payload(ResilientRouter.run))
 
 
 def test_routing_policies_oracle_matches_golden(golden):
-    golden("routing_policies", _routing_policies_payload(run_reference))
+    golden("routing_policies", _resilient_routing_payload(run_reference))

@@ -16,7 +16,6 @@ import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from repro.analysis.mpki import measure_sls_trace_mpki
@@ -186,23 +185,12 @@ class TestDistributedTracing:
 
 
 class TestBatchTracing:
-    def test_batches_become_spans(self):
-        tracer = Tracer()
-        server = BatchedServer(
-            BROADWELL, presets.RMC1_SMALL, max_batch=8, tracer=tracer
+    def test_tracer_option_is_gone(self):
+        with pytest.raises(TypeError):
+            BatchedServer(BROADWELL, presets.RMC1_SMALL, tracer=Tracer())
+        assert not hasattr(
+            BatchedServer(BROADWELL, presets.RMC1_SMALL), "tracer"
         )
-        traced = server.simulate(offered_qps=500, duration_s=0.05, seed=5)
-        plain = BatchedServer(
-            BROADWELL, presets.RMC1_SMALL, max_batch=8
-        ).simulate(offered_qps=500, duration_s=0.05, seed=5)
-        assert np.array_equal(traced.query_latencies_s, plain.query_latencies_s)
-        assert traced.items_served == plain.items_served
-        assert traced.mean_batch_size == plain.mean_batch_size
-        assert validate_chrome(to_chrome(tracer)) == []
-        requests = [
-            s for s in tracer.spans if s.name == "serving.batch.request"
-        ]
-        assert sum(s.args["num_items"] for s in requests) == traced.items_served
 
 
 class TestCli:

@@ -25,7 +25,6 @@ from repro.serving import (
     MultiModelPool,
     MultiModelRouter,
     PoissonLoadGenerator,
-    RequestRouter,
     ResiliencePolicy,
     ResilientRouter,
     ServingSimulator,
@@ -107,9 +106,6 @@ SEEDED = {
     ),
     "ServingSimulator": lambda seed: ServingSimulator(
         ContentionLevels(BROADWELL, RMC1_SMALL, 8), 1, seed=seed
-    ),
-    "RequestRouter": lambda seed: RequestRouter(
-        BROADWELL, RMC1_SMALL, 8, 2, seed=seed
     ),
     "ResilientRouter": lambda seed: ResilientRouter(
         BROADWELL, RMC1_SMALL, 8, 2, seed=seed

@@ -23,8 +23,8 @@ from repro.serving import (
     ModelClassRate,
     PoissonLoadGenerator,
     Query,
-    RequestRouter,
     ResiliencePolicy,
+    ResilientRouter,
     SLA,
     ThroughputPoint,
     batch_stream,
@@ -374,14 +374,18 @@ CHECKED_INPUTS = [
         np.int64(2), (2.5, True),
     ),
     (
-        "RequestRouter", "num_machines",
-        lambda v: RequestRouter(BROADWELL, RMC1_SMALL, 8, v).run(1000.0, 0.01),
+        "ResilientRouter", "num_machines",
+        lambda v: ResilientRouter(BROADWELL, RMC1_SMALL, 8, v).run(
+            1000.0, 0.01
+        ),
         np.int64(2), (2.5, True),
     ),
     (
-        "RequestRouter", "batch_size",
-        lambda v: RequestRouter(BROADWELL, RMC1_SMALL, v, 2).run(1000.0, 0.01),
-        np.int64(8), (2.5, True),
+        "ResilientRouter", "batch_size",
+        lambda v: ResilientRouter(BROADWELL, RMC1_SMALL, v, 2).run(
+            1000.0, 0.01
+        ),
+        np.int64(8), (2.5, True, 0),
     ),
     (
         "BatchedServer", "max_batch",
